@@ -8,13 +8,15 @@ Exit codes: 0 success, 1 user error, 2 gradient verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
+
+import numpy as np
 
 from . import diffcore as dc
 from .config import RunConfig, config_hash, load_config
-from .decoder import S1, S2, forecast, load_predictions, save_predictions
+from .decoder import S1, S2, forecast, init_model, load_predictions, save_predictions
 from .ensemble import fuse, load_manifest
 from .errors import (ConfigError, ContractError, EnsembleError,
                      EvaluationError, ParseError, TrainingError)
@@ -76,10 +78,26 @@ def cmd_train(args):
     return 0
 
 
+def _check_checkpoint(store, cfg, t):
+    """Reject a checkpoint whose parameters (names, shapes, dtype) differ
+    from what the config builds, naming the first mismatch."""
+    want = dc.ParamStore(cfg.train.precision)
+    init_model(want, cfg.model, t, np.random.default_rng(0))
+    expected = [(n, p.shape, str(p.dtype)) for n, p in want.items()]
+    found = [(n, p.shape, str(p.dtype)) for n, p in store.items()]
+    for e, f in zip_longest(expected, found):
+        if e != f:
+            name = (f or e)[0]
+            raise ParseError(name, f"checkpoint parameter {name} does not fit the config: "
+                                   f"expected {e}, found {f}; retrain with this config")
+
+
 def cmd_predict(args):
     cfg = _read_config(args.config)
     store = dc.ParamStore.load(args.checkpoint)
     scenes = _load_scenes(args.data, cfg)
+    for t in sorted({scene.horizon[1] for scene in scenes}):
+        _check_checkpoint(store, cfg, t)
     stage = store.meta.get("stage", S2)
     if stage not in (S1, S2):
         raise ParseError("stage", f"checkpoint has invalid stage {stage!r}")

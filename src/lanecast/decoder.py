@@ -1,15 +1,21 @@
 """Two-stage multimodal decoder and the end-to-end forecasting pipeline.
 
-Stage one: K parallel heads regress target points (the trajectory endpoints)
+Stage one: K target heads regress target points (the trajectory endpoints)
 straight from the fused actor feature; a confidence head scores each
 (actor feature ++ encoded target) pair. Stage two: a completion head turns
 each pair into the remaining T-1 steps; the final step is the target itself,
 spliced in exactly.
+
+The K heads are one stacked parameter set: `dec.head.l1` maps [A, D] to
+[A, K*D] and `dec.head.l2` holds K [D, 2] weights applied by one batched
+matmul. Everything after the heads runs once over the A*K (actor, mode)
+rows, in actor-major order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +40,20 @@ class Forecast:
 
 
 def init_decoder(store, cfg, rng):
-    d = cfg.d
-    for k in range(cfg.k_modes):
-        init_linear(store, f"dec.head{k}.l1", d, d, rng)
-        init_linear(store, f"dec.head{k}.l2", d, 2, rng)
+    d, k = cfg.d, cfg.k_modes
+    std = 1.0 / math.sqrt(d)
+    # drawn mode by mode, so the values equal K separately initialized heads
+    w1, w2 = zip(*[(rng.normal(0.0, std, (d, d)), rng.normal(0.0, std, (d, 2)))
+                   for _ in range(k)])
+    store.add("dec.head.l1.w", np.concatenate(w1, axis=1))
+    store.add("dec.head.l1.b", np.zeros(k * d))
+    store.add("dec.head.l2.w", np.stack(w2))
+    store.add("dec.head.l2.b", np.zeros((k, 2)))
     init_linear(store, "dec.tenc.l1", 2, d, rng)
     init_linear(store, "dec.tenc.l2", d, d, rng)
     init_linear(store, "dec.conf.l1", 2 * d, d, rng)
-    init_linear(store, "dec.conf.l2", d, 1, rng)
+    # no bias: one shared offset on all K logits cancels in the softmax
+    init_linear(store, "dec.conf.l2", d, 1, rng, bias=False)
 
 
 def init_completion(store, cfg, rng, t):
@@ -58,25 +70,29 @@ def _encode_target(store, g, input_scale):
     return linear(store, "dec.tenc.l2", h)
 
 
+def _per_mode(actor_f, k):
+    """[A, D] -> [A*K, D]: each actor's row once per mode."""
+    return dc.gather(actor_f, np.repeat(np.arange(actor_f.shape[0]), k), axis=0)
+
+
 def predict_targets(actor_f, store, cfg):
     """Fused actor features [A, D] -> (targets [A, K, 2], logits [A, K]).
 
     Targets are agent-frame offsets from the origin. Confidences are
     softmax(logits), taken downstream so losses can see raw logits.
     """
-    a = actor_f.shape[0]
-    targets, logits = [], []
-    for k in range(cfg.k_modes):
-        h = dc.relu(linear(store, f"dec.head{k}.l1", actor_f))
-        # output_scale maps the O(1) feature range onto meters, mirroring
-        # input_scale on the encoder side
-        g = dc.scale(linear(store, f"dec.head{k}.l2", h), cfg.output_scale)
-        enc = _encode_target(store, g, cfg.input_scale)
-        ch = dc.relu(linear(store, "dec.conf.l1", dc.concat([actor_f, enc], axis=1)))
-        logit = linear(store, "dec.conf.l2", ch)  # [A, 1]
-        targets.append(dc.reshape(g, (a, 1, 2)))
-        logits.append(logit)
-    return dc.concat(targets, axis=1), dc.concat(logits, axis=1)
+    a, k, d = actor_f.shape[0], cfg.k_modes, cfg.d
+    h = dc.reshape(dc.relu(linear(store, "dec.head.l1", actor_f)), (a * k, 1, d))
+    w2 = dc.gather(store["dec.head.l2.w"], np.tile(np.arange(k), a), axis=0)  # [A*K, D, 2]
+    g = dc.add(dc.reshape(dc.matmul(h, w2), (a, k * 2)),
+               dc.reshape(store["dec.head.l2.b"], (k * 2,)))
+    # output_scale maps the O(1) feature range onto meters, mirroring
+    # input_scale on the encoder side
+    g = dc.reshape(dc.scale(g, cfg.output_scale), (a * k, 2))
+    enc = _encode_target(store, g, cfg.input_scale)
+    ch = dc.relu(linear(store, "dec.conf.l1", dc.concat([_per_mode(actor_f, k), enc], axis=1)))
+    logits = dc.reshape(linear(store, "dec.conf.l2", ch), (a, k))
+    return dc.reshape(g, (a, k, 2)), logits
 
 
 def complete_trajectories(actor_f, targets, store, cfg, t):
@@ -86,18 +102,14 @@ def complete_trajectories(actor_f, targets, store, cfg, t):
     """
     if t < 2:
         raise ContractError(f"completion needs T >= 2, got {t}")
-    a = actor_f.shape[0]
-    modes = []
-    for k in range(cfg.k_modes):
-        g = dc.reshape(dc.gather(dc.reshape(targets, (a * cfg.k_modes, 2)),
-                                 np.arange(a) * cfg.k_modes + k, axis=0), (a, 2))
-        enc = _encode_target(store, g, cfg.input_scale)
-        h = dc.relu(linear(store, "dec.comp.l1", dc.concat([actor_f, enc], axis=1)))
-        body = dc.reshape(dc.scale(linear(store, "dec.comp.l2", h), cfg.output_scale),
-                          (a, t - 1, 2))
-        full = dc.concat([body, dc.reshape(g, (a, 1, 2))], axis=1)  # [A, T, 2]
-        modes.append(dc.reshape(full, (a, 1, t, 2)))
-    return dc.concat(modes, axis=1)
+    a, k = actor_f.shape[0], cfg.k_modes
+    g = dc.reshape(targets, (a * k, 2))
+    enc = _encode_target(store, g, cfg.input_scale)
+    h = dc.relu(linear(store, "dec.comp.l1", dc.concat([_per_mode(actor_f, k), enc], axis=1)))
+    body = dc.reshape(dc.scale(linear(store, "dec.comp.l2", h), cfg.output_scale),
+                      (a * k, t - 1, 2))
+    full = dc.concat([body, dc.reshape(g, (a * k, 1, 2))], axis=1)  # [A*K, T, 2]
+    return dc.reshape(full, (a, k, t, 2))
 
 
 def init_model(store, cfg, t, rng):

@@ -4,21 +4,17 @@ bit-exact checkpoints, and a finite-difference gradient checker."""
 from .gradcheck import grad_check
 from .params import ParamStore
 from .tensor import (
-    Tape,
     Tensor,
     add,
     backward,
     concat,
-    constant,
     conv1d,
     gather,
     l2_norm_rows,
     layer_norm,
     log,
-    log_softmax,
     matmul,
     max,
-    maxpool1d,
     mean,
     mul,
     relu,
@@ -31,13 +27,11 @@ from .tensor import (
     softmax,
     sub,
     sum,
-    tanh,
 )
 
 __all__ = [
-    "Tape", "Tensor", "ParamStore", "grad_check", "backward", "constant",
+    "Tensor", "ParamStore", "grad_check", "backward",
     "add", "sub", "mul", "scale", "matmul", "concat", "reshape", "relu",
-    "sigmoid", "tanh", "log", "smooth_l1", "softmax", "log_softmax",
-    "layer_norm", "l2_norm_rows", "gather", "scatter_add", "conv1d",
-    "maxpool1d", "sum", "mean", "max", "set_debug_checks",
+    "sigmoid", "log", "smooth_l1", "softmax", "layer_norm", "l2_norm_rows",
+    "gather", "scatter_add", "conv1d", "sum", "mean", "max", "set_debug_checks",
 ]

@@ -51,31 +51,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def n_values(self):
-        total = 0
-        for t in self._params.values():
-            total += t.size
-        return total
-
-    def astype(self, dtype):
-        """A new store with the same names and values in another precision."""
-        out = ParamStore(dtype)
-        for name, t in self._params.items():
-            out.add(name, t.data.astype(out.dtype))
-        return out
-
-    def set_values(self, values):
-        """Overwrite parameter data in place from a name -> array mapping."""
-        for name, arr in values.items():
-            t = self._params.get(name)
-            if t is None:
-                raise ContractError(f"unknown parameter: {name}")
-            arr = np.asarray(arr, dtype=t.dtype)
-            if arr.shape != t.shape:
-                raise ContractError(
-                    f"parameter {name}: shape {arr.shape} does not match {t.shape}")
-            t.data = arr
-
     def save(self, path, meta=None):
         entries = [{"name": n, "shape": list(t.shape), "dtype": str(t.dtype)}
                    for n, t in self._params.items()]
@@ -106,14 +81,19 @@ class ParamStore:
             entries = manifest.get("params")
             if not isinstance(entries, list):
                 raise ParseError("params", "checkpoint manifest has no params list")
-            dtypes = {e.get("dtype") for e in entries}
-            store = cls(np.dtype(entries[0]["dtype"]) if entries else np.float32)
+            for e in entries:
+                if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                        and isinstance(e.get("shape"), list)):
+                    raise ParseError("params", f"malformed manifest entry: {e!r}")
+                if e.get("dtype") not in ("float32", "float64"):
+                    raise ParseError("dtype", f"parameter {e['name']}: dtype must be "
+                                              f"float32 or float64, got {e.get('dtype')!r}")
+            dtypes = {e["dtype"] for e in entries}
             if len(dtypes) > 1:
                 raise ParseError("dtype", f"checkpoint mixes dtypes: {sorted(dtypes)}")
+            store = cls(dtypes.pop() if dtypes else np.float32)
             for e in entries:
-                name, shape, dt = e.get("name"), e.get("shape"), e.get("dtype")
-                if not isinstance(name, str) or not isinstance(shape, list):
-                    raise ParseError("params", f"malformed manifest entry: {e!r}")
+                name, shape, dt = e["name"], e["shape"], e["dtype"]
                 dtype = np.dtype(dt).newbyteorder("<")
                 count = int(np.prod(shape)) if shape else 1
                 raw = f.read(count * dtype.itemsize)

@@ -2,8 +2,8 @@
 
 Values are numpy arrays, float32 by default for training and float64 for
 gradient checking. Each op computes its forward result with numpy and, when
-any input requires gradients, attaches a backward rule to the output. The
-`Tape` replays those rules in reverse topological order.
+any input requires gradients, attaches a backward rule to the output.
+`backward` replays those rules in reverse topological order.
 
 Broadcasting is deliberately restricted: elementwise ops require identical
 shapes, except `add`, which also accepts a rank-1 bias over the last axis.
@@ -94,11 +94,6 @@ class Tensor:
         return scale(self, -1.0)
 
 
-def constant(data, dtype=None):
-    """A tensor that never tracks gradients."""
-    return Tensor(data, requires_grad=False, dtype=dtype)
-
-
 def _as_tensor(x, like=None):
     if isinstance(x, Tensor):
         return x
@@ -187,13 +182,15 @@ def scale(a, c):
 
 
 def matmul(a, b):
+    """[M, N] @ [N, P] -> [M, P], or batched [B, M, N] @ [B, N, P] -> [B, M, P]."""
     a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check_same_dtype(a, b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return _make(a.data @ b.data, (a, b), bwd, "matmul")
 
@@ -244,16 +241,6 @@ def sigmoid(a):
         return (g * s * (1.0 - s),)
 
     return _make(s, (a,), bwd, "sigmoid")
-
-
-def tanh(a):
-    a = _as_tensor(a)
-    t = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - t * t),)
-
-    return _make(t, (a,), bwd, "tanh")
 
 
 def log(a, floor=0.0):
@@ -364,20 +351,6 @@ def softmax(a, axis=-1):
         return (s * (g - dot),)
 
     return _make(s.astype(a.dtype), (a,), bwd, "softmax")
-
-
-def log_softmax(a, axis=-1):
-    a = _as_tensor(a)
-    axis = _check_axis(axis, a.ndim)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    y = z - lse
-    s = np.exp(y)
-
-    def bwd(g):
-        return (g - s * g.sum(axis=axis, keepdims=True),)
-
-    return _make(y.astype(a.dtype), (a,), bwd, "log_softmax")
 
 
 def layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
@@ -535,57 +508,29 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     return _make(y, parents, bwd, "conv1d")
 
 
-def maxpool1d(x, width, stride):
-    """Max pooling over the last axis of [B, C, L]; ties pick the lowest index."""
-    x = _as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool1d: expected [B, C, L], got {x.shape}")
-    batch, ch, length = x.shape
-    if width > length:
-        raise ShapeError(f"maxpool1d: width {width} exceeds length {length}")
-    win = _conv_indices(length, width, stride, 0)  # [Lout, W]
-    patches = x.data[:, :, win]  # [B, C, Lout, W]
-    arg = np.argmax(patches, axis=3)  # first max wins on ties
-    src = win[np.arange(win.shape[0]), arg]  # [B, C, Lout] absolute positions
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        bi = np.arange(batch)[:, None, None]
-        ci = np.arange(ch)[None, :, None]
-        np.add.at(gx, (bi, ci, src), g)
-        return (gx,)
-
-    return _make(patches.max(axis=3), (x,), bwd, "maxpool1d")
-
-
 # ---------------------------------------------------------------------------
 # tape and backward
 
 
-class Tape:
-    """The ops reaching a root tensor, in topological order."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def from_root(cls, root):
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        return cls(order)
+def _topological_order(root):
+    """The tensors reaching `root` through gradient-tracking ops, parents
+    before children."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    return order
 
 
 def backward(loss, params):
@@ -601,8 +546,7 @@ def backward(loss, params):
 
     grads = {id(loss): np.ones((), dtype=loss.dtype)}
     if loss.requires_grad:
-        tape = Tape.from_root(loss)
-        for node in reversed(tape.nodes):
+        for node in reversed(_topological_order(loss)):
             g = grads.get(id(node))
             if g is None or node._backward is None:
                 continue

@@ -7,6 +7,10 @@ The confidence target distribution is itself a function of the predictions
 (softmax over negative displacement errors), so it stays on the tape and
 gradients flow through both KL arguments. Only the discrete choices, the
 2 m filter and the winning mode, are made outside the graph.
+
+`total_loss` scores all actors of a scene at once: the modes and
+confidence rows of the actors kept by the filter are gathered in one step,
+and the ground-truth confidence and the KL run batched over [n, K, T, 2].
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
+from .decoder import S1, S2
 from .errors import ContractError
 
 CONF_FILTER_METERS = 2.0
 LOG_FLOOR = 1e-12
-S1, S2 = "S1", "S2"
 
 
 @dataclass
@@ -50,32 +54,35 @@ def displacement_error(s, s_hat):
 
 
 def mode_displacements(s, s_hat):
-    """Displacement error per mode: [K, T, 2] tensor -> [K] tensor.
+    """Displacement error per mode: [K, T, 2] tensor -> [K] tensor, or
+    batched [n, K, T, 2] -> [n, K].
 
-    s_hat is a [T, 2] array (constant).
+    s_hat is a [T, 2] (batched: [n, T, 2]) array (constant).
     """
-    k, t = s.shape[0], s.shape[1]
-    if np.asarray(s_hat).shape != (t, 2):
-        raise ContractError(
-            f"mode_displacements: gt shape {np.asarray(s_hat).shape} vs T={t}")
-    flat = dc.reshape(s, (k * t, 2))
-    diff = dc.sub(flat, _const_like(s, np.tile(np.asarray(s_hat), (k, 1))))
-    return dc.max(dc.reshape(dc.l2_norm_rows(diff), (k, t)), axis=1)
+    lead, t = s.shape[:-3], s.shape[-2]
+    s_hat = np.asarray(s_hat)
+    if s_hat.shape != (*lead, t, 2):
+        raise ContractError(f"mode_displacements: gt shape {s_hat.shape} vs modes {s.shape}")
+    ref = np.broadcast_to(s_hat[..., None, :, :], s.shape).reshape(-1, 2)
+    diff = dc.sub(dc.reshape(s, (ref.shape[0], 2)), _const_like(s, ref))
+    return dc.max(dc.reshape(dc.l2_norm_rows(diff), s.shape[:-1]), axis=-1)
 
 
 def gt_confidence(s, s_hat):
     """Ground-truth mode distribution: softmax over negative displacement
     errors (the softmax's internal max shift realizes the subtract-min-D
-    stabilization exactly). Tensor in, tensor out; arrays work too."""
+    stabilization exactly). Tensor in, tensor out; arrays work too. Batches
+    like mode_displacements."""
     if isinstance(s, dc.Tensor):
-        return dc.softmax(dc.scale(mode_displacements(s, s_hat), -1.0), axis=0)
+        return dc.softmax(dc.scale(mode_displacements(s, s_hat), -1.0), axis=-1)
     out = gt_confidence(dc.Tensor(np.asarray(s, dtype=np.float64)), s_hat)
     return out.data
 
 
 def confidence_loss(c, c_hat):
     """KL(c_hat || c) = sum c_hat (log c_hat - log c), logs floored at 1e-12
-    (which also realizes 0 log 0 = 0). Both arguments may carry gradients."""
+    (which also realizes 0 log 0 = 0). Both arguments may carry gradients.
+    With [n, K] rows, returns the sum of the n KLs."""
     if not isinstance(c, dc.Tensor):
         c = dc.Tensor(np.asarray(c, dtype=np.float64))
     if not isinstance(c_hat, dc.Tensor):
@@ -87,9 +94,12 @@ def confidence_loss(c, c_hat):
 
 
 def conf_filter(pred_endpoints, gt_endpoint):
-    """Keep an actor iff its best endpoint error is within 2 m (inclusive)."""
-    d = np.asarray(pred_endpoints, dtype=np.float64) - np.asarray(gt_endpoint)
-    return float(np.hypot(d[:, 0], d[:, 1]).min()) <= CONF_FILTER_METERS
+    """Keep an actor iff its best endpoint error is within 2 m (inclusive).
+
+    [K, 2] endpoints and a [2] ground truth give one bool; [A, K, 2] and
+    [A, 2] give an [A] mask."""
+    d = np.asarray(pred_endpoints, dtype=np.float64) - np.asarray(gt_endpoint)[..., None, :]
+    return np.hypot(d[..., 0], d[..., 1]).min(axis=-1) <= CONF_FILTER_METERS
 
 
 def select_winners(targets, gt_endpoints):
@@ -140,26 +150,6 @@ def trajectory_loss(traj, gt, mask, winners):
     return dc.mean(dc.smooth_l1(diff, beta=1.0)), int(kept.size)
 
 
-def _mean_tensors(terms, dtype):
-    if not terms:
-        return dc.Tensor(np.zeros((), dtype=dtype))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = dc.add(acc, t)
-    return dc.scale(acc, 1.0 / len(terms))
-
-
-def _actor_modes(tensor, i, k, t):
-    """Slice actor i out of a [A, K, T, 2] (or [A, K, 2]) tensor -> [K, T, 2]."""
-    if tensor.ndim == 3:
-        flat = dc.reshape(tensor, (tensor.shape[0] * k, 2))
-        rows = dc.gather(flat, i * k + np.arange(k), axis=0)
-        return dc.reshape(rows, (k, 1, 2))
-    flat = dc.reshape(tensor, (tensor.shape[0] * k * t, 2))
-    rows = dc.gather(flat, i * k * t + np.arange(k * t), axis=0)
-    return dc.reshape(rows, (k, t, 2))
-
-
 def total_loss(targets, traj, logits, gt_futures, last_observed, stage):
     """Assemble the staged loss for one normalized scene.
 
@@ -181,25 +171,18 @@ def total_loss(targets, traj, logits, gt_futures, last_observed, stage):
         if g is not None:
             gt_end[i] = np.asarray(g)[-1]
 
-    conf = dc.softmax(logits, axis=1)
-    kl_terms = []
-    n_kept = 0
-    for i in range(a):
-        if not has_gt[i]:
-            continue
-        if not conf_filter(targets.data[i], gt_end[i]):
-            continue
-        if stage == S1:
-            pred_modes = _actor_modes(targets, i, k, 1)
-            gt_ref = gt_end[i][None, :]
-        else:
-            pred_modes = _actor_modes(traj, i, k, traj.shape[2])
-            gt_ref = np.asarray(gt_futures[i], dtype=np.float64)
-        c_hat = gt_confidence(pred_modes, gt_ref)
-        row = dc.reshape(dc.gather(conf, np.array([i]), axis=0), (k,))
-        kl_terms.append(confidence_loss(row, c_hat))
-        n_kept += 1
-    conf_term = _mean_tensors(kl_terms, targets.dtype)
+    # one KL over the kept actors; with none kept, the empty batch sums to 0
+    if stage == S1:
+        gt_ref = gt_end[:, None, :]
+        modes = dc.reshape(targets, (a, k, 1, 2))
+    else:
+        gt_ref = np.stack([np.asarray(g) if g is not None else np.zeros((traj.shape[2], 2))
+                           for g in gt_futures])
+        modes = traj
+    kept = np.flatnonzero(has_gt & conf_filter(targets.data, gt_end))
+    c_hat = gt_confidence(dc.gather(modes, kept, axis=0), gt_ref[kept])
+    conf = dc.gather(dc.softmax(logits, axis=1), kept, axis=0)
+    conf_term = dc.scale(confidence_loss(conf, c_hat), 1.0 / max(kept.size, 1))
 
     reg_mask = has_gt & np.asarray(last_observed, dtype=bool)
     target_term, n_target, winners = target_loss(targets, gt_end, reg_mask)
@@ -207,9 +190,7 @@ def total_loss(targets, traj, logits, gt_futures, last_observed, stage):
     total = dc.add(conf_term, target_term)
     traj_val = 0.0
     if stage == S2:
-        gt_full = np.stack([np.asarray(g) if g is not None else np.zeros((traj.shape[2], 2))
-                            for g in gt_futures])
-        traj_term, _ = trajectory_loss(traj, gt_full, reg_mask, winners)
+        traj_term, _ = trajectory_loss(traj, gt_ref, reg_mask, winners)
         total = dc.add(total, traj_term)
         traj_val = float(traj_term.data)
 
@@ -218,7 +199,7 @@ def total_loss(targets, traj, logits, gt_futures, last_observed, stage):
     bd = LossBreakdown(
         conf=conf_val, target=target_val, traj=traj_val,
         total=conf_val + target_val + traj_val,
-        n_conf_kept=n_kept, n_target=n_target, stage=stage)
+        n_conf_kept=int(kept.size), n_target=n_target, stage=stage)
     if not math.isfinite(bd.total):
         raise ContractError("non-finite loss")
     return total, bd

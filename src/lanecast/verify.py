@@ -8,6 +8,8 @@ analytic gradients against central finite differences. Used by the
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import diffcore as dc
@@ -37,6 +39,17 @@ def _tiny_scene(seed=11, n_actors=2):
     return normalize(scene, scene.actors[0].id)
 
 
+def _jitter_biases(store, seed):
+    """Add seeded N(0, 0.1) noise to every bias. With all-zero biases a head
+    whose hidden units are all negative outputs exactly 0, which puts the
+    next layer on a ReLU kink, where the one-sided analytic derivative and
+    the central difference must disagree."""
+    rng = np.random.default_rng([seed, 1])
+    for name, t in store.items():
+        if name.endswith(".b"):
+            t.data = t.data + rng.normal(0.0, 0.1, t.shape)
+
+
 def _reduce(t):
     flat = dc.reshape(t, (t.size,)) if t.ndim != 1 else t
     # mix components so no gradient path cancels by symmetry
@@ -49,6 +62,7 @@ def check_actor_encoder(seed=0, n_samples=3):
     cfg = _tiny_cfg()
     store = dc.ParamStore(np.float64)
     init_actor_encoder(store, cfg, np.random.default_rng(seed))
+    _jitter_biases(store, seed)
 
     def fn(s):
         feats, _ = encode_actors(scene, s, cfg)
@@ -62,6 +76,7 @@ def check_lane_encoder(seed=0, n_samples=3):
     cfg = _tiny_cfg()
     store = dc.ParamStore(np.float64)
     init_lane_encoder(store, cfg, np.random.default_rng(seed))
+    _jitter_biases(store, seed)
 
     def fn(s):
         return _reduce(encode_lane_nodes(scene.lane_graph, s, cfg))
@@ -72,15 +87,14 @@ def check_lane_encoder(seed=0, n_samples=3):
 def check_gated_conv(seed=0, n_samples=4):
     scene = _tiny_scene()
     cfg = _tiny_cfg()
+    full = dc.ParamStore(np.float64)
+    init_lane_encoder(full, replace(cfg, l_graph=1), np.random.default_rng(seed))
+    p = "lane.gc0"
     store = dc.ParamStore(np.float64)
-    rng = np.random.default_rng(seed)
-    p = "gc"
-    from ._layers import init_layer_norm, init_linear
-    init_linear(store, f"{p}.self", cfg.d, cfg.d, rng, bias=False)
-    for cat in ("predecessor", "successor", "left", "right"):
-        init_linear(store, f"{p}.{cat}.w", cfg.d, cfg.d, rng, bias=False)
-        init_linear(store, f"{p}.{cat}.gate", cfg.d, 1, rng)
-    init_layer_norm(store, f"{p}.ln", cfg.d)
+    for name, t in full.items():
+        if name.startswith(p + "."):
+            store.add(name, t.data)
+    _jitter_biases(store, seed)
     n = scene.lane_graph.n_nodes
     x_in = np.random.default_rng(seed + 1).normal(size=(n, cfg.d))
 
@@ -97,6 +111,7 @@ def check_boundary_lane_fusion(seed=0, n_samples=4):
     rng = np.random.default_rng(seed)
     init_boundary_encoder(store, cfg, rng)
     init_boundary_lane_fusion(store, cfg, rng)
+    _jitter_biases(store, seed)
     n = scene.lane_graph.n_nodes
     lane_f = np.random.default_rng(seed + 1).normal(size=(n, cfg.d))
 
@@ -113,6 +128,7 @@ def check_distance_attention(seed=0, n_samples=4):
     store = dc.ParamStore(np.float64)
     rng = np.random.default_rng(seed)
     init_distance_attention(store, "att", cfg, rng)
+    _jitter_biases(store, seed)
     gen = np.random.default_rng(seed + 1)
     q_pos = gen.uniform(-5, 5, (4, 2))
     c_pos = gen.uniform(-5, 5, (7, 2))
@@ -127,10 +143,13 @@ def check_distance_attention(seed=0, n_samples=4):
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
 
 
-def check_decoder_stage1(seed=0, n_samples=3):
+# With the K heads stacked into one tensor each, 8 samples per parameter
+# compare as many coordinates as 3 per parameter did over K separate heads.
+def check_decoder_stage1(seed=0, n_samples=8):
     cfg = _tiny_cfg()
     store = dc.ParamStore(np.float64)
     init_decoder(store, cfg, np.random.default_rng(seed))
+    _jitter_biases(store, seed)
     af = np.random.default_rng(seed + 1).normal(size=(2, cfg.d))
 
     def fn(s):
@@ -140,12 +159,13 @@ def check_decoder_stage1(seed=0, n_samples=3):
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
 
 
-def check_decoder_stage2(seed=0, n_samples=3):
+def check_decoder_stage2(seed=0, n_samples=8):
     cfg = _tiny_cfg()
     store = dc.ParamStore(np.float64)
     rng = np.random.default_rng(seed)
     init_decoder(store, cfg, rng)
     init_completion(store, cfg, rng, t=4)
+    _jitter_biases(store, seed)
     af = np.random.default_rng(seed + 1).normal(size=(2, cfg.d))
 
     def fn(s):
@@ -161,6 +181,7 @@ def check_full_pipeline(seed=0, n_samples=2):
     cfg = _tiny_cfg()
     store = dc.ParamStore(np.float64)
     init_model(store, cfg, scene.horizon[1], np.random.default_rng(seed))
+    _jitter_biases(store, seed)
 
     def fn(s):
         targets, traj, logits = run_pipeline(scene, s, cfg, S2)

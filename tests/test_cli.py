@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lanecast import diffcore as dc
 from lanecast.cli import main
-from lanecast.decoder import load_predictions
+from lanecast.config import ModelConfig
+from lanecast.decoder import init_model, load_predictions
 
 TINY = {
     "seed": 11,
@@ -129,6 +131,64 @@ class TestErrorPaths:
     def test_missing_manifest_is_user_error(self, tmp_path):
         assert run("ensemble", "--manifest", str(tmp_path / "no.json"),
                    "--out", str(tmp_path / "f.json")) == 1
+
+
+class TestCheckpointMismatch:
+    """predict rejects a checkpoint that does not fit the config as a user
+    error naming the parameter, before running the model."""
+
+    def _predict(self, tmp_path, cfg_path, store):
+        data = tmp_path / "data"
+        run("gen-data", "--config", cfg_path, "--out", str(data))
+        ckpt = tmp_path / "checkpoint.bin"
+        store.save(ckpt, meta={"stage": "S2"})
+        return run("predict", "--config", cfg_path, "--checkpoint", str(ckpt),
+                   "--data", str(data), "--out", str(tmp_path / "p.json"))
+
+    def _store(self, d=16):
+        store = dc.ParamStore(np.float32)
+        init_model(store, ModelConfig(d=d, l_graph=1), TINY["data"]["gen"]["t"],
+                   np.random.default_rng(0))
+        return store
+
+    def test_other_width_is_user_error(self, tmp_path, cfg_path, capsys):
+        assert self._predict(tmp_path, cfg_path, self._store(d=32)) == 1
+        assert "actor.coord.conv1.w" in capsys.readouterr().err
+
+    def test_per_mode_head_layout_is_user_error(self, tmp_path, cfg_path, capsys):
+        # the layout with one `dec.head{k}` parameter set per mode
+        old = dc.ParamStore(np.float32)
+        for name, t in self._store().items():
+            if name.startswith("dec.head."):
+                continue
+            if name == "dec.tenc.l1.w":
+                for k in range(6):
+                    old.add(f"dec.head{k}.l1.w", np.zeros((16, 16)))
+            old.add(name, t.data)
+        assert self._predict(tmp_path, cfg_path, old) == 1
+        assert "dec.head0.l1.w" in capsys.readouterr().err
+
+    def test_other_precision_is_user_error(self, tmp_path, cfg_path, capsys):
+        store = dc.ParamStore(np.float64)
+        for name, t in self._store().items():
+            store.add(name, t.data)
+        assert self._predict(tmp_path, cfg_path, store) == 1
+        assert "float64" in capsys.readouterr().err
+
+    def test_manifest_entry_without_dtype_is_user_error(self, tmp_path, cfg_path, capsys):
+        data = tmp_path / "data"
+        run("gen-data", "--config", cfg_path, "--out", str(data))
+        ckpt = tmp_path / "checkpoint.bin"
+        self._store().save(ckpt)
+        raw = ckpt.read_bytes()
+        mlen = int.from_bytes(raw[:8], "little")
+        manifest = json.loads(raw[8:8 + mlen])
+        del manifest["params"][0]["dtype"]
+        blob = json.dumps(manifest).encode()
+        ckpt.write_bytes(len(blob).to_bytes(8, "little") + blob + raw[8 + mlen:])
+        assert run("predict", "--config", cfg_path, "--checkpoint", str(ckpt),
+                   "--data", str(data), "--out", str(tmp_path / "p.json")) == 1
+        assert "dtype" in capsys.readouterr().err
 
 
 class TestDiagnostics:

@@ -2,7 +2,9 @@
 against central finite differences, and the bookkeeping contracts
 (accumulation, disconnected params, save/load)."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -52,11 +54,10 @@ class TestElementwise:
         x[np.abs(x) < 0.05] += 0.1
         check_op(lambda t: dc.sum(dc.relu(t)), x)
 
-    def test_sigmoid_tanh_grads(self):
+    def test_sigmoid_grad(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 7))
         check_op(lambda t: dc.sum(dc.sigmoid(t)), x)
-        check_op(lambda t: dc.sum(dc.tanh(t)), x)
 
     def test_sigmoid_stable_at_large_negative(self):
         y = dc.sigmoid(dc.Tensor(np.array([-800.0, 800.0])))
@@ -111,6 +112,22 @@ class TestReductionsAndShape:
         a = rng.normal(size=(3, 4))
         b = dc.Tensor(rng.normal(size=(4, 2)))
         check_op(lambda t: dc.sum(dc.matmul(t, b)), a)
+
+    def test_batched_matmul_matches_per_batch_and_grads(self):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(3, 2, 4))
+        b = rng.normal(size=(3, 4, 5))
+        y = dc.matmul(dc.Tensor(a), dc.Tensor(b)).data
+        for i in range(3):
+            np.testing.assert_allclose(y[i], a[i] @ b[i], atol=1e-12)
+        w = dc.Tensor(rng.normal(size=(3, 2, 5)))
+        check_op(lambda t: dc.sum(dc.mul(dc.matmul(t, dc.Tensor(b)), w)), a)
+        check_op(lambda t: dc.sum(dc.mul(dc.matmul(dc.Tensor(a), t), w)), b)
+
+    def test_batched_matmul_shape_mismatch_raises(self):
+        for sa, sb in (((3, 2, 4), (2, 4, 5)), ((3, 2, 4), (4, 5)), ((3, 2, 4), (3, 3, 5))):
+            with pytest.raises(ShapeError):
+                dc.matmul(dc.Tensor(np.zeros(sa)), dc.Tensor(np.zeros(sb)))
 
     def test_concat_reshape_grads(self):
         rng = np.random.default_rng(5)
@@ -173,13 +190,6 @@ class TestSoftmaxAndNorm:
         w = dc.Tensor(rng.normal(size=(4, 6)))
         check_op(lambda t: dc.sum(dc.mul(dc.softmax(t, axis=1), w)), x)
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(3, 5)) * 20
-        a = dc.log_softmax(dc.Tensor(x)).data
-        b = np.log(dc.softmax(dc.Tensor(x)).data)
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
     def test_layer_norm_value_and_grad(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(4, 8))
@@ -230,15 +240,6 @@ class TestConvAndPool:
         nw = numeric_grad(lambda v: float(dc.sum(dc.mul(
             dc.conv1d(xt, dc.Tensor(v), b), dc.conv1d(xt, dc.Tensor(v), b))).data), w.data)
         np.testing.assert_allclose(got["w"], nw, atol=1e-6)
-
-    def test_maxpool_matches_naive_and_breaks_ties_low(self):
-        x = np.array([[[1.0, 5.0, 5.0, 2.0]]])
-        t = dc.Tensor(x, requires_grad=True)
-        y = dc.maxpool1d(t, width=2, stride=2)
-        np.testing.assert_array_equal(y.data, [[[5.0, 5.0]]])
-        g = dc.backward(dc.sum(y), [("x", t)])["x"]
-        # both windows pick their leftmost max
-        np.testing.assert_array_equal(g, [[[0.0, 1.0, 1.0, 0.0]]])
 
 
 class TestTapeAndBackward:
@@ -298,6 +299,18 @@ class TestParamStore:
         path.write_bytes(b"\x00" * 4)
         with pytest.raises(ParseError):
             dc.ParamStore.load(path)
+
+    @pytest.mark.parametrize("dtype", [None, "int32", 3])
+    def test_bad_manifest_dtype_rejected(self, tmp_path, dtype):
+        entry = {"name": "w", "shape": [2]}
+        if dtype is not None:
+            entry["dtype"] = dtype
+        blob = json.dumps({"format": "lanecast-params-v1", "params": [entry]}).encode()
+        path = tmp_path / "p.bin"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(8))
+        with pytest.raises(ParseError) as info:
+            dc.ParamStore.load(path)
+        assert info.value.field == "dtype"
 
     def test_duplicate_name_rejected(self):
         store = dc.ParamStore(np.float64)

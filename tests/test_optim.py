@@ -168,7 +168,7 @@ class TestTrainLoop:
         for name in fresh.names():
             if name.startswith("dec.comp."):
                 np.testing.assert_array_equal(store[name].data, fresh[name].data)
-            elif name.startswith("dec.head0."):
+            elif name.startswith("dec.head."):
                 assert np.abs(store[name].data - fresh[name].data).max() > 0
 
     def test_deterministic_repeat(self):
