@@ -24,7 +24,7 @@ from . import diffcore as dc
 from ._layers import init_linear, linear
 from .encoder import encode_actors, encode_boundaries, encode_lane_nodes
 from .errors import ContractError, ParseError
-from .fusion import fuse_scene, matching_from_boundaries
+from .fusion import fuse_scene
 from .scene import normalize, to_world
 
 S1, S2 = "S1", "S2"
@@ -59,10 +59,6 @@ def init_decoder(store, cfg, rng):
 def init_completion(store, cfg, rng, t):
     init_linear(store, "dec.comp.l1", 2 * cfg.d, cfg.d, rng)
     init_linear(store, "dec.comp.l2", cfg.d, (t - 1) * 2, rng)
-
-
-def completion_param_names(store):
-    return [n for n in store.names() if n.startswith("dec.comp.")]
 
 
 def _encode_target(store, g, input_scale):
@@ -134,9 +130,8 @@ def run_pipeline(norm_scene, store, cfg, stage=S2):
     actor_f, actor_pos = encode_actors(norm_scene, store, cfg)
     lane_f = encode_lane_nodes(norm_scene.lane_graph, store, cfg)
     bound_f, bound_pos, matched = encode_boundaries(norm_scene.boundaries, store, cfg)
-    matching = matching_from_boundaries(matched, norm_scene.lane_graph.n_nodes)
     fused = fuse_scene(actor_f, actor_pos, lane_f, norm_scene.lane_graph.centers,
-                       bound_f, bound_pos, matching, store, cfg,
+                       bound_f, bound_pos, matched, store, cfg,
                        frame=norm_scene.frame)
     targets, logits = predict_targets(fused, store, cfg)
     traj = None
@@ -181,13 +176,43 @@ def save_predictions(forecasts) -> bytes:
     return json.dumps(recs).encode("utf-8")
 
 
-def load_predictions(data):
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+# a float32 softmax read back as float64 sums to 1 within this
+CONF_SUM_TOL = 1e-6
+
+
+def parse_json(data, what):
+    """Bytes or str -> JSON value; any undecodable input is ParseError."""
     try:
-        recs = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError("document", f"prediction file is not valid JSON: {e}") from e
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except (ValueError, RecursionError) as e:  # incl. bad UTF-8, huge ints
+        raise ParseError("document", f"{what} is not valid JSON: {e}") from e
+
+
+def _numbers(value, field):
+    """A nested JSON list of finite numbers -> float64 array, else
+    ParseError(field)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as e:  # ragged nesting
+        raise ParseError(field, f"{field}: not a rectangular array") from e
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(field, f"{field}: must hold numbers only")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ParseError(field, f"{field}: non-finite values")
+    return arr
+
+
+def _bad_shape(field, arr, want):
+    return ParseError(field, f"{field}: shape {list(arr.shape)}, want {want}")
+
+
+def load_predictions(data):
+    """Prediction file -> Forecasts. Per record: trajectories [K, T, 2],
+    confidences [K] (non-negative, summing to 1), targets [K, 2]."""
+    recs = parse_json(data, "prediction file")
     if not isinstance(recs, list):
         raise ParseError("document", "prediction file must be a JSON list")
     out = []
@@ -196,13 +221,18 @@ def load_predictions(data):
         for key in ("scene_id", "actor_id", "trajectories", "confidences", "targets"):
             if not isinstance(r, dict) or key not in r:
                 raise ParseError(p + key)
-        traj = np.asarray(r["trajectories"], dtype=np.float64)
-        conf = np.asarray(r["confidences"], dtype=np.float64)
-        targ = np.asarray(r["targets"], dtype=np.float64)
-        if traj.ndim != 3 or traj.shape[2] != 2 or traj.shape[0] != conf.shape[0]:
-            raise ParseError(p + "trajectories", f"bad shape {traj.shape}")
-        if not (np.all(np.isfinite(traj)) and np.all(np.isfinite(conf))
-                and np.all(np.isfinite(targ))):
-            raise ParseError(p + "trajectories", "non-finite values")
+        traj = _numbers(r["trajectories"], p + "trajectories")
+        if traj.ndim != 3 or traj.shape[2] != 2:
+            raise _bad_shape(p + "trajectories", traj, "[K, T, 2]")
+        k = traj.shape[0]
+        conf = _numbers(r["confidences"], p + "confidences")
+        if conf.shape != (k,):
+            raise _bad_shape(p + "confidences", conf, f"[{k}]")
+        if conf.min() < 0 or abs(conf.sum() - 1.0) > CONF_SUM_TOL:
+            raise ParseError(p + "confidences", f"{p}confidences: must be non-negative "
+                             f"and sum to 1, got min {conf.min():g}, sum {conf.sum():.9g}")
+        targ = _numbers(r["targets"], p + "targets")
+        if targ.shape != (k, 2):
+            raise _bad_shape(p + "targets", targ, f"[{k}, 2]")
         out.append(Forecast(str(r["scene_id"]), str(r["actor_id"]), targ, traj, conf))
     return out

@@ -62,36 +62,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        """A view of the same values with no history."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         tag = self.op or ("param" if self.requires_grad else "const")
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={tag})"
-
-    # Sugar for the handful of binary ops losses read naturally with.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def _as_tensor(x, like=None):

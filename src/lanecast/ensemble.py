@@ -7,12 +7,13 @@ confidences.
 
 from __future__ import annotations
 
-import json
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import Forecast, load_predictions
+from .decoder import Forecast, load_predictions, parse_json
 from .errors import ContractError, EnsembleError, ParseError
 from .scene import actor_rng_seed
 
@@ -187,16 +188,17 @@ def fuse(submodels, seed=0, k=6):
     return out
 
 
+def _read_bytes(path, field):
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except (OSError, ValueError) as err:  # ValueError: NUL or lone surrogate in the path
+        raise ParseError(field, f"{field}: cannot read {path}: {err}") from err
+
+
 def load_manifest(data, base_dir=None):
     """Manifest: JSON list of {model_id, alpha, prediction_file}."""
-    import os
-
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        entries = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError("document", f"manifest is not valid JSON: {e}") from e
+    entries = parse_json(data, "manifest")
     if not isinstance(entries, list) or not entries:
         raise ParseError("document", "manifest must be a nonempty JSON list")
     subs = []
@@ -206,16 +208,17 @@ def load_manifest(data, base_dir=None):
             if not isinstance(e, dict) or key not in e:
                 raise ParseError(p + key)
         alpha = e["alpha"]
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or alpha <= 0:
-            raise ParseError(p + "alpha", f"alpha must be positive, got {alpha!r}")
+        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) \
+                or not 0 < alpha <= sys.float_info.max:
+            raise ParseError(p + "alpha", f"{p}alpha must be positive and finite, "
+                                          f"got {alpha!r}")
         path = e["prediction_file"]
+        if not isinstance(path, str):
+            raise ParseError(p + "prediction_file", f"{p}prediction_file must be a "
+                                                    f"string, got {path!r}")
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        try:
-            with open(path, "rb") as f:
-                forecasts = load_predictions(f.read())
-        except OSError as err:
-            raise ParseError(p + "prediction_file", f"cannot read {path}: {err}") from err
+        forecasts = load_predictions(_read_bytes(path, p + "prediction_file"))
         subs.append(SubmodelPrediction(
             model_id=str(e["model_id"]), alpha=float(alpha),
             forecasts={(fc.scene_id, fc.actor_id): fc for fc in forecasts}))

@@ -1,6 +1,6 @@
 """The four feature-fusion blocks, applied in a fixed order:
 
-1. boundary -> lane, driven by the boundary/lane matching;
+1. boundary -> lane, driven by each boundary node's matched lane node;
 2. lane -> actor, 3. boundary -> actor, 4. actor -> actor, each via distance
    attention: context nodes within a metric radius of the query send messages
    built from relative position and feature.
@@ -39,38 +39,28 @@ def init_fusion(store, cfg, rng):
         init_distance_attention(store, name, cfg, rng)
 
 
-def matching_from_boundaries(matched, n_lane_nodes):
-    """Invert per-boundary-node lane indices into lane node -> boundary nodes.
-
-    `matched` is the [B] array from encode_boundaries (-1 = unmatched).
-    """
-    lists = [[] for _ in range(n_lane_nodes)]
-    for b_idx, l_idx in enumerate(np.asarray(matched, dtype=np.int64)):
-        if 0 <= l_idx < n_lane_nodes:
-            lists[int(l_idx)].append(b_idx)
-    return lists
-
-
-def fuse_boundary_to_lane(lane_f, boundary_f, matching, store):
+def fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     """Mean matched boundary features into each lane node.
 
-    matching: per lane node, a list of boundary node indices (may be empty;
-    an unmatched node sees a zero context vector). Output keeps lane shape.
+    matched: the [B] lane node index of each boundary node, from
+    encode_boundaries; entries outside [0, n) are unmatched. A lane node
+    with no boundary sees a zero context vector. Output keeps lane shape.
     """
     n = lane_f.shape[0]
-    if len(matching) != n:
-        raise ShapeError(f"matching length {len(matching)} != lane nodes {n}")
-    pairs_lane, pairs_bnd = [], []
-    for i, bs in enumerate(matching):
-        for b in bs:
-            pairs_lane.append(i)
-            pairs_bnd.append(b)
+    matched = np.asarray(matched, dtype=np.int64)
+    if matched.shape != (boundary_f.shape[0],):
+        raise ShapeError(f"matched shape {matched.shape} != boundary nodes "
+                         f"({boundary_f.shape[0]},)")
+    # lane-major pairs, boundary nodes in index order within each lane
+    kept = np.flatnonzero((matched >= 0) & (matched < n))
+    pairs_bnd = kept[np.argsort(matched[kept], kind="stable")]
+    pairs_lane = matched[pairs_bnd]
 
     d = lane_f.shape[1]
-    if pairs_lane and boundary_f.shape[0]:
-        gathered = dc.gather(boundary_f, np.asarray(pairs_bnd), axis=0)
-        sums = dc.scatter_add(gathered, np.asarray(pairs_lane), n, axis=0)
-        counts = np.bincount(np.asarray(pairs_lane), minlength=n).astype(np.float64)
+    if pairs_lane.size:
+        gathered = dc.gather(boundary_f, pairs_bnd, axis=0)
+        sums = dc.scatter_add(gathered, pairs_lane, n, axis=0)
+        counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
         inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
         ctx = dc.mul(sums, const(store, np.repeat(inv[:, None], d, axis=1)))
     else:
@@ -123,9 +113,9 @@ def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
 
 
 def fuse_scene(actor_f, actor_pos, lane_f, lane_pos, boundary_f, boundary_pos,
-               matching, store, cfg, frame=None):
+               matched, store, cfg, frame=None):
     """Run the four blocks in order; returns updated actor features [A, D]."""
-    lane_f = fuse_boundary_to_lane(lane_f, boundary_f, matching, store)
+    lane_f = fuse_boundary_to_lane(lane_f, boundary_f, matched, store)
     actor_f = distance_attention(actor_f, actor_pos, lane_f, lane_pos, store,
                                  "fuse.l2a", cfg.tau_lane,
                                  query_frame=frame, ctx_frame=frame)

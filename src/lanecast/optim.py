@@ -2,9 +2,9 @@
 
 The schedule restarts at epochs {6, 18, 42} with period lengths doubling
 6 -> 12 -> 24 -> 48 (summing to 90), then holds the minimum rate. Stage two
-starts at the first restart; before that the completion head's parameters
-sit outside the optimizer's active set, so they keep their initial values
-bit-exactly.
+starts at the first restart. Before that the completion head is not on the
+tape, so its gradients are exact zeros and NAdam leaves it bit-exactly at
+its initial values (see `NAdam`); no parameter is ever frozen by name.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .decoder import S1, S2, completion_param_names, init_model, run_pipeline
+from .decoder import S1, S2, init_model, run_pipeline
 from .errors import ContractError, TrainingError
 from .losses import total_loss
 from .metrics import min_fde
@@ -33,47 +33,65 @@ def _mu(t):
 
 
 class NAdam:
-    """Adam with Nesterov momentum and the 0.96-power momentum schedule."""
+    """Adam with Nesterov momentum and the 0.96-power momentum schedule.
 
-    def __init__(self, store, active=None):
+    One update over flat moment arrays covering every parameter of the
+    store, in `store.names()` order. A parameter whose gradient is exactly
+    zero does not move: from zero moments, `g = 0` keeps `m = v = 0` and
+    subtracts `lr * 0 / (0 + EPS) = 0`. Its moments are therefore still zero
+    at its first nonzero gradient, as if it had joined the optimizer then.
+    """
+
+    def __init__(self, store):
         self.store = store
-        self.active = list(active) if active is not None else store.names()
+        self.active = store.names()
         self.t = 0
         self.mu_prod = 1.0
-        self._m = {n: np.zeros_like(store[n].data) for n in self.active}
-        self._v = {n: np.zeros_like(store[n].data) for n in self.active}
-
-    def set_active(self, names):
-        """Swap the trainable set; accumulators for new names start at zero."""
-        self.active = list(names)
-        for n in self.active:
-            if n not in self._m:
-                self._m[n] = np.zeros_like(self.store[n].data)
-                self._v[n] = np.zeros_like(self.store[n].data)
+        ends = np.cumsum([0] + [store[n].size for n in self.active])
+        self._slots = [(n, slice(lo, hi)) for n, lo, hi in zip(self.active, ends, ends[1:])]
+        self._m = np.zeros(ends[-1], dtype=store.dtype)
+        self._v = np.zeros_like(self._m)
+        self._tmp = np.zeros_like(self._m)
 
     def step(self, grads, lr):
         if lr <= 0:
             raise ContractError(f"lr must be positive, got {lr}")
+        # the gradient goes into the array that becomes the new parameters
+        new = np.empty_like(self._m)
+        for name, sl in self._slots:
+            p = self.store[name]
+            if name not in grads:
+                raise ContractError(f"no gradient for param {name}")
+            g = np.asarray(grads[name], dtype=p.dtype)
+            if g.shape != p.shape:
+                raise ContractError(f"grad shape {g.shape} != param {name} {p.shape}")
+            new[sl] = g.ravel()
         self.t += 1
         t = self.t
         mu_t, mu_next = _mu(t), _mu(t + 1)
         self.mu_prod *= mu_t
         mu_prod_next = self.mu_prod * mu_next
         bias_v = 1.0 - BETA2 ** t
-        for name in self.active:
+        # The classic per-tensor formula, in place over the flat arrays:
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   step = c_m*m + c_g*g;  p -= lr*step / (sqrt(v/bias_v) + EPS)
+        # Every op rounds as in that form; IEEE + and * commute exactly, so
+        # swapping operands (c_g*g first, g*(1-b1)) keeps the bits.
+        g, m, v, tmp = new, self._m, self._v, self._tmp
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=tmp)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        step = np.multiply(g, (1.0 - mu_t) / (1.0 - self.mu_prod), out=new)
+        step += np.multiply(m, mu_next / (1.0 - mu_prod_next), out=tmp)
+        step *= lr
+        np.sqrt(np.divide(v, bias_v, out=tmp), out=tmp)
+        step /= np.add(tmp, EPS, out=tmp)
+        for name, sl in self._slots:
             p = self.store[name]
-            g = np.asarray(grads[name], dtype=p.dtype)
-            if g.shape != p.shape:
-                raise ContractError(f"grad shape {g.shape} != param {name} {p.shape}")
-            m, v = self._m[name], self._v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            denom = np.sqrt(v / bias_v) + EPS
-            step = (mu_next / (1.0 - mu_prod_next)) * m + \
-                   ((1.0 - mu_t) / (1.0 - self.mu_prod)) * g
-            p.data = p.data - (lr * step / denom).astype(p.dtype)
+            np.subtract(p.data.ravel(), step[sl], out=step[sl])
+            p.data = step[sl].reshape(p.shape)
 
 
 @dataclass
@@ -162,9 +180,8 @@ def train(scenes, run_cfg, log_path=None):
     t_future = scenes[0].horizon[1]
     init_model(store, run_cfg.model, t_future, rng)
 
-    frozen = set(completion_param_names(store))
     sched = make_schedule(tc)
-    opt = NAdam(store, active=[n for n in store.names() if n not in frozen])
+    opt = NAdam(store)
     views = _scene_views(scenes)
     order_rng = np.random.default_rng(run_cfg.seed + 1)
 
@@ -174,8 +191,6 @@ def train(scenes, run_cfg, log_path=None):
     try:
         for epoch in range(tc.total_epochs):
             stage = S1 if epoch < tc.stage2_start_epoch else S2
-            if epoch == tc.stage2_start_epoch:
-                opt.set_active(store.names())
             lr = sched.lr_at(epoch)
             perm = order_rng.permutation(len(views))
 
@@ -203,7 +218,7 @@ def train(scenes, run_cfg, log_path=None):
                 for term in batch_terms[1:]:
                     acc = dc.add(acc, term)
                 batch_loss = dc.scale(acc, 1.0 / len(batch_terms))
-                grads = dc.backward(batch_loss, {n: store[n] for n in opt.active})
+                grads = dc.backward(batch_loss, dict(store.items()))
                 opt.step(grads, lr)
 
             n = len(views)

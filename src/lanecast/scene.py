@@ -68,14 +68,6 @@ class Lane:
 
 
 @dataclass
-class LaneNode:
-    center: np.ndarray
-    direction: np.ndarray
-    length: float
-    parent_lane: str
-
-
-@dataclass
 class LaneGraph:
     """Resampled lane nodes plus typed directed adjacency.
 
@@ -93,10 +85,6 @@ class LaneGraph:
     @property
     def n_nodes(self):
         return self.centers.shape[0]
-
-    def node(self, i):
-        return LaneNode(self.centers[i].copy(), self.directions[i].copy(),
-                        float(self.lengths[i]), self.parent_lane[i])
 
 
 @dataclass

@@ -20,8 +20,7 @@ from .encoder import (encode_actors, encode_boundaries, encode_lane_nodes,
                       gated_lane_graph_conv, init_actor_encoder,
                       init_boundary_encoder, init_lane_encoder)
 from .fusion import (distance_attention, fuse_boundary_to_lane,
-                     init_boundary_lane_fusion, init_distance_attention,
-                     matching_from_boundaries)
+                     init_boundary_lane_fusion, init_distance_attention)
 from .losses import total_loss
 from .scene import SceneGenConfig, generate_synthetic, normalize
 
@@ -117,8 +116,7 @@ def check_boundary_lane_fusion(seed=0, n_samples=4):
 
     def fn(s):
         bf, _, matched = encode_boundaries(scene.boundaries, s, cfg)
-        matching = matching_from_boundaries(matched, n)
-        return _reduce(fuse_boundary_to_lane(dc.Tensor(lane_f), bf, matching, s))
+        return _reduce(fuse_boundary_to_lane(dc.Tensor(lane_f), bf, matched, s))
 
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
 

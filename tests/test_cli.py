@@ -133,6 +133,60 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "f.json")) == 1
 
 
+def _record(k=6, t=8):
+    return {"scene_id": "scene000", "actor_id": "a0",
+            "trajectories": [[[0.5, 1.0]] * t] * k,
+            "confidences": [1.0 / k] * k,
+            "targets": [[0.5, 1.0]] * k}
+
+
+def _set(key, value):
+    def mutate(rec):
+        rec[key] = value
+    return mutate
+
+
+class TestMalformedInputs:
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("malformed")
+        cfg = root / "run.json"
+        cfg.write_text(json.dumps(TINY))
+        assert run("gen-data", "--config", str(cfg), "--out", str(root / "data")) == 0
+        return root
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("confidences", _set("confidences", [[1.0 / 6]] * 6)),
+        ("confidences", _set("confidences", 1.0)),
+        ("targets", _set("targets", [["a", "b"]] * 6)),
+        ("trajectories", _set("trajectories", [[["x", 0.0]] * 8] * 6)),
+        ("trajectories", _set("trajectories", [[[0.0, 0.0]] * 8] * 5 + [[[0.0, 0.0]] * 7])),
+        ("confidences", _set("confidences", [0.5, -0.5, 0.25, 0.25, 0.25, 0.25])),
+        ("targets", _set("targets", [[0.5, 1.0, 2.0]] * 6)),
+        ("targets", _set("targets", [[0.5, 1.0]] * 5)),
+        ("confidences", _set("confidences", [0.2] * 6)),
+    ], ids=["conf-k1", "conf-scalar", "targets-text", "traj-text", "traj-ragged",
+            "conf-negative", "targets-k3", "targets-short", "conf-sum"])
+    def test_bad_prediction_field_is_user_error(self, data_dir, field, mutate, capsys):
+        rec = _record()
+        mutate(rec)
+        preds = data_dir / "preds.json"
+        preds.write_text(json.dumps([_record(), rec]))
+        assert run("eval", "--config", str(data_dir / "run.json"),
+                   "--predictions", str(preds), "--data", str(data_dir / "data")) == 1
+        assert f"predictions[1].{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_alpha_is_user_error(self, tmp_path, alpha, capsys):
+        (tmp_path / "p.json").write_text(json.dumps([_record()]))
+        manifest = tmp_path / "m.json"
+        manifest.write_text('[{"model_id": "m", "alpha": %s, '
+                            '"prediction_file": "p.json"}]' % alpha)
+        assert run("ensemble", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "f.json")) == 1
+        assert "manifest[0].alpha" in capsys.readouterr().err
+
+
 class TestCheckpointMismatch:
     """predict rejects a checkpoint that does not fit the config as a user
     error naming the parameter, before running the model."""

@@ -153,7 +153,7 @@ class TestPredictionFiles:
         import json
         recs = json.loads(decoder.save_predictions(self._forecasts()))
         recs[0]["trajectories"][0][0][0] = None
-        with pytest.raises((ParseError, TypeError)):
+        with pytest.raises(ParseError):
             decoder.load_predictions(json.dumps(recs))
 
     def test_not_json_rejected(self):

@@ -8,7 +8,7 @@ from lanecast import diffcore as dc
 from lanecast import fusion
 from lanecast._layers import layer_norm
 from lanecast.config import ModelConfig
-from lanecast.errors import ContractError
+from lanecast.errors import ContractError, ShapeError
 
 
 def tiny_cfg(d=8):
@@ -145,17 +145,16 @@ class TestBoundaryToLane:
         lane_f = rng.normal(size=(n, d))
         bound_f = rng.normal(size=(m, d))
         matched = np.array([0, 0, 1, 3, 3, 3, -1])
-        matching = fusion.matching_from_boundaries(matched, n)
         got = fusion.fuse_boundary_to_lane(
-            dc.Tensor(lane_f), dc.Tensor(bound_f), matching, store).data
+            dc.Tensor(lane_f), dc.Tensor(bound_f), matched, store).data
 
         w1, b1 = store["fuse.b2l.mlp1.w"].data, store["fuse.b2l.mlp1.b"].data
         w2, b2 = store["fuse.b2l.mlp2.w"].data, store["fuse.b2l.mlp2.b"].data
         g, be = store["fuse.b2l.ln.g"].data, store["fuse.b2l.ln.b"].data
         ctx = np.zeros((n, d))
-        for i, members in enumerate(matching):
-            if members:
-                ctx[i] = bound_f[members].mean(axis=0)
+        for i in range(n):
+            if np.any(matched == i):
+                ctx[i] = bound_f[matched == i].mean(axis=0)
         h = np.maximum(np.concatenate([lane_f, ctx], axis=1) @ w1 + b1, 0.0) @ w2 + b2
         pre = lane_f + h
         mu = pre.mean(axis=1, keepdims=True)
@@ -170,10 +169,23 @@ class TestBoundaryToLane:
         # node 1 gets the boundary, node 0 gets nothing
         out = fusion.fuse_boundary_to_lane(
             dc.Tensor(lane_f), dc.Tensor(bound_f),
-            fusion.matching_from_boundaries(np.array([1]), 2), store).data
+            np.array([1]), store).data
         # identical lane features but different contexts must diverge
         assert np.abs(out[0] - out[1]).max() > 1e-9
 
-    def test_matching_from_boundaries_skips_negative(self):
-        matching = fusion.matching_from_boundaries(np.array([2, -1, 0, 2]), 3)
-        assert matching == [[2], [], [0, 3]]
+    def test_out_of_range_lane_index_is_unmatched(self):
+        store = self._store()
+        lane_f = np.random.default_rng(5).normal(size=(2, 8))
+        bound_f = np.random.default_rng(6).normal(size=(2, 8))
+        both = fusion.fuse_boundary_to_lane(
+            dc.Tensor(lane_f), dc.Tensor(bound_f), np.array([1, 2]), store).data
+        one = fusion.fuse_boundary_to_lane(
+            dc.Tensor(lane_f), dc.Tensor(bound_f[:1]), np.array([1]), store).data
+        np.testing.assert_array_equal(both, one)
+
+    def test_matched_length_must_equal_boundary_nodes(self):
+        store = self._store()
+        with pytest.raises(ShapeError):
+            fusion.fuse_boundary_to_lane(
+                dc.Tensor(np.zeros((2, 8))), dc.Tensor(np.ones((3, 8))),
+                np.array([0, 1]), store)

@@ -1,0 +1,111 @@
+"""Mutation fuzz of the prediction-file and manifest parsers: whatever is
+done to a valid document, loading it either succeeds or raises ParseError."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lanecast.decoder import load_predictions
+from lanecast.ensemble import load_manifest
+from lanecast.errors import ParseError
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=10)
+
+
+def valid_predictions():
+    return [{"scene_id": f"s{i}", "actor_id": "a0",
+             "trajectories": [[[0.5 * j, 1.0], [j, 2.0], [j, 3.0]] for j in range(3)],
+             "confidences": [0.25, 0.25, 0.5],
+             "targets": [[j, 3.0] for j in range(3)]} for i in range(2)]
+
+
+def valid_manifest():
+    return [{"model_id": "m0", "alpha": 1.5, "prediction_file": "p.json"},
+            {"model_id": "m1", "alpha": 2.0, "prediction_file": "p.json"}]
+
+
+def mutate_tree(data, doc):
+    """Walk a random path into `doc`, then replace or delete what is there."""
+    path = []
+    node = doc
+    while isinstance(node, (list, dict)) and node and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(
+            range(len(node)) if isinstance(node, list) else sorted(node)))
+        path.append(key)
+        node = node[key]
+    if not path:
+        return data.draw(json_values)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(json_values)
+    return doc
+
+
+def mutate_bytes(data, blob):
+    """Drop, overwrite or insert one byte."""
+    i = data.draw(st.integers(0, len(blob) - 1))
+    b = bytes([data.draw(st.integers(0, 255))])
+    return data.draw(st.sampled_from(
+        [blob[:i] + blob[i + 1:], blob[:i] + b + blob[i + 1:], blob[:i] + b + blob[i:]]))
+
+
+def parses_or_parse_error(load, blob):
+    try:
+        load(blob)
+    except ParseError:
+        pass
+
+
+def test_valid_documents_parse(tmp_path):
+    assert len(load_predictions(json.dumps(valid_predictions()))) == 2
+    (tmp_path / "p.json").write_text(json.dumps(valid_predictions()))
+    subs = load_manifest(json.dumps(valid_manifest()), base_dir=str(tmp_path))
+    assert [s.alpha for s in subs] == [1.5, 2.0]
+
+
+@given(data=st.data())
+@FUZZ
+def test_predictions_tree_mutation(data):
+    doc = mutate_tree(data, valid_predictions())
+    parses_or_parse_error(load_predictions, json.dumps(doc).encode())
+
+
+@given(data=st.data())
+@FUZZ
+def test_predictions_byte_mutation(data):
+    blob = mutate_bytes(data, json.dumps(valid_predictions()).encode())
+    parses_or_parse_error(load_predictions, blob)
+
+
+@pytest.fixture
+def pred_dir(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps(valid_predictions()))
+    return str(tmp_path)
+
+
+@given(data=st.data())
+@FUZZ
+def test_manifest_tree_mutation(pred_dir, data):
+    doc = mutate_tree(data, valid_manifest())
+    parses_or_parse_error(lambda b: load_manifest(b, base_dir=pred_dir),
+                          json.dumps(doc).encode())
+
+
+@given(data=st.data())
+@FUZZ
+def test_manifest_byte_mutation(pred_dir, data):
+    blob = mutate_bytes(data, json.dumps(valid_manifest()).encode())
+    parses_or_parse_error(lambda b: load_manifest(b, base_dir=pred_dir), blob)
