@@ -33,7 +33,7 @@ def _read_config(path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return load_config(p.read_text(encoding="utf-8"))
+    return load_config(p.read_bytes())
 
 
 def _load_scenes(data_dir, cfg: RunConfig):

@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError, parse_json
 from .scene import SceneGenConfig
 
 
@@ -127,9 +127,9 @@ def load_config(source) -> RunConfig:
     """Parse a RunConfig from a JSON string/bytes or a dict, then validate."""
     if isinstance(source, (str, bytes)):
         try:
-            source = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
+            source = parse_json(source, "config")
+        except ParseError as e:
+            raise ConfigError(str(e)) from e
     cfg = _from_dict(RunConfig, source, "")
     cfg.validate()
     return cfg

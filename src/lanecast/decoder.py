@@ -23,7 +23,7 @@ import numpy as np
 from . import diffcore as dc
 from ._layers import init_linear, linear
 from .encoder import encode_actors, encode_boundaries, encode_lane_nodes
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, parse_json
 from .fusion import fuse_scene
 from .scene import normalize, to_world
 
@@ -178,16 +178,6 @@ def save_predictions(forecasts) -> bytes:
 
 # a float32 softmax read back as float64 sums to 1 within this
 CONF_SUM_TOL = 1e-6
-
-
-def parse_json(data, what):
-    """Bytes or str -> JSON value; any undecodable input is ParseError."""
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return json.loads(data)
-    except (ValueError, RecursionError) as e:  # incl. bad UTF-8, huge ints
-        raise ParseError("document", f"{what} is not valid JSON: {e}") from e
 
 
 def _numbers(value, field):

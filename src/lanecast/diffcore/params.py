@@ -9,11 +9,13 @@ save/load round trip is the identity.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
-from ..errors import ContractError, ParseError
+from ..errors import ContractError, ParseError, parse_json
 from .tensor import Tensor
 
 _MAGIC = "lanecast-params-v1"
@@ -64,30 +66,27 @@ class ParamStore:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint. Each length is checked against the bytes left
+        in the file before it is read, so no read outgrows the file."""
         with open(path, "rb") as f:
+            left = os.fstat(f.fileno()).st_size - 8
             head = f.read(8)
             if len(head) != 8:
                 raise ParseError("header", "checkpoint too short for header")
             (mlen,) = struct.unpack("<Q", head)
-            blob = f.read(mlen)
-            if len(blob) != mlen:
-                raise ParseError("manifest", "checkpoint truncated in manifest")
-            try:
-                manifest = json.loads(blob.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                raise ParseError("manifest", f"checkpoint manifest is not valid JSON: {e}") from e
-            if manifest.get("format") != _MAGIC:
-                raise ParseError("format", f"unrecognized checkpoint format: {manifest.get('format')!r}")
-            entries = manifest.get("params")
+            if mlen > left:
+                raise ParseError("manifest", f"checkpoint manifest length {mlen} exceeds the file")
+            manifest = parse_json(f.read(mlen), "checkpoint manifest")
+            left -= mlen
+            if not isinstance(manifest, dict) or manifest.get("format") != _MAGIC:
+                raise ParseError("format", "unrecognized checkpoint format")
+            entries, meta = manifest.get("params"), manifest.get("meta", {})
             if not isinstance(entries, list):
                 raise ParseError("params", "checkpoint manifest has no params list")
+            if not isinstance(meta, dict):
+                raise ParseError("meta", "checkpoint meta must be an object")
             for e in entries:
-                if not (isinstance(e, dict) and isinstance(e.get("name"), str)
-                        and isinstance(e.get("shape"), list)):
-                    raise ParseError("params", f"malformed manifest entry: {e!r}")
-                if e.get("dtype") not in ("float32", "float64"):
-                    raise ParseError("dtype", f"parameter {e['name']}: dtype must be "
-                                              f"float32 or float64, got {e.get('dtype')!r}")
+                _check_entry(e)
             dtypes = {e["dtype"] for e in entries}
             if len(dtypes) > 1:
                 raise ParseError("dtype", f"checkpoint mixes dtypes: {sorted(dtypes)}")
@@ -95,13 +94,31 @@ class ParamStore:
             for e in entries:
                 name, shape, dt = e["name"], e["shape"], e["dtype"]
                 dtype = np.dtype(dt).newbyteorder("<")
-                count = int(np.prod(shape)) if shape else 1
-                raw = f.read(count * dtype.itemsize)
-                if len(raw) != count * dtype.itemsize:
+                nbytes = math.prod(shape) * dtype.itemsize
+                if nbytes > left:
                     raise ParseError(name, f"checkpoint truncated in data for {name}")
-                arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.dtype(dt))
-                store.add(name, arr)
+                if name in store:
+                    raise ParseError(name, f"checkpoint lists parameter {name} twice")
+                left -= nbytes
+                try:
+                    arr = np.frombuffer(f.read(nbytes), dtype=dtype).reshape(shape)
+                except ValueError as err:  # over 64 axes, or an axis beyond numpy's range
+                    raise ParseError(name, f"parameter {name}: bad shape {shape}") from err
+                store.add(name, arr.astype(np.dtype(dt)))
             if f.read(1):
                 raise ParseError("trailer", "checkpoint has trailing bytes")
-            store.meta = manifest.get("meta", {})
+            store.meta = meta
         return store
+
+
+def _check_entry(e):
+    if not (isinstance(e, dict) and isinstance(e.get("name"), str)):
+        raise ParseError("params", f"malformed manifest entry: {e!r}")
+    name, shape = e["name"], e.get("shape")
+    if not isinstance(shape, list) or any(
+            not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in shape):
+        raise ParseError(name, f"parameter {name}: shape must be a list of "
+                               f"non-negative ints, got {shape!r}")
+    if e.get("dtype") not in ("float32", "float64"):
+        raise ParseError("dtype", f"parameter {name}: dtype must be "
+                                  f"float32 or float64, got {e.get('dtype')!r}")

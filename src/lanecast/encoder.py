@@ -7,6 +7,9 @@ feature pyramid, and max-pooled over observed steps.
 
 Lane nodes: geometry MLP followed by L gated graph convolution layers, where
 each adjacency category contributes a per-node sigmoid-gated neighbor sum.
+The four categories keep their own parameters but run as one stacked pass:
+one matmul for every message, then one gather and one scatter_add over all
+typed edges.
 
 Boundary nodes: geometry + marking one-hot through an MLP.
 """
@@ -124,21 +127,36 @@ def init_lane_encoder(store, cfg, rng):
         init_layer_norm(store, f"{p}.ln", d)
 
 
+def _typed_edges(graph):
+    """Every edge (i, j) of category c as (i, row j*C+c, row i*C+c): the
+    receiving node, the row of its message and the row of its gate."""
+    per_cat = [graph.adjacency[cat] for cat in ADJ_CATEGORIES]
+    c, edges = len(per_cat), np.concatenate(per_cat).reshape(-1, 2)
+    cats = np.repeat(np.arange(c), [e.shape[0] for e in per_cat])
+    return edges[:, 0], edges[:, 1] * c + cats, edges[:, 0] * c + cats
+
+
 def gated_lane_graph_conv(x, graph, store, prefix):
     """One layer: Y_i = X_i W0 + sum_c g_ic * sum_{j in N_c(i)} X_j W_c,
-    g_ic = sigmoid(X_i U_c + b_c); returns layer_norm(relu(Y)) + X."""
-    n = x.shape[0]
-    ones_row = const(store, np.ones((1, x.shape[1])))
-    y = linear(store, f"{prefix}.self", x)
-    for cat in ADJ_CATEGORIES:
-        edges = graph.adjacency[cat]
-        if edges.shape[0] == 0:
-            continue
-        src, dst = edges[:, 0], edges[:, 1]
-        msgs = linear(store, f"{prefix}.{cat}.w", dc.gather(x, dst, axis=0))
-        agg = dc.scatter_add(msgs, src, n, axis=0)
-        gate = dc.sigmoid(linear(store, f"{prefix}.{cat}.gate", x))  # [N, 1]
-        y = dc.add(y, dc.mul(dc.matmul(gate, ones_row), agg))
+    g_ic = sigmoid(X_i U_c + b_c); returns layer_norm(relu(Y)) + X.
+
+    The C categories run as one stacked pass over their own parameters: row
+    i*C+c of X [W_1..W_C] is X_i W_c and of the flattened [N, C] gates is
+    g_ic. Every typed edge gathers its message and its gate, and one
+    scatter_add sums the gated messages into their nodes, so a category
+    without edges adds nothing."""
+    n, d = x.shape
+    c = len(ADJ_CATEGORIES)
+
+    def stacked(name, axis):
+        return dc.concat([store[f"{prefix}.{cat}.{name}"] for cat in ADJ_CATEGORIES], axis=axis)
+
+    src, msg_rows, gate_rows = _typed_edges(graph)
+    rows = dc.reshape(dc.matmul(x, stacked("w.w", 1)), (n * c, d))
+    gate = dc.sigmoid(dc.add(dc.matmul(x, stacked("gate.w", 1)), stacked("gate.b", 0)))
+    gate = dc.gather(dc.reshape(gate, (n * c, 1)), gate_rows, axis=0)  # [E, 1]
+    msgs = dc.mul(dc.matmul(gate, const(store, np.ones((1, d)))), dc.gather(rows, msg_rows, axis=0))
+    y = dc.add(linear(store, f"{prefix}.self", x), dc.scatter_add(msgs, src, n, axis=0))
     return dc.add(layer_norm(store, f"{prefix}.ln", dc.relu(y)), x)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import Forecast, load_predictions, parse_json
-from .errors import ContractError, EnsembleError, ParseError
+from .decoder import Forecast, load_predictions
+from .errors import ContractError, EnsembleError, ParseError, parse_json
 from .scene import actor_rng_seed
 
 KMEANS_MAX_ITERS = 100
@@ -65,13 +65,9 @@ def weighted_kmeans(points, weights, k=6, seed=0):
         raise ContractError("weighted_kmeans: weights must be >= 0, not all zero")
 
     if m < k:
-        assignments = np.arange(m)
         centers = np.zeros((k, 2))
         centers[:m] = x
-        empty = np.ones(k, dtype=bool)
-        empty[:m] = False
-        obj = [0.0]
-        return assignments, centers, obj, empty
+        return np.arange(m), centers, [0.0], np.arange(k) >= m
 
     rng = np.random.default_rng(seed)
     centers = np.empty((k, 2))
@@ -149,10 +145,7 @@ def fuse_actor(trajectories, confidences, alphas, k=6, seed=0):
         out_confs.append(tot)
     confs = np.asarray(out_confs)
     total = confs.sum()
-    if total <= 0:
-        confs = np.full(len(out_confs), 1.0 / len(out_confs))
-    else:
-        confs = confs / total
+    confs = np.full(len(confs), 1.0 / len(confs)) if total <= 0 else confs / total
     order = np.argsort(-confs, kind="stable")
     return ([out_trajs[i] for i in order], confs[order], assignments)
 

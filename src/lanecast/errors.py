@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON reader every
+input file goes through."""
+
+import json
 
 
 class LanecastError(Exception):
@@ -35,3 +38,13 @@ class EnsembleError(LanecastError):
 
 class TrainingError(LanecastError):
     """Training aborted (non-finite loss or similar)."""
+
+
+def parse_json(data, what):
+    """Bytes or str -> JSON value; any undecodable input is ParseError."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except (ValueError, RecursionError) as e:  # incl. bad UTF-8, huge ints
+        raise ParseError("document", f"document: {what} is not valid JSON: {e}") from e

@@ -47,34 +47,30 @@ def _ade(mode, gt):
     return total / len(gt)
 
 
+def _min_over_modes(err, traj, conf, gt, k_eval):
+    k = len(traj)
+    if k < k_eval:
+        raise ContractError(f"k_eval {k_eval} exceeds mode count {k}")
+    best_val, best_mode = math.inf, -1
+    for m in _mode_set(conf, k_eval, k):
+        v = err(traj[m], gt)
+        if v < best_val:
+            best_val, best_mode = v, m
+    return best_val, best_mode
+
+
 def min_fde(traj, conf, gt, k_eval):
     """Min final-point error over the evaluated modes -> (value, mode index).
 
     k_eval=1 evaluates only the highest-confidence mode (ties: lowest index).
     Ties on the error also resolve to the lowest index.
     """
-    k = len(traj)
-    if k < k_eval:
-        raise ContractError(f"k_eval {k_eval} exceeds mode count {k}")
-    best_val, best_mode = math.inf, -1
-    for m in _mode_set(conf, k_eval, k):
-        v = _fde(traj[m], gt)
-        if v < best_val:
-            best_val, best_mode = v, m
-    return best_val, best_mode
+    return _min_over_modes(_fde, traj, conf, gt, k_eval)
 
 
 def min_ade(traj, conf, gt, k_eval):
     """Min average displacement over the evaluated modes -> (value, mode)."""
-    k = len(traj)
-    if k < k_eval:
-        raise ContractError(f"k_eval {k_eval} exceeds mode count {k}")
-    best_val, best_mode = math.inf, -1
-    for m in _mode_set(conf, k_eval, k):
-        v = _ade(traj[m], gt)
-        if v < best_val:
-            best_val, best_mode = v, m
-    return best_val, best_mode
+    return _min_over_modes(_ade, traj, conf, gt, k_eval)
 
 
 def brier(metric_value, p_best):

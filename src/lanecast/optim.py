@@ -137,11 +137,7 @@ def make_schedule(train_cfg):
 
 def _scene_views(scenes):
     """(scene index, focal actor id) pairs, the unit of one forward pass."""
-    views = []
-    for si, scene in enumerate(scenes):
-        for actor in scene.focal_actors():
-            views.append((si, actor.id))
-    return views
+    return [(si, actor.id) for si, scene in enumerate(scenes) for actor in scene.focal_actors()]
 
 
 def _view_loss(scene, actor_id, store, cfg, stage):

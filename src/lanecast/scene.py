@@ -11,6 +11,7 @@ All geometry is float64. Scenes are treated as immutable after construction;
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import zlib
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError
+from .errors import ConfigError, ContractError, ParseError, parse_json
 
 ACTOR_KINDS = ("vehicle", "pedestrian", "cyclist", "other")
 MARKINGS = ("solid", "dashed", "double", "none")
@@ -78,7 +79,6 @@ class LaneGraph:
     centers: np.ndarray       # [N, 2]
     directions: np.ndarray    # [N, 2], unit rows
     lengths: np.ndarray       # [N]
-    parent_lane: list[str]
     adjacency: dict[str, np.ndarray]
     lane_ranges: dict[str, tuple[int, int]]
 
@@ -207,7 +207,7 @@ def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
     """
     if segment_len <= 0:
         raise ConfigError(f"segment_len must be positive, got {segment_len}")
-    centers, directions, lengths, parents = [], [], [], []
+    centers, directions, lengths = [], [], []
     lane_ranges = {}
     skipped = 0
     succ = []
@@ -216,53 +216,43 @@ def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
         if c.shape[0] == 0:
             skipped += 1
             continue
-        start = len(parents)
+        start = sum(len(x) for x in lengths)
         lane_ranges[lane.id] = (start, start + c.shape[0])
         centers.append(c)
         directions.append(d)
         lengths.append(ln)
-        parents.extend([lane.id] * c.shape[0])
         succ.extend((i, i + 1) for i in range(start, start + c.shape[0] - 1))
 
-    if parents:
-        centers = np.concatenate(centers, axis=0)
-        directions = np.concatenate(directions, axis=0)
-        lengths = np.concatenate(lengths, axis=0)
-    else:
-        centers = np.zeros((0, 2))
-        directions = np.zeros((0, 2))
-        lengths = np.zeros(0)
+    centers = np.concatenate([np.zeros((0, 2))] + centers)
+    directions = np.concatenate([np.zeros((0, 2))] + directions)
+    lengths = np.concatenate([np.zeros(0)] + lengths)
 
     left, right = set(), set()
-    ids = list(lane_ranges)
     thresh = 1.2 * lane_width
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            for src_id, dst_id in ((ids[ai], ids[bi]), (ids[bi], ids[ai])):
-                s0, s1 = lane_ranges[src_id]
-                d0, d1 = lane_ranges[dst_id]
-                for i in range(s0, s1):
-                    diff = centers[d0:d1] - centers[i]
-                    dist = np.hypot(diff[:, 0], diff[:, 1])
-                    j = d0 + int(np.argmin(dist))
-                    if dist[j - d0] >= thresh:
-                        continue
-                    if abs(float(directions[i] @ directions[j])) <= 0.8:
-                        continue
-                    dx, dy = centers[j] - centers[i]
-                    cross = directions[i, 0] * dy - directions[i, 1] * dx
-                    if abs(cross) < 1e-9:
-                        continue
-                    if cross > 0:
-                        left.add((i, j))
-                        right.add((j, i))
-                    else:
-                        right.add((i, j))
-                        left.add((j, i))
+    for src_id, dst_id in itertools.permutations(lane_ranges, 2):
+        s0, s1 = lane_ranges[src_id]
+        d0, d1 = lane_ranges[dst_id]
+        for i in range(s0, s1):
+            diff = centers[d0:d1] - centers[i]
+            dist = np.hypot(diff[:, 0], diff[:, 1])
+            j = d0 + int(np.argmin(dist))
+            if dist[j - d0] >= thresh:
+                continue
+            if abs(float(directions[i] @ directions[j])) <= 0.8:
+                continue
+            dx, dy = centers[j] - centers[i]
+            cross = directions[i, 0] * dy - directions[i, 1] * dx
+            if abs(cross) < 1e-9:
+                continue
+            if cross > 0:
+                left.add((i, j))
+                right.add((j, i))
+            else:
+                right.add((i, j))
+                left.add((j, i))
 
     def _edges(pairs):
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        return arr.reshape(-1, 2)
+        return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
     adjacency = {
         "predecessor": _edges([(j, i) for i, j in succ]),
@@ -270,26 +260,18 @@ def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
         "left": _edges(left),
         "right": _edges(right),
     }
-    graph = LaneGraph(centers, directions, lengths, parents, adjacency, lane_ranges)
+    graph = LaneGraph(centers, directions, lengths, adjacency, lane_ranges)
     return graph, skipped
 
 
 def _match_boundaries(boundaries, graph, segment_len):
     """Resample each boundary and match its nodes to the parent lane's nodes."""
     for b in boundaries:
-        c, d, _ = resample_polyline(b.points, segment_len)
-        b.node_centers = c
-        b.node_directions = d
-        rng = graph.lane_ranges.get(b.lane_id)
-        if rng is None or c.shape[0] == 0:
-            b.matched_lane_nodes = []
-            continue
-        lo, hi = rng
-        matched = []
-        for m in range(c.shape[0]):
-            diff = graph.centers[lo:hi] - c[m]
-            matched.append(lo + int(np.argmin(np.hypot(diff[:, 0], diff[:, 1]))))
-        b.matched_lane_nodes = matched
+        b.node_centers, b.node_directions, _ = resample_polyline(b.points, segment_len)
+        lo, hi = graph.lane_ranges.get(b.lane_id, (0, 0))
+        lane = graph.centers[lo:hi]
+        b.matched_lane_nodes = [] if hi == lo else [
+            lo + int(np.argmin(np.hypot(*(lane - p).T))) for p in b.node_centers]
 
 
 def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3.5,
@@ -456,7 +438,6 @@ def normalize(scene: Scene, actor_id: str) -> Scene:
     ) for b in scene.boundaries]
     g = scene.lane_graph
     graph = LaneGraph(tp(g.centers), tv(g.directions), g.lengths.copy(),
-                      list(g.parent_lane),
                       {k: v.copy() for k, v in g.adjacency.items()},
                       dict(g.lane_ranges))
 
@@ -488,8 +469,8 @@ def _require(obj, key, path):
 def _num_array(val, path, shape_hint=None):
     try:
         arr = np.asarray(val, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ParseError(path, f"{path}: not numeric") from e
+    except (TypeError, ValueError, OverflowError) as e:  # overflow: an int beyond float range
+        raise ParseError(path, f"{path}: not numeric or out of range") from e
     if shape_hint is not None and (arr.ndim != len(shape_hint) or any(
             s is not None and arr.shape[i] != s for i, s in enumerate(shape_hint))):
         raise ParseError(path, f"{path}: bad shape {arr.shape}")
@@ -502,12 +483,7 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
     """Parse scene JSON (bytes or str). Violations raise ParseError naming
     the offending field. Scene identity is not part of the file format;
     callers pass one (the CLI uses the file's stem)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError("document", f"not valid JSON: {e}") from e
+    obj = parse_json(data, "scene")
     if not isinstance(obj, dict):
         raise ParseError("document", "top level must be an object")
 

@@ -187,6 +187,38 @@ class TestMalformedInputs:
         assert "manifest[0].alpha" in capsys.readouterr().err
 
 
+    DEEP = b"[" * 100000 + b"]" * 100000
+    BIG_INT = b"1" * 5000
+
+    @pytest.mark.parametrize("blob", [b"\x80{}", DEEP, b'{"seed": ' + BIG_INT + b"}"],
+                             ids=["utf8", "deep", "big-int"])
+    def test_bad_config_document_is_user_error(self, data_dir, tmp_path, blob, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(blob)
+        assert run("train", "--config", str(cfg), "--data", str(data_dir / "data"),
+                   "--out", str(tmp_path / "run")) == 1
+        assert "document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob", [b"\x80{}", DEEP], ids=["utf8", "deep"])
+    def test_bad_scene_document_is_user_error(self, data_dir, tmp_path, blob, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "scene000.json").write_bytes(blob)
+        assert run("train", "--config", str(data_dir / "run.json"), "--data", str(data),
+                   "--out", str(tmp_path / "run")) == 1
+        assert "document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [DEEP, b'{"format": ' + BIG_INT + b"}"],
+                             ids=["deep", "big-int"])
+    def test_bad_checkpoint_manifest_is_user_error(self, data_dir, tmp_path, manifest, capsys):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(len(manifest).to_bytes(8, "little") + manifest)
+        assert run("predict", "--config", str(data_dir / "run.json"),
+                   "--checkpoint", str(ckpt), "--data", str(data_dir / "data"),
+                   "--out", str(tmp_path / "p.json")) == 1
+        assert "manifest" in capsys.readouterr().err
+
+
 class TestCheckpointMismatch:
     """predict rejects a checkpoint that does not fit the config as a user
     error naming the parameter, before running the model."""

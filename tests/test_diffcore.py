@@ -312,6 +312,38 @@ class TestParamStore:
             dc.ParamStore.load(path)
         assert info.value.field == "dtype"
 
+    @pytest.mark.parametrize("shape", [["a"], [1.5], [[1]], [None], [True], [-1], [-1, -1],
+                                       [2**70], [2**36], [0, 2**70], [1] * 65])
+    def test_bad_manifest_shape_rejected(self, tmp_path, shape):
+        blob = json.dumps({"format": "lanecast-params-v1",
+                           "params": [{"name": "w", "shape": shape, "dtype": "float32"}]})
+        path = tmp_path / "p.bin"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob.encode() + bytes(8))
+        with pytest.raises(ParseError) as info:
+            dc.ParamStore.load(path)
+        assert info.value.field == "w"
+
+    def test_manifest_length_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "p.bin"
+        path.write_bytes(struct.pack("<Q", 2**36) + b"{}")
+        with pytest.raises(ParseError) as info:
+            dc.ParamStore.load(path)
+        assert info.value.field == "manifest"
+
+    @pytest.mark.parametrize("manifest, field", [
+        ([], "format"),
+        ({"format": "lanecast-params-v1", "params": [], "meta": [1]}, "meta"),
+        ({"format": "lanecast-params-v1", "params": [
+            {"name": "w", "shape": [1], "dtype": "float64"}] * 2}, "w"),
+    ], ids=["list", "meta-list", "duplicate"])
+    def test_bad_manifest_structure_rejected(self, tmp_path, manifest, field):
+        blob = json.dumps(manifest).encode()
+        path = tmp_path / "p.bin"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(16))
+        with pytest.raises(ParseError) as info:
+            dc.ParamStore.load(path)
+        assert info.value.field == field
+
     def test_duplicate_name_rejected(self):
         store = dc.ParamStore(np.float64)
         store.add("w", np.ones(2))

@@ -1,12 +1,16 @@
-"""Mutation fuzz of the prediction-file and manifest parsers: whatever is
-done to a valid document, loading it either succeeds or raises ParseError."""
+"""Mutation fuzz of the prediction-file, manifest and checkpoint parsers:
+whatever is done to a valid document, loading it either succeeds or raises
+ParseError."""
 
 import json
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lanecast import diffcore as dc
 from lanecast.decoder import load_predictions
 from lanecast.ensemble import load_manifest
 from lanecast.errors import ParseError
@@ -109,3 +113,46 @@ def test_manifest_tree_mutation(pred_dir, data):
 def test_manifest_byte_mutation(pred_dir, data):
     blob = mutate_bytes(data, json.dumps(valid_manifest()).encode())
     parses_or_parse_error(lambda b: load_manifest(b, base_dir=pred_dir), blob)
+
+
+def valid_checkpoint():
+    """(manifest dict, data bytes) of a two-parameter float64 checkpoint."""
+    store = dc.ParamStore(np.float64)
+    store.add("w", np.arange(6.0).reshape(2, 3))
+    store.add("b", np.ones(3))
+    blob = b"".join(t.data.astype("<f8").tobytes() for _, t in store.items())
+    manifest = {"format": "lanecast-params-v1", "meta": {"stage": "S2"},
+                "params": [{"name": n, "shape": list(t.shape), "dtype": "float64"}
+                           for n, t in store.items()]}
+    return manifest, blob
+
+
+def checkpoint_bytes(manifest, blob):
+    head = json.dumps(manifest).encode()
+    return struct.pack("<Q", len(head)) + head + blob
+
+
+def load_checkpoint(tmp_path, raw):
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(raw)
+    return dc.ParamStore.load(path)
+
+
+def test_valid_checkpoint_loads(tmp_path):
+    store = load_checkpoint(tmp_path, checkpoint_bytes(*valid_checkpoint()))
+    assert store.names() == ["w", "b"] and store.meta == {"stage": "S2"}
+
+
+@given(data=st.data())
+@FUZZ
+def test_checkpoint_tree_mutation(tmp_path, data):
+    manifest, blob = valid_checkpoint()
+    raw = checkpoint_bytes(mutate_tree(data, manifest), blob)
+    parses_or_parse_error(lambda b: load_checkpoint(tmp_path, b), raw)
+
+
+@given(data=st.data())
+@FUZZ
+def test_checkpoint_byte_mutation(tmp_path, data):
+    raw = mutate_bytes(data, checkpoint_bytes(*valid_checkpoint()))
+    parses_or_parse_error(lambda b: load_checkpoint(tmp_path, b), raw)

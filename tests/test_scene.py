@@ -174,6 +174,14 @@ class TestSceneIO:
         with pytest.raises(ParseError):
             sc.load_scene(json.dumps(obj))
 
+    def test_overflowing_coordinate_names_the_field(self):
+        scene = sc.generate_synthetic(sc.SceneGenConfig(), 0)
+        obj = json.loads(sc.save_scene(scene))
+        obj["lanes"][0]["centerline"][1][0] = 10**400
+        with pytest.raises(ParseError) as e:
+            sc.load_scene(json.dumps(obj))
+        assert e.value.field == "lanes[0].centerline"
+
     def test_boundary_with_unknown_lane_rejected(self):
         scene = sc.generate_synthetic(sc.SceneGenConfig(), 0)
         obj = json.loads(sc.save_scene(scene))

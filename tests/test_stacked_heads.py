@@ -183,4 +183,4 @@ def _ops_per_forward(k_modes, monkeypatch):
 def test_ops_per_forward_do_not_grow_with_modes(monkeypatch):
     ops = _ops_per_forward(6, monkeypatch)
     assert ops == _ops_per_forward(1, monkeypatch)
-    assert ops <= 280
+    assert ops <= 240
