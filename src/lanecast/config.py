@@ -1,7 +1,8 @@
 """Run configuration: one JSON file drives every command.
 
 Sections map onto dataclasses; unknown keys anywhere are rejected so typos
-fail loudly instead of silently using defaults.
+fail loudly instead of silently using defaults, and every value is checked
+against its field's annotation before `validate` reads it.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParseError, parse_json
@@ -57,14 +60,15 @@ class TrainConfig:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.total_epochs < 1:
             raise ConfigError("train.total_epochs must be >= 1")
+        if not self.periods or any(p < 1 for p in self.periods):
+            raise ConfigError(f"train.periods must be a nonempty list of positive ints, "
+                              f"got {list(self.periods)}")
         if self.stage2_start_epoch != self.periods[0]:
             raise ConfigError(
                 f"train.stage2_start_epoch must equal the first restart "
                 f"({self.periods[0]}), got {self.stage2_start_epoch}")
         if not (0 < self.lr_min <= self.lr_max):
             raise ConfigError("train lr bounds must satisfy 0 < lr_min <= lr_max")
-        if any(p < 1 for p in self.periods):
-            raise ConfigError(f"train.periods must be positive, got {self.periods}")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"train.precision must be float32/float64, got {self.precision!r}")
 
@@ -88,39 +92,40 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.data.validate()
         self.model.validate()
         self.train.validate()
         return self
 
 
-_TUPLE_FIELDS = {"periods", "curvature_range", "speed_range"}
-_NESTED = {"gen": SceneGenConfig, "data": DataConfig, "model": ModelConfig,
-           "train": TrainConfig}
-
-
-def _from_dict(cls, obj, path):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(obj) - set(fields)
-    if unknown:
-        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, val in obj.items():
-        sub = f"{path}.{name}" if path else name
-        if name in _NESTED:
-            kwargs[name] = _from_dict(_NESTED[name], val, sub)
-        elif name in _TUPLE_FIELDS:
-            if not isinstance(val, (list, tuple)):
-                raise ConfigError(f"{sub}: expected a list")
-            kwargs[name] = tuple(val)
-        else:
-            kwargs[name] = val
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{path or 'config'}: {e}") from e
+def _from_dict(tp, val, path):
+    """`val` checked against the annotation `tp`: a dataclass needs an object
+    of its fields and recurses, a tuple a JSON list of its element types, an
+    int a non-bool int, a float a finite int or float (kept as given, so the
+    config hash does not move), a str a str."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(val, dict):
+            raise ConfigError(f"{path or 'config'}: expected an object")
+        hints = typing.get_type_hints(tp)
+        unknown = set(val) - set(hints)
+        if unknown:
+            raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+        return tp(**{k: _from_dict(hints[k], v, f"{path}.{k}" if path else k)
+                     for k, v in val.items()})
+    if typing.get_origin(tp) is tuple:
+        elems = typing.get_args(tp)
+        if isinstance(val, (list, tuple)) and elems[-1] is Ellipsis:
+            elems = elems[:1] * len(val)
+        if not isinstance(val, (list, tuple)) or len(val) != len(elems):
+            raise ConfigError(f"{path}: expected a list of {len(elems)} values, got {val!r:.40}")
+        return tuple(_from_dict(e, v, f"{path}[{i}]") for i, (e, v) in enumerate(zip(elems, val)))
+    if not (isinstance(val, (int, float)) and abs(val) <= sys.float_info.max if tp is float
+            else isinstance(val, tp)) or isinstance(val, bool):
+        raise ConfigError(f"{path}: expected {'finite ' * (tp is float)}{tp.__name__}, "
+                          f"got {val!r:.40}")
+    return val
 
 
 def load_config(source) -> RunConfig:

@@ -193,11 +193,10 @@ def boundary_nodes(boundaries):
     Returns (centers [B,2], directions [B,2], marking one-hot [B,4],
     matched lane-node index [B], -1 where unmatched).
     """
-    centers, directions, marks, matched = [], [], [], []
+    centers, directions = [np.zeros((0, 2))], [np.zeros((0, 2))]
+    marks, matched = [np.zeros((0, len(MARKINGS)))], [np.zeros(0, dtype=np.int64)]
     for b in boundaries:
         m = b.node_centers.shape[0]
-        if m == 0:
-            continue
         centers.append(b.node_centers)
         directions.append(b.node_directions)
         one_hot = np.zeros((m, len(MARKINGS)))
@@ -207,9 +206,6 @@ def boundary_nodes(boundaries):
             matched.append(np.asarray(b.matched_lane_nodes, dtype=np.int64))
         else:
             matched.append(np.full(m, -1, dtype=np.int64))
-    if not centers:
-        z2 = np.zeros((0, 2))
-        return z2, z2.copy(), np.zeros((0, len(MARKINGS))), np.zeros(0, dtype=np.int64)
     return (np.concatenate(centers), np.concatenate(directions),
             np.concatenate(marks), np.concatenate(matched))
 

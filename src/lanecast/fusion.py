@@ -56,15 +56,10 @@ def fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     pairs_bnd = kept[np.argsort(matched[kept], kind="stable")]
     pairs_lane = matched[pairs_bnd]
 
-    d = lane_f.shape[1]
-    if pairs_lane.size:
-        gathered = dc.gather(boundary_f, pairs_bnd, axis=0)
-        sums = dc.scatter_add(gathered, pairs_lane, n, axis=0)
-        counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
-        inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
-        ctx = dc.mul(sums, const(store, np.repeat(inv[:, None], d, axis=1)))
-    else:
-        ctx = const(store, np.zeros((n, d)))
+    sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n, axis=0)
+    counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
+    inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
+    ctx = dc.mul(sums, const(store, np.repeat(inv[:, None], lane_f.shape[1], axis=1)))
 
     h = dc.concat([lane_f, ctx], axis=1)
     h = dc.relu(linear(store, "fuse.b2l.mlp1", h))
@@ -99,9 +94,8 @@ def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
         mask &= ~np.eye(nq, dtype=bool)
     qi, cj = np.nonzero(mask)  # row-major, deterministic
 
-    if qi.size == 0:
-        return layer_norm(store, f"{name}.ln", query_f)
-
+    # with no pair in range every message is empty, `.out` (no bias) maps
+    # the zero sum to zero, and the result is layer_norm(query)
     rel = (c_pos[cj] - q_pos[qi])
     rel_enc = linear(store, f"{name}.rel", const(store, rel))
     msgs = linear(store, f"{name}.ctx",

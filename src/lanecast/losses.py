@@ -43,16 +43,6 @@ def _const_like(t, arr):
     return dc.Tensor(np.asarray(arr, dtype=t.dtype))
 
 
-def displacement_error(s, s_hat):
-    """Max over timesteps of pointwise L2 distance, in meters (numpy)."""
-    s = np.asarray(s, dtype=np.float64)
-    s_hat = np.asarray(s_hat, dtype=np.float64)
-    if s.shape != s_hat.shape:
-        raise ContractError(f"displacement_error: shapes {s.shape} vs {s_hat.shape}")
-    d = s - s_hat
-    return float(np.hypot(d[:, 0], d[:, 1]).max())
-
-
 def mode_displacements(s, s_hat):
     """Displacement error per mode: [K, T, 2] tensor -> [K] tensor, or
     batched [n, K, T, 2] -> [n, K].

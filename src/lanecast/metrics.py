@@ -78,18 +78,6 @@ def brier(metric_value, p_best):
     return metric_value + (1.0 - p_best) ** 2
 
 
-def miss_rate(entries, k_eval):
-    """Fraction of (traj, conf, gt) entries with best endpoint error > 2 m."""
-    if not entries:
-        raise ContractError("miss_rate over an empty set")
-    misses = 0
-    for traj, conf, gt in entries:
-        v, _ = min_fde(traj, conf, gt, k_eval)
-        if v > MISS_METERS:
-            misses += 1
-    return misses / len(entries)
-
-
 def actor_metrics(traj, conf, gt):
     """All eight Table-style metrics for one actor."""
     k = len(traj)

@@ -5,13 +5,16 @@ the resampled lane-node graph with typed adjacency and, per boundary, the
 resampled boundary nodes matched to lane nodes. Derivation is deterministic,
 so a save/load round trip reproduces the derived parts too.
 
+Lane and boundary nodes of a scene count together against MAX_SCENE_NODES,
+read from each polyline's length before resampling. Nearest-node searches
+run as all-pairs distance arrays in fixed-size row blocks.
+
 All geometry is float64. Scenes are treated as immutable after construction;
 `normalize` returns a new scene.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import zlib
@@ -27,6 +30,10 @@ SIDES = ("left", "right")
 ADJ_CATEGORIES = ("predecessor", "successor", "left", "right")
 
 WORLD_FRAME = "world"
+
+# lane plus boundary nodes per scene: bounds the all-pairs work a file can ask for
+MAX_SCENE_NODES = 2048
+_BLOCK_ROWS = 256  # rows per all-pairs distance block: memory ~ N * _BLOCK_ROWS
 
 
 def wrap_angle(theta):
@@ -158,17 +165,27 @@ class SceneGenConfig:
             raise ConfigError("noise_sigma must be >= 0")
         if self.dt <= 0 or self.sample_step <= 0 or self.segment_len <= 0:
             raise ConfigError("dt, sample_step and segment_len must be positive")
+        # polylines lie within o = n_lanes * lane_width / 2 of one arc: <= (1 + o kappa) long
+        lanes = min(self.n_lanes, MAX_SCENE_NODES + 1)  # keeps the bound in float range
+        kappa = float(max(map(abs, self.curvature_range)))
+        nodes = 3 * lanes * (1.0 + (1.0 + kappa * lanes * self.lane_width / 2)
+                             * self.lane_length / self.segment_len)
+        if not nodes <= MAX_SCENE_NODES:
+            raise ConfigError(f"data.gen: {self.n_lanes} lanes of {self.lane_length} m can make "
+                              f"more than MAX_SCENE_NODES={MAX_SCENE_NODES} nodes")
 
 
 # ---------------------------------------------------------------------------
 # resampling and graph construction
 
 
-def resample_polyline(points, segment_len):
+def resample_polyline(points, segment_len, budget=MAX_SCENE_NODES, path="points"):
     """Split a polyline into n equal-arclength segments, n = round(len/seg).
 
     Returns (centers [n,2], directions [n,2] unit chords, lengths [n]).
-    Degenerate polylines (zero total length) come back empty.
+    Degenerate polylines (zero total length) come back empty. More than
+    `budget` nodes, read from the length before allocating (NaN counts as
+    more), or centers beyond float range raise ParseError naming `path`.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
@@ -178,6 +195,8 @@ def resample_polyline(points, segment_len):
     total = float(seg.sum())
     if total <= 1e-9:
         return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
+    if not total / segment_len <= budget:
+        raise ParseError(path, f"{path}: more than the {budget} nodes left of MAX_SCENE_NODES")
     n = max(1, int(round(total / segment_len)))
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     edges = np.linspace(0.0, total, n + 1)
@@ -186,6 +205,8 @@ def resample_polyline(points, segment_len):
     starts = np.stack([ex[:-1], ey[:-1]], axis=1)
     ends = np.stack([ex[1:], ey[1:]], axis=1)
     centers = 0.5 * (starts + ends)
+    if not np.isfinite(centers).all():
+        raise ParseError(path, f"{path}: node centers overflow float range")
     chords = ends - starts
     norms = np.hypot(chords[:, 0], chords[:, 1])
     # a segment can have zero chord on a hairpin; fall back to +x
@@ -196,82 +217,85 @@ def resample_polyline(points, segment_len):
     return centers, directions, lengths
 
 
+def _nearest(points, centers, starts):
+    """Distance to, and index of, each point's nearest node in every node
+    range of `centers` (range k starts at starts[k]); ties go to the lowest
+    index, as in np.argmin. Returns ([P, R], [P, R])."""
+    diff = centers[None, :, :] - points[:, None, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    dmin = np.minimum.reduceat(dist, starts, axis=1)
+    col = np.arange(len(centers))
+    hit = dist == dmin[:, np.searchsorted(starts, col, side="right") - 1]
+    return dmin, np.minimum.reduceat(np.where(hit, col, len(centers)), starts, axis=1)
+
+
+def _sorted_edges(keys, n):
+    """Keys src * n + dst -> sorted unique (src, dst) rows [E, 2]. Sorting in
+    place beats np.unique, which hashes, ~40x at the node budget."""
+    keys.sort()
+    return np.stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], n), axis=1)
+
+
 def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
     """Resample centerlines into a LaneGraph with typed adjacency.
 
     Successor edges chain consecutive nodes of one lane; predecessors mirror
     them. Left/right edges join each node to the nearest node of a laterally
     adjacent lane: centers closer than 1.2 * lane_width and nearly parallel
-    (|d_i . d_j| > 0.8). Returns (graph, skipped) where skipped counts
-    degenerate centerlines that produced no nodes.
+    (|d_i . d_j| > 0.8). One all-pairs pass in row blocks finds them: lanes
+    own contiguous node ranges, so a segment min over a lane's columns gives
+    each node's nearest node on it. The first lane past MAX_SCENE_NODES is a
+    ParseError. Returns (graph, skipped), skipped counting degenerate
+    centerlines that produced no nodes.
     """
     if segment_len <= 0:
         raise ConfigError(f"segment_len must be positive, got {segment_len}")
-    centers, directions, lengths = [], [], []
-    lane_ranges = {}
-    skipped = 0
-    succ = []
-    for lane in lanes:
-        c, d, ln = resample_polyline(lane.centerline, segment_len)
-        if c.shape[0] == 0:
-            skipped += 1
-            continue
-        start = sum(len(x) for x in lengths)
-        lane_ranges[lane.id] = (start, start + c.shape[0])
-        centers.append(c)
-        directions.append(d)
-        lengths.append(ln)
-        succ.extend((i, i + 1) for i in range(start, start + c.shape[0] - 1))
+    parts, lane_ranges, n = [(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))], {}, 0
+    for i, lane in enumerate(lanes):
+        part = resample_polyline(lane.centerline, segment_len, MAX_SCENE_NODES - n,
+                                 f"lanes[{i}].centerline")
+        if len(part[0]):
+            lane_ranges[lane.id] = (n, n + len(part[0]))
+            n += len(part[0])
+            parts.append(part)
+    centers, directions, lengths = map(np.concatenate, zip(*parts))
+    lane_of = np.repeat(np.arange(len(parts) - 1), [len(p[0]) for p in parts[1:]])
+    starts = np.flatnonzero(np.diff(lane_of, prepend=-1))
+    k = np.flatnonzero(lane_of[1:] == lane_of[:-1])
+    succ = np.stack([k, k + 1], axis=1)
 
-    centers = np.concatenate([np.zeros((0, 2))] + centers)
-    directions = np.concatenate([np.zeros((0, 2))] + directions)
-    lengths = np.concatenate([np.zeros(0)] + lengths)
-
-    left, right = set(), set()
-    thresh = 1.2 * lane_width
-    for src_id, dst_id in itertools.permutations(lane_ranges, 2):
-        s0, s1 = lane_ranges[src_id]
-        d0, d1 = lane_ranges[dst_id]
-        for i in range(s0, s1):
-            diff = centers[d0:d1] - centers[i]
-            dist = np.hypot(diff[:, 0], diff[:, 1])
-            j = d0 + int(np.argmin(dist))
-            if dist[j - d0] >= thresh:
-                continue
-            if abs(float(directions[i] @ directions[j])) <= 0.8:
-                continue
-            dx, dy = centers[j] - centers[i]
-            cross = directions[i, 0] * dy - directions[i, 1] * dx
-            if abs(cross) < 1e-9:
-                continue
-            if cross > 0:
-                left.add((i, j))
-                right.add((j, i))
-            else:
-                right.add((i, j))
-                left.add((j, i))
-
-    def _edges(pairs):
-        return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-
-    adjacency = {
-        "predecessor": _edges([(j, i) for i, j in succ]),
-        "successor": _edges(succ),
-        "left": _edges(left),
-        "right": _edges(right),
-    }
-    graph = LaneGraph(centers, directions, lengths, adjacency, lane_ranges)
-    return graph, skipped
+    keys = [np.zeros(0, dtype=np.int64)]  # left edges as src * n + dst
+    for r in range(0, n, _BLOCK_ROWS):
+        dist, near = _nearest(centers[r:r + _BLOCK_ROWS], centers, starts)
+        rows, seg = np.nonzero(dist < 1.2 * lane_width)  # own lane: the node itself, cross 0
+        i, j = rows + r, near[rows, seg]
+        di, dj = directions[i], directions[j]
+        dx, dy = (centers[j] - centers[i]).T
+        cross = di[:, 0] * dy - di[:, 1] * dx
+        ok = (np.abs(di[:, 0] * dj[:, 0] + di[:, 1] * dj[:, 1]) > 0.8) & (np.abs(cross) >= 1e-9)
+        i, j = i[ok], j[ok]
+        keys.append(np.where(cross[ok] > 0, i * n + j, j * n + i))  # > 0: j lies left of i
+    left = _sorted_edges(np.concatenate(keys), n)
+    adjacency = {"predecessor": succ[:, ::-1].copy(), "successor": succ, "left": left,
+                 "right": _sorted_edges(left[:, 1] * n + left[:, 0], n)}
+    skipped = len(lanes) + 1 - len(parts)
+    return LaneGraph(centers, directions, lengths, adjacency, lane_ranges), skipped
 
 
 def _match_boundaries(boundaries, graph, segment_len):
-    """Resample each boundary and match its nodes to the parent lane's nodes."""
-    for b in boundaries:
-        b.node_centers, b.node_directions, _ = resample_polyline(b.points, segment_len)
+    """Resample each boundary and match its nodes to the parent lane's nodes
+    by one blocked argmin over that lane's range. Boundary nodes take what the
+    lanes left of MAX_SCENE_NODES; the first past it is a ParseError."""
+    budget = MAX_SCENE_NODES - graph.n_nodes
+    for i, b in enumerate(boundaries):
+        b.node_centers, b.node_directions, _ = resample_polyline(
+            b.points, segment_len, budget, f"boundaries[{i}].points")
+        budget -= len(b.node_centers)
         lo, hi = graph.lane_ranges.get(b.lane_id, (0, 0))
-        lane = graph.centers[lo:hi]
-        b.matched_lane_nodes = [] if hi == lo else [
-            lo + int(np.argmin(np.hypot(*(lane - p).T))) for p in b.node_centers]
+        near = [np.zeros((0, 1), dtype=np.int64)] + [
+            lo + _nearest(b.node_centers[r:r + _BLOCK_ROWS], graph.centers[lo:hi], [0])[1]
+            for r in range(0, len(b.node_centers) if hi > lo else 0, _BLOCK_ROWS)]
+        b.matched_lane_nodes = np.concatenate(near)[:, 0].tolist()
 
 
 def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3.5,
@@ -530,6 +554,8 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
     for i, rl in enumerate(raw_lanes):
         p = f"lanes[{i}]."
         lid = str(_require(rl, "id", p))
+        if lid in lane_ids:
+            raise ParseError(p + "id", f"{p}id {lid!r} repeats an earlier lane's id")
         pts = _num_array(_require(rl, "centerline", p), p + "centerline", (None, 2))
         if pts.shape[0] < 2:
             raise ParseError(p + "centerline", f"{p}centerline needs >= 2 points")

@@ -219,6 +219,36 @@ class TestMalformedInputs:
         assert "manifest" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("centerline", [[[0.0, 0.0], [1e13, 0.0]],
+                                            [[-1e308, 0.0], [1e308, 0.0]]],
+                             ids=["far-vertex", "1e308-endpoints"])
+    def test_lane_beyond_node_budget_is_user_error(self, data_dir, tmp_path, centerline,
+                                                   capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        scene = json.loads((data_dir / "data" / "scene000.json").read_text())
+        scene["lanes"][0]["centerline"] = centerline
+        (data / "scene000.json").write_text(json.dumps(scene))
+        assert run("train", "--config", str(data_dir / "run.json"), "--data", str(data),
+                   "--out", str(tmp_path / "run")) == 1
+        assert "lanes[0].centerline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"model": {"d": "x"}}, "model.d"),
+        ({"data": {"gen": {"n_lanes": 1e9}}}, "data.gen.n_lanes"),
+        ({"train": {"periods": []}}, "train.periods"),
+        ({"model": {"tau_lane": "5"}}, "model.tau_lane"),
+        ({"seed": 1.5}, "seed"),
+        ({"data": {"gen": {"n_lanes": 10**9}}}, "data.gen"),
+    ], ids=["d-text", "n-lanes-float", "periods-empty", "tau-text", "seed-float",
+            "gen-over-budget"])
+    def test_mistyped_config_value_is_user_error(self, tmp_path, doc, field, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 1
+        assert field in capsys.readouterr().err
+
+
 class TestCheckpointMismatch:
     """predict rejects a checkpoint that does not fit the config as a user
     error naming the parameter, before running the model."""

@@ -77,3 +77,29 @@ def test_config_hash_stable_and_sensitive():
 def test_bad_json_rejected():
     with pytest.raises(ConfigError):
         load_config("{not json")
+
+
+def test_values_are_kept_as_given():
+    """Ints in float fields stay ints, so configs hash as they always did."""
+    cfg = load_config('{"seed": 3, "model": {"tau_lane": 5, "d": 32}, '
+                      '"data": {"gen": {"speed_range": [3, 6.5]}}, "train": {"periods": [6, 12]}}')
+    assert cfg.model.tau_lane == 5 and type(cfg.model.tau_lane) is int
+    assert cfg.data.gen.speed_range == (3, 6.5) and cfg.train.periods == (6, 12)
+    assert config_hash(cfg) == "af77b41150d7"
+    assert config_hash(load_config("{}")) == "bf36811839f4"
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"data": {"gen": {"speed_range": [1.0, 2.0, 3.0]}}}, "data.gen.speed_range"),
+    ({"data": {"gen": {"speed_range": [1.0, "x"]}}}, "data.gen.speed_range[1]"),
+    ({"train": {"periods": [6, 1.5]}}, "train.periods[1]"),
+    ({"model": {"tau_lane": True}}, "model.tau_lane"),
+    ({"model": {"tau_lane": 10**400}}, "model.tau_lane"),
+    ({"train": {"precision": 32}}, "train.precision"),
+    ({"model": []}, "model"),
+    ({"seed": -1}, "seed"),
+])
+def test_values_must_match_their_annotation(doc, field):
+    with pytest.raises(ConfigError) as e:
+        load_config(json.dumps(doc))
+    assert field in str(e.value)

@@ -4,8 +4,10 @@ strict-radius and empty-neighborhood contracts, and boundary scatter-mean."""
 import numpy as np
 import pytest
 
+from lanecast import decoder, fusion
 from lanecast import diffcore as dc
-from lanecast import fusion
+from lanecast import scene as sc
+from lanecast.diffcore import tensor
 from lanecast._layers import layer_norm
 from lanecast.config import ModelConfig
 from lanecast.errors import ContractError, ShapeError
@@ -189,3 +191,65 @@ class TestBoundaryToLane:
             fusion.fuse_boundary_to_lane(
                 dc.Tensor(np.zeros((2, 8))), dc.Tensor(np.ones((3, 8))),
                 np.array([0, 1]), store)
+
+
+class TestEmptyContext:
+    """An empty pair set runs the general path; it must equal the early
+    returns that served it before, in value and in every gradient."""
+
+    def _grads(self, out, store, inputs, seed=9):
+        weights = np.random.default_rng(seed).normal(size=out.shape)
+        loss = dc.sum(dc.mul(out, dc.Tensor(weights)))
+        return dc.backward(loss, {**dict(store.items()), **inputs})
+
+    def _assert_same(self, got, want, store, inputs):
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+        g_got, g_want = self._grads(got, store, inputs), self._grads(want, store, inputs)
+        assert g_got.keys() == g_want.keys()
+        for name in g_got:
+            np.testing.assert_allclose(g_got[name], g_want[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("n_ctx", [2, 0], ids=["none-in-range", "no-context"])
+    def test_attention_without_pairs_is_layer_norm(self, n_ctx):
+        rng = np.random.default_rng(7)
+        store = attn_store()
+        qf = dc.Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        cf = dc.Tensor(rng.normal(size=(n_ctx, 8)), requires_grad=True)
+        got = fusion.distance_attention(qf, rng.normal(size=(3, 2)), cf,
+                                        np.full((n_ctx, 2), 1e3), store, "att", tau=1.0)
+        want = layer_norm(store, "att.ln", qf)  # the early return that served this
+        self._assert_same(got, want, store, {"query": qf, "ctx": cf})
+
+    @pytest.mark.parametrize("matched", [np.zeros(0, dtype=np.int64), np.array([-1, -1, 5])],
+                             ids=["no-boundary-nodes", "all-unmatched"])
+    def test_boundary_to_lane_without_pairs_sees_zero_context(self, matched):
+        rng = np.random.default_rng(8)
+        store = TestBoundaryToLane()._store()
+        lane_f = dc.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        bound_f = dc.Tensor(rng.normal(size=(len(matched), 8)), requires_grad=True)
+        got = fusion.fuse_boundary_to_lane(lane_f, bound_f, matched, store)
+        # the zero-context branch that served this
+        h = dc.concat([lane_f, dc.Tensor(np.zeros((5, 8)))], axis=1)
+        h = dc.relu(dc.add(dc.matmul(h, store["fuse.b2l.mlp1.w"]), store["fuse.b2l.mlp1.b"]))
+        h = dc.add(dc.matmul(h, store["fuse.b2l.mlp2.w"]), store["fuse.b2l.mlp2.b"])
+        want = layer_norm(store, "fuse.b2l.ln", dc.add(lane_f, h))
+        self._assert_same(got, want, store, {"lane": lane_f, "boundary": bound_f})
+
+
+def _pipeline_ops(tau, monkeypatch):
+    cfg = ModelConfig(d=16, l_graph=1, tau_lane=tau, tau_boundary=tau, tau_actor=tau)
+    scene = sc.generate_synthetic(sc.SceneGenConfig(n_actors=3), seed=0)
+    ns = sc.normalize(scene, scene.focal_actors()[0].id)
+    store = dc.ParamStore(np.float64)
+    decoder.init_model(store, cfg, ns.horizon[1], np.random.default_rng(0))
+    calls = []
+    make = tensor._make
+    monkeypatch.setattr(tensor, "_make", lambda *a: calls.append(a[-1]) or make(*a))
+    decoder.run_pipeline(ns, store, cfg, decoder.S2)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_ops_per_forward_do_not_depend_on_radii(monkeypatch):
+    assert _pipeline_ops(1e-3, monkeypatch) == _pipeline_ops(1e3, monkeypatch)

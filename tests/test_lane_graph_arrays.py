@@ -1,0 +1,238 @@
+"""The all-pairs array search in `build_lane_nodes` and `_match_boundaries`
+against the per-node loops it replaced, kept here as the reference: graphs
+and boundary matches must be byte-identical."""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lanecast import scene as sc
+
+
+def reference_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
+    """The per-lane-pair, per-node loop that built lane graphs before."""
+    centers, directions, lengths = [], [], []
+    lane_ranges = {}
+    skipped = 0
+    succ = []
+    for lane in lanes:
+        c, d, ln = sc.resample_polyline(lane.centerline, segment_len)
+        if c.shape[0] == 0:
+            skipped += 1
+            continue
+        start = sum(len(x) for x in lengths)
+        lane_ranges[lane.id] = (start, start + c.shape[0])
+        centers.append(c)
+        directions.append(d)
+        lengths.append(ln)
+        succ.extend((i, i + 1) for i in range(start, start + c.shape[0] - 1))
+
+    centers = np.concatenate([np.zeros((0, 2))] + centers)
+    directions = np.concatenate([np.zeros((0, 2))] + directions)
+    lengths = np.concatenate([np.zeros(0)] + lengths)
+
+    left, right = set(), set()
+    thresh = 1.2 * lane_width
+    for src_id, dst_id in itertools.permutations(lane_ranges, 2):
+        s0, s1 = lane_ranges[src_id]
+        d0, d1 = lane_ranges[dst_id]
+        for i in range(s0, s1):
+            diff = centers[d0:d1] - centers[i]
+            dist = np.hypot(diff[:, 0], diff[:, 1])
+            j = d0 + int(np.argmin(dist))
+            if dist[j - d0] >= thresh:
+                continue
+            if abs(float(directions[i] @ directions[j])) <= 0.8:
+                continue
+            dx, dy = centers[j] - centers[i]
+            cross = directions[i, 0] * dy - directions[i, 1] * dx
+            if abs(cross) < 1e-9:
+                continue
+            if cross > 0:
+                left.add((i, j))
+                right.add((j, i))
+            else:
+                right.add((i, j))
+                left.add((j, i))
+
+    def _edges(pairs):
+        return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+    adjacency = {
+        "predecessor": _edges([(j, i) for i, j in succ]),
+        "successor": _edges(succ),
+        "left": _edges(left),
+        "right": _edges(right),
+    }
+    return sc.LaneGraph(centers, directions, lengths, adjacency, lane_ranges), skipped
+
+
+def reference_matches(boundaries, graph, segment_len):
+    """Per boundary, the per-node argmin list that matched boundaries before."""
+    out = []
+    for b in boundaries:
+        centers, _, _ = sc.resample_polyline(b.points, segment_len)
+        lo, hi = graph.lane_ranges.get(b.lane_id, (0, 0))
+        lane = graph.centers[lo:hi]
+        out.append([] if hi == lo else [
+            lo + int(np.argmin(np.hypot(*(lane - p).T))) for p in centers])
+    return out
+
+
+def arc(lateral, length, kappa, n_pts):
+    s = np.linspace(0.0, length, n_pts)
+    return np.array([sc._lane_point(v, lateral, kappa)[:2] for v in s])
+
+
+def random_lanes(rng):
+    """1-5 curved lanes at random spacing, some reversed, degenerate or
+    crossing the others."""
+    kappa = rng.uniform(-0.03, 0.03)
+    lateral = np.cumsum(rng.uniform(1.5, 6.0, rng.integers(1, 6)))
+    lanes = []
+    for k, lat in enumerate(lateral):
+        pts = arc(lat, rng.uniform(3.0, 40.0), kappa, rng.integers(2, 12))
+        pts = pts + rng.uniform(-2.0, 2.0, size=2)
+        kind = rng.random()
+        if kind < 0.15:
+            pts = pts[::-1]
+        elif kind < 0.25:
+            pts = np.repeat(pts[:1], rng.integers(2, 4), axis=0)
+        elif kind < 0.35:
+            pts = pts @ np.array([[0.0, 1.0], [-1.0, 0.0]]) + lateral.mean()
+        lanes.append(sc.Lane(f"lane{k}", pts))
+    return lanes
+
+
+def random_boundaries(rng, lanes):
+    out = []
+    for lane in lanes:
+        for off in rng.uniform(-3.0, 3.0, rng.integers(0, 3)):
+            pts = lane.centerline + off
+            if rng.random() < 0.2:
+                pts = pts[::-1]
+            out.append(sc.BoundaryPolyline(points=pts, marking="solid", side="left",
+                                           lane_id=lane.id))
+    return out
+
+
+def assert_same_graph(got, want):
+    (g, g_skipped), (w, w_skipped) = got, want
+    assert g_skipped == w_skipped
+    assert g.lane_ranges == w.lane_ranges
+    for name in ("centers", "directions", "lengths"):
+        a, b = getattr(g, name), getattr(w, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert list(g.adjacency) == list(w.adjacency)
+    for cat in sc.ADJ_CATEGORIES:
+        a, b = g.adjacency[cat], w.adjacency[cat]
+        assert a.dtype == np.int64 and a.shape == b.shape, cat
+        assert a.tobytes() == b.tobytes(), cat
+
+
+def assert_same_scene(lanes, boundaries, segment_len, lane_width):
+    got = sc.build_lane_nodes(lanes, segment_len, lane_width)
+    want = reference_lane_nodes(lanes, segment_len, lane_width)
+    assert_same_graph(got, want)
+    sc._match_boundaries(boundaries, got[0], segment_len)
+    assert [b.matched_lane_nodes for b in boundaries] == reference_matches(
+        boundaries, want[0], segment_len)
+    assert all(type(j) is int for b in boundaries for j in b.matched_lane_nodes)
+    return got[0]
+
+
+def test_random_scenes_match_the_loop():
+    rng = np.random.default_rng(0)
+    lateral = 0
+    for _ in range(240):
+        lanes = random_lanes(rng)
+        graph = assert_same_scene(lanes, random_boundaries(rng, lanes),
+                                  rng.uniform(0.5, 4.0), rng.uniform(2.0, 5.0))
+        lateral += graph.adjacency["left"].shape[0]
+    assert lateral > 1000  # the lateral search was exercised, not just skipped
+
+
+def straight(lane_id, y, length=20.0, x0=0.0):
+    return sc.Lane(lane_id, np.array([[x0, y], [x0 + length, y]]))
+
+
+@pytest.mark.parametrize("lanes, lane_width", [
+    ([], 3.5),
+    ([straight("a", 0.0)], 3.5),
+    ([straight("a", 0.0), sc.Lane("b", np.array([[20.0, 3.0], [0.0, 3.0]]))], 3.5),
+    ([straight("a", 0.0), sc.Lane("z", np.array([[1.0, 1.0], [1.0, 1.0]])),
+      straight("b", 3.0)], 3.5),
+    ([straight("a", 0.0), sc.Lane("x", np.array([[10.0, -10.0], [10.0, 10.0]])),
+      straight("b", 2.0), sc.Lane("y", np.array([[0.0, -5.0], [20.0, 5.0]]))], 3.5),
+    # equidistant nodes: ties must go to the lowest index
+    ([straight("a", 0.0, length=4.0), straight("b", 1.0, length=2.0, x0=1.0),
+      straight("c", -1.0, length=2.0, x0=1.0)], 3.5),
+    # |d_i . d_j| exactly 0.8 is not parallel enough
+    ([straight("a", 0.0), sc.Lane("b", np.array([[0.0, 1.0], [4.0, 4.0]]))], 3.5),
+    # 1.2 * 2.5 == 3.0: a neighbor exactly at the threshold is out of range
+    ([straight("a", 0.0), straight("b", 3.0)], 2.5),
+], ids=["empty", "one-lane", "reversed", "degenerate", "crossing", "ties", "dot-at-0.8",
+        "at-threshold"])
+def test_edge_case_scenes_match_the_loop(lanes, lane_width):
+    bounds = [sc.BoundaryPolyline(points=l.centerline + 1.0, marking="solid", side="left",
+                                  lane_id=l.id) for l in lanes]
+    assert_same_scene(lanes, bounds, 2.0, lane_width)
+
+
+def test_row_blocks_match_one_block(monkeypatch):
+    """A scene wider than one row block gives the same bytes as the loop."""
+    lanes = [straight(f"l{k}", 1.5 * k, length=2.0 * (sc._BLOCK_ROWS // 2 + 3), x0=0.3 * k)
+             for k in range(3)]
+    lanes.append(straight("long", 1.0, length=2.0 * (sc._BLOCK_ROWS + 7)))
+    bounds = [sc.BoundaryPolyline(points=lanes[-1].centerline + [0.0, 1.0], marking="solid",
+                                  side="left", lane_id="long")]
+    assert_same_scene(lanes, bounds, 2.0, 3.5)
+    monkeypatch.setattr(sc, "_BLOCK_ROWS", 7)
+    assert_same_scene(lanes, bounds, 2.0, 3.5)
+
+
+def test_budget_counts_lane_and_boundary_nodes():
+    per_lane = sc.MAX_SCENE_NODES // 4
+    lanes = [straight(f"l{k}", 4.0 * k, length=2.0 * per_lane) for k in range(4)]
+    graph, _ = sc.build_lane_nodes(lanes)
+    assert graph.n_nodes == sc.MAX_SCENE_NODES
+    with pytest.raises(sc.ParseError) as e:
+        sc.build_lane_nodes(lanes + [straight("over", 50.0, length=2.0)])
+    assert e.value.field == "lanes[4].centerline"
+    bound = sc.BoundaryPolyline(points=lanes[0].centerline + [0.0, 1.0], marking="solid",
+                                side="left", lane_id="l0")
+    with pytest.raises(sc.ParseError) as e:
+        sc._match_boundaries([bound], graph, 2.0)
+    assert e.value.field == "boundaries[0].points"
+
+
+@pytest.mark.parametrize("bad", [1e13, math.inf, math.nan])
+def test_length_beyond_budget_raises_before_allocating(bad):
+    with pytest.raises(sc.ParseError) as e:
+        sc.resample_polyline(np.array([[0.0, 0.0], [bad, 0.0]]), 2.0, path="p")
+    assert e.value.field == "p"
+
+
+def test_centers_beyond_float_range_rejected():
+    with pytest.raises(sc.ParseError) as e, np.errstate(over="ignore"):
+        sc.resample_polyline(np.array([[1.7e308, 0.0], [1.7e308, 3.0]]), 2.0, path="p")
+    assert e.value.field == "p"
+
+
+@pytest.mark.parametrize("lanes", [
+    [straight(f"l{k}", 3.5 * k, length=sc.MAX_SCENE_NODES) for k in range(2)],
+    [straight(f"l{k}", 0.01 * k, length=2.0) for k in range(sc.MAX_SCENE_NODES)],
+], ids=["long-parallel", "two-node-1cm"])
+def test_scene_at_the_budget_stays_in_bounded_memory(lanes):
+    """Row blocks keep the all-pairs pass far below N^2 memory at the budget."""
+    tracemalloc.start()
+    try:
+        graph, _ = sc.build_lane_nodes(lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_nodes == sc.MAX_SCENE_NODES
+    assert peak < 256 * 2**20

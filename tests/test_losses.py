@@ -20,24 +20,27 @@ def simplex(rng, k=6):
 
 
 class TestDisplacementError:
+    """`mode_displacements`: max over steps of the pointwise L2 distance."""
+
     def test_identity_zero(self):
-        s = np.random.default_rng(0).normal(size=(5, 2))
-        assert losses.displacement_error(s, s) == 0.0
+        s = np.random.default_rng(0).normal(size=(1, 5, 2))
+        assert losses.mode_displacements(dc.Tensor(s), s[0]).data.tolist() == [0.0]
 
     def test_constant_unit_offset(self):
         s = np.zeros((4, 2))
         t = s + [1.0, 0.0]
-        assert losses.displacement_error(t, s) == 1.0
+        assert losses.mode_displacements(dc.Tensor(t[None]), s).data.tolist() == [1.0]
 
     def test_three_four_five(self):
         s = np.zeros((6, 2))
         t = s.copy()
         t[2] = [3.0, 4.0]
-        assert losses.displacement_error(t, s) == 5.0
+        got = losses.mode_displacements(dc.Tensor(np.stack([t, s])), s)
+        assert got.data.tolist() == [5.0, 0.0]
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            losses.displacement_error(np.zeros((3, 2)), np.zeros((4, 2)))
+            losses.mode_displacements(dc.Tensor(np.zeros((1, 3, 2))), np.zeros((4, 2)))
 
 
 class TestGtConfidence:

@@ -103,10 +103,8 @@ class TestHandCases:
 
     def test_miss_rate_threshold_strict(self):
         gt = [[0.0, 0.0]]
-        exactly_2 = [([[[2.0, 0.0]]], [1.0], gt)]
-        just_over = [([[[2.0 + 1e-9, 0.0]]], [1.0], gt)]
-        assert metrics.miss_rate(exactly_2, 1) == 0.0
-        assert metrics.miss_rate(just_over, 1) == 1.0
+        assert metrics.actor_metrics([[[2.0, 0.0]]], [1.0], gt)["MR(1)"] == 0.0
+        assert metrics.actor_metrics([[[2.0 + 1e-9, 0.0]]], [1.0], gt)["MR(1)"] == 1.0
 
     def test_k_eval_validation(self):
         gt = [[0.0, 0.0]]

@@ -1,6 +1,6 @@
-"""Mutation fuzz of the prediction-file, manifest and checkpoint parsers:
-whatever is done to a valid document, loading it either succeeds or raises
-ParseError."""
+"""Mutation fuzz of the prediction-file, manifest, checkpoint and scene
+parsers: whatever is done to a valid document, loading it either succeeds or
+raises ParseError."""
 
 import json
 import struct
@@ -14,6 +14,7 @@ from lanecast import diffcore as dc
 from lanecast.decoder import load_predictions
 from lanecast.ensemble import load_manifest
 from lanecast.errors import ParseError
+from lanecast.scene import SceneGenConfig, generate_synthetic, load_scene, save_scene
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -156,3 +157,41 @@ def test_checkpoint_tree_mutation(tmp_path, data):
 def test_checkpoint_byte_mutation(tmp_path, data):
     raw = mutate_bytes(data, checkpoint_bytes(*valid_checkpoint()))
     parses_or_parse_error(lambda b: load_checkpoint(tmp_path, b), raw)
+
+
+def valid_scene():
+    gen = SceneGenConfig(n_lanes=2, n_actors=2, h=3, t=2, lane_length=12.0)
+    return json.loads(save_scene(generate_synthetic(gen, 0)))
+
+
+def test_valid_scene_loads():
+    scene = load_scene(json.dumps(valid_scene()))
+    assert scene.lane_graph.n_nodes == 12 and len(scene.boundaries) == 4
+
+
+@given(data=st.data())
+@FUZZ
+def test_scene_tree_mutation(data):
+    doc = mutate_tree(data, valid_scene())
+    parses_or_parse_error(load_scene, json.dumps(doc).encode())
+
+
+@given(data=st.data())
+@FUZZ
+def test_scene_byte_mutation(data):
+    blob = mutate_bytes(data, json.dumps(valid_scene()).encode())
+    parses_or_parse_error(load_scene, blob)
+
+
+@given(data=st.data())
+@FUZZ
+def test_scene_coordinate_scaling(data):
+    """One coordinate moved far away: lanes and boundaries then cross the
+    node budget, actors just sit far off."""
+    doc = valid_scene()
+    rows = [row for key, field in (("lanes", "centerline"), ("boundaries", "points"),
+                                   ("actors", "history"), ("actors", "future"))
+            for item in doc[key] for row in item[field]]
+    row = data.draw(st.sampled_from(rows))
+    row[data.draw(st.integers(0, 1))] *= data.draw(st.sampled_from([1e6, 1e300, -1e300]))
+    parses_or_parse_error(load_scene, json.dumps(doc).encode())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanecast import scene as sc
-from lanecast.errors import ContractError, ParseError
+from lanecast.errors import ConfigError, ContractError, ParseError
 
 
 def straight_lane(lane_id="L0", length=10.0, y=0.0, step=1.0):
@@ -125,13 +125,31 @@ class TestSyntheticGeneration:
         assert scene.horizon == (gen.h, gen.t)
 
     def test_config_validation(self):
-        from lanecast.errors import ConfigError
         with pytest.raises(ConfigError):
             sc.SceneGenConfig(n_lanes=0).validate()
         with pytest.raises(ConfigError):
             sc.SceneGenConfig(h=1).validate()
         with pytest.raises(ConfigError):
             sc.SceneGenConfig(noise_sigma=-0.1).validate()
+        with pytest.raises(ConfigError, match="MAX_SCENE_NODES"):
+            sc.SceneGenConfig(n_lanes=8, lane_length=200.0).validate()
+
+    def test_generator_bound_holds_on_curved_lanes(self):
+        """Generators just inside validate's bound stay within the node budget."""
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            n_lanes, width, kappa = int(rng.integers(1, 6)), rng.uniform(2, 6), rng.uniform(0, 0.05)
+            per_polyline = sc.MAX_SCENE_NODES / (3 * n_lanes) - 1
+            length = 0.999 * 2.0 * per_polyline / (1 + kappa * n_lanes * width / 2)
+            gen = sc.SceneGenConfig(n_lanes=n_lanes, lane_width=width, lane_length=length,
+                                    curvature_range=(-kappa, -kappa), n_actors=1)
+            gen.validate()
+            with pytest.raises(ConfigError):
+                sc.SceneGenConfig(n_lanes=n_lanes, lane_width=width, lane_length=1.01 * length,
+                                  curvature_range=(-kappa, -kappa)).validate()
+            scene = sc.generate_synthetic(gen, int(rng.integers(100)))
+            nodes = scene.lane_graph.n_nodes + sum(len(b.node_centers) for b in scene.boundaries)
+            assert 0.4 * sc.MAX_SCENE_NODES < nodes <= sc.MAX_SCENE_NODES
 
 
 class TestSceneIO:
@@ -181,6 +199,14 @@ class TestSceneIO:
         with pytest.raises(ParseError) as e:
             sc.load_scene(json.dumps(obj))
         assert e.value.field == "lanes[0].centerline"
+
+    def test_repeated_lane_id_rejected(self):
+        scene = sc.generate_synthetic(sc.SceneGenConfig(n_lanes=2), 0)
+        obj = json.loads(sc.save_scene(scene))
+        obj["lanes"][1]["id"] = obj["lanes"][0]["id"]
+        with pytest.raises(ParseError) as e:
+            sc.load_scene(json.dumps(obj))
+        assert e.value.field == "lanes[1].id"
 
     def test_boundary_with_unknown_lane_rejected(self):
         scene = sc.generate_synthetic(sc.SceneGenConfig(), 0)
