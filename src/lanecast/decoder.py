@@ -3,8 +3,12 @@
 Stage one: K target heads regress target points (the trajectory endpoints)
 straight from the fused actor feature; a confidence head scores each
 (actor feature ++ encoded target) pair. Stage two: a completion head turns
-each pair into the remaining T-1 steps; the final step is the target itself,
-spliced in exactly.
+the same pair rows into the remaining T-1 steps; the final step is the
+target itself, spliced in exactly. The pair rows are built once, by
+`predict_targets`, and shared by both heads.
+
+Both stages return trajectories [A, K, T', 2]: stage one the targets as
+one-step trajectories (T' = 1), stage two the full T steps.
 
 The K heads are one stacked parameter set: `dec.head.l1` maps [A, D] to
 [A, K*D] and `dec.head.l2` holds K [D, 2] weights applied by one batched
@@ -66,16 +70,14 @@ def _encode_target(store, g, input_scale):
     return linear(store, "dec.tenc.l2", h)
 
 
-def _per_mode(actor_f, k):
-    """[A, D] -> [A*K, D]: each actor's row once per mode."""
-    return dc.gather(actor_f, np.repeat(np.arange(actor_f.shape[0]), k), axis=0)
-
-
 def predict_targets(actor_f, store, cfg):
-    """Fused actor features [A, D] -> (targets [A, K, 2], logits [A, K]).
+    """Fused actor features [A, D] -> (targets [A, K, 2], logits [A, K],
+    pair rows [A*K, 2D]).
 
     Targets are agent-frame offsets from the origin. Confidences are
-    softmax(logits), taken downstream so losses can see raw logits.
+    softmax(logits), taken downstream so losses can see raw logits. Pair
+    row a*K + k is actor a's feature ++ its encoded target k, the input of
+    both the confidence and the completion head.
     """
     a, k, d = actor_f.shape[0], cfg.k_modes, cfg.d
     h = dc.reshape(dc.relu(linear(store, "dec.head.l1", actor_f)), (a * k, 1, d))
@@ -85,26 +87,27 @@ def predict_targets(actor_f, store, cfg):
     # output_scale maps the O(1) feature range onto meters, mirroring
     # input_scale on the encoder side
     g = dc.reshape(dc.scale(g, cfg.output_scale), (a * k, 2))
-    enc = _encode_target(store, g, cfg.input_scale)
-    ch = dc.relu(linear(store, "dec.conf.l1", dc.concat([_per_mode(actor_f, k), enc], axis=1)))
+    per_mode = dc.gather(actor_f, np.repeat(np.arange(a), k), axis=0)  # [A*K, D]
+    pairs = dc.concat([per_mode, _encode_target(store, g, cfg.input_scale)], axis=1)
+    ch = dc.relu(linear(store, "dec.conf.l1", pairs))
     logits = dc.reshape(linear(store, "dec.conf.l2", ch), (a, k))
-    return dc.reshape(g, (a, k, 2)), logits
+    return dc.reshape(g, (a, k, 2)), logits, pairs
 
 
-def complete_trajectories(actor_f, targets, store, cfg, t):
-    """Targets [A, K, 2] -> trajectories [A, K, T, 2], last step == target.
+def complete_trajectories(pairs, targets, store, cfg, t):
+    """Pair rows [A*K, 2D] and targets [A, K, 2], both from
+    `predict_targets` -> trajectories [A, K, T, 2], last step == target.
 
-    Gradient flows through the targets into the first-stage heads.
+    Gradient flows through the targets and the pair rows into the
+    first-stage heads and the target encoder.
     """
     if t < 2:
         raise ContractError(f"completion needs T >= 2, got {t}")
-    a, k = actor_f.shape[0], cfg.k_modes
-    g = dc.reshape(targets, (a * k, 2))
-    enc = _encode_target(store, g, cfg.input_scale)
-    h = dc.relu(linear(store, "dec.comp.l1", dc.concat([_per_mode(actor_f, k), enc], axis=1)))
+    a, k = targets.shape[0], targets.shape[1]
+    h = dc.relu(linear(store, "dec.comp.l1", pairs))
     body = dc.reshape(dc.scale(linear(store, "dec.comp.l2", h), cfg.output_scale),
                       (a * k, t - 1, 2))
-    full = dc.concat([body, dc.reshape(g, (a * k, 1, 2))], axis=1)  # [A*K, T, 2]
+    full = dc.concat([body, dc.reshape(targets, (a * k, 1, 2))], axis=1)  # [A*K, T, 2]
     return dc.reshape(full, (a, k, t, 2))
 
 
@@ -122,8 +125,9 @@ def init_model(store, cfg, t, rng):
 def run_pipeline(norm_scene, store, cfg, stage=S2):
     """Encode + fuse + decode one normalized scene.
 
-    Returns (targets [A,K,2], trajectories [A,K,T,2] or None in S1,
-    logits [A,K]) as tensors, ordered like norm_scene.actors.
+    Returns (targets [A,K,2], trajectories [A,K,T',2], logits [A,K]) as
+    tensors, ordered like norm_scene.actors; T' is 1 in S1 (the targets as
+    one-step trajectories) and T in S2.
     """
     if stage not in (S1, S2):
         raise ContractError(f"unknown stage {stage!r}")
@@ -131,12 +135,12 @@ def run_pipeline(norm_scene, store, cfg, stage=S2):
     lane_f = encode_lane_nodes(norm_scene.lane_graph, store, cfg)
     bound_f, bound_pos, matched = encode_boundaries(norm_scene.boundaries, store, cfg)
     fused = fuse_scene(actor_f, actor_pos, lane_f, norm_scene.lane_graph.centers,
-                       bound_f, bound_pos, matched, store, cfg,
-                       frame=norm_scene.frame)
-    targets, logits = predict_targets(fused, store, cfg)
-    traj = None
-    if stage == S2:
-        traj = complete_trajectories(fused, targets, store, cfg, norm_scene.horizon[1])
+                       bound_f, bound_pos, matched, store, cfg)
+    targets, logits, pairs = predict_targets(fused, store, cfg)
+    if stage == S1:
+        traj = dc.reshape(targets, (*targets.shape[:2], 1, 2))
+    else:
+        traj = complete_trajectories(pairs, targets, store, cfg, norm_scene.horizon[1])
     return targets, traj, logits
 
 
@@ -149,13 +153,11 @@ def forecast(scene, store, cfg, stage=S2):
         idx = next(i for i, a in enumerate(ns.actors) if a.id == actor.id)
         targets, traj, logits = run_pipeline(ns, store, cfg, stage)
         conf = dc.softmax(logits, axis=1).data[idx]
-        g = targets.data[idx]  # [K, 2]
-        s = traj.data[idx] if traj is not None else g[:, None, :]
         out.append(Forecast(
             scene_id=scene.scene_id,
             actor_id=actor.id,
-            targets=to_world(ns, g.astype(np.float64)),
-            trajectories=to_world(ns, s.astype(np.float64)),
+            targets=to_world(ns, targets.data[idx].astype(np.float64)),
+            trajectories=to_world(ns, traj.data[idx].astype(np.float64)),
             confidences=conf.astype(np.float64),
         ))
     return out

@@ -21,7 +21,6 @@ from .tensor import (
     reshape,
     scale,
     scatter_add,
-    set_debug_checks,
     sigmoid,
     smooth_l1,
     softmax,
@@ -33,5 +32,5 @@ __all__ = [
     "Tensor", "ParamStore", "grad_check", "backward",
     "add", "sub", "mul", "scale", "matmul", "concat", "reshape", "relu",
     "sigmoid", "log", "smooth_l1", "softmax", "layer_norm", "l2_norm_rows",
-    "gather", "scatter_add", "conv1d", "sum", "mean", "max", "set_debug_checks",
+    "gather", "scatter_add", "conv1d", "sum", "mean", "max",
 ]

@@ -15,15 +15,7 @@ import numpy as np
 
 from ..errors import ContractError, ShapeError
 
-_DEBUG_CHECKS = False
-
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def set_debug_checks(enabled):
-    """Toggle per-op finiteness checks (off by default; slow)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -93,8 +85,6 @@ def _make(data, parents, backward, op):
         out.op = op
         out._parents = tuple(parents)
         out._backward = backward
-    if _DEBUG_CHECKS and not np.all(np.isfinite(out.data)):
-        raise ContractError(f"non-finite values out of op '{op}'")
     return out
 
 
@@ -216,18 +206,14 @@ def sigmoid(a):
     return _make(s, (a,), bwd, "sigmoid")
 
 
-def log(a, floor=0.0):
-    """Natural log; with floor > 0, inputs are clamped to the floor first
-    and clamped entries get zero gradient."""
+def log(a, floor):
+    """Natural log of the inputs clamped to `floor` > 0 first; clamped
+    entries get zero gradient."""
     a = _as_tensor(a)
-    if floor > 0.0:
-        clamped = np.maximum(a.data, floor)
-        mask = a.data >= floor
-    else:
-        if np.any(a.data <= 0):
-            raise ContractError("log: non-positive input without a floor")
-        clamped = a.data
-        mask = True
+    if floor <= 0:
+        raise ContractError("log: floor must be positive")
+    clamped = np.maximum(a.data, floor)
+    mask = a.data >= floor
 
     def bwd(g):
         return (g * mask / clamped,)
@@ -287,29 +273,19 @@ def mean(a, axis=None):
     return _make(a.data.mean(axis=axis), (a,), bwd, "mean")
 
 
-def max(a, axis=None):  # noqa: A001
-    """Max reduction; gradient routes to the first (lowest-index) argmax."""
+def max(a, axis):  # noqa: A001
+    """Max reduction over one axis; gradient routes to the first
+    (lowest-index) argmax."""
     a = _as_tensor(a)
-    if axis is None:
-        flat_idx = int(np.argmax(a.data))
-        out = a.data.reshape(-1)[flat_idx]
-
-        def bwd(g):
-            ga = np.zeros_like(a.data)
-            ga.reshape(-1)[flat_idx] = g
-            return (ga,)
-
-        return _make(out, (a,), bwd, "max")
-
     axis = _check_axis(axis, a.ndim)
     idx = np.argmax(a.data, axis=axis)
 
-    def bwd_axis(g):
+    def bwd(g):
         ga = np.zeros_like(a.data)
         np.put_along_axis(ga, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         return (ga,)
 
-    return _make(a.data.max(axis=axis), (a,), bwd_axis, "max")
+    return _make(a.data.max(axis=axis), (a,), bwd, "max")
 
 
 def softmax(a, axis=-1):

@@ -68,7 +68,7 @@ def fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
 
 
 def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
-                       exclude_self=False, query_frame=None, ctx_frame=None):
+                       exclude_self=False):
     """Radius-gated attention.
 
     For query i, neighbors are contexts strictly closer than tau. Messages
@@ -77,8 +77,6 @@ def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
     to the query under a layer norm. Queries with no neighbors pass through
     as layer_norm(query).
     """
-    if query_frame is not None and ctx_frame is not None and query_frame != ctx_frame:
-        raise ContractError(f"frame mismatch: query {query_frame!r} vs ctx {ctx_frame!r}")
     if tau <= 0:
         raise ContractError(f"tau must be positive, got {tau}")
     q_pos = np.asarray(query_pos, dtype=np.float64)
@@ -107,16 +105,13 @@ def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
 
 
 def fuse_scene(actor_f, actor_pos, lane_f, lane_pos, boundary_f, boundary_pos,
-               matched, store, cfg, frame=None):
+               matched, store, cfg):
     """Run the four blocks in order; returns updated actor features [A, D]."""
     lane_f = fuse_boundary_to_lane(lane_f, boundary_f, matched, store)
     actor_f = distance_attention(actor_f, actor_pos, lane_f, lane_pos, store,
-                                 "fuse.l2a", cfg.tau_lane,
-                                 query_frame=frame, ctx_frame=frame)
+                                 "fuse.l2a", cfg.tau_lane)
     actor_f = distance_attention(actor_f, actor_pos, boundary_f, boundary_pos, store,
-                                 "fuse.b2a", cfg.tau_boundary,
-                                 query_frame=frame, ctx_frame=frame)
+                                 "fuse.b2a", cfg.tau_boundary)
     actor_f = distance_attention(actor_f, actor_pos, actor_f, actor_pos, store,
-                                 "fuse.a2a", cfg.tau_actor, exclude_self=True,
-                                 query_frame=frame, ctx_frame=frame)
+                                 "fuse.a2a", cfg.tau_actor, exclude_self=True)
     return actor_f

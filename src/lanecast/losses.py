@@ -1,7 +1,9 @@
 """Training losses: max-entropy confidence targets under a KL loss with a
 2 m endpoint filter, plus winner-take-all smooth-L1 losses on targets and
-trajectories. Stage one scores endpoints only; stage two adds the
-trajectory term over steps 0..T-2.
+trajectories. The pipeline returns [A, K, T', 2] trajectories in both
+stages: with T' = 1 (stage one, the targets as one-step trajectories) the
+loss scores endpoints only; with T' = T (stage two) it adds the trajectory
+term over steps 0..T-2.
 
 The confidence target distribution is itself a function of the predictions
 (softmax over negative displacement errors), so it stays on the tape and
@@ -100,7 +102,7 @@ def select_winners(targets, gt_endpoints):
     return np.argmin(np.hypot(d[..., 0], d[..., 1]), axis=1)
 
 
-def target_loss(targets, gt_endpoints, mask, winners=None):
+def target_loss(targets, gt_endpoints, mask):
     """Winner-take-all smooth-L1 on target offsets.
 
     targets: tensor [A, K, 2]; gt_endpoints: [A, 2]; mask: [A] bool, true for
@@ -109,8 +111,7 @@ def target_loss(targets, gt_endpoints, mask, winners=None):
     """
     a, k = targets.shape[0], targets.shape[1]
     mask = np.asarray(mask, dtype=bool)
-    if winners is None:
-        winners = select_winners(targets.data, gt_endpoints)
+    winners = select_winners(targets.data, gt_endpoints)
     kept = np.flatnonzero(mask)
     if kept.size == 0:
         return dc.Tensor(np.zeros((), dtype=targets.dtype)), 0, winners
@@ -140,37 +141,24 @@ def trajectory_loss(traj, gt, mask, winners):
     return dc.mean(dc.smooth_l1(diff, beta=1.0)), int(kept.size)
 
 
-def total_loss(targets, traj, logits, gt_futures, last_observed, stage):
-    """Assemble the staged loss for one normalized scene.
+def total_loss(targets, traj, logits, gt_futures, last_observed):
+    """Assemble the loss for one normalized scene.
 
-    targets [A,K,2], traj [A,K,T,2] or None, logits [A,K] are pipeline
-    tensors; gt_futures is a length-A list of [T,2] arrays or None;
-    last_observed is the [A] bool mask. Returns (scalar tensor, LossBreakdown).
+    targets [A,K,2], traj [A,K,T',2], logits [A,K] are pipeline tensors;
+    T' = 1 (stage one) scores endpoints only, T' = T adds the trajectory
+    term. gt_futures is a length-A list of [T,2] arrays or None, whose last
+    T' steps are the confidence reference; last_observed is the [A] bool
+    mask. Returns (scalar tensor, LossBreakdown).
     """
-    if stage not in (S1, S2):
-        raise ContractError(f"unknown stage {stage!r}")
-    if stage == S1 and traj is not None:
-        raise ContractError("stage S1 must not receive a trajectory tensor")
-    if stage == S2 and traj is None:
-        raise ContractError("stage S2 requires trajectories")
-
-    a, k = targets.shape[0], targets.shape[1]
+    t = traj.shape[2]
     has_gt = np.array([g is not None for g in gt_futures], dtype=bool)
-    gt_end = np.zeros((a, 2))
-    for i, g in enumerate(gt_futures):
-        if g is not None:
-            gt_end[i] = np.asarray(g)[-1]
+    gt_ref = np.stack([np.asarray(g, dtype=np.float64)[-t:] if g is not None
+                       else np.zeros((t, 2)) for g in gt_futures])
+    gt_end = gt_ref[:, -1]
 
     # one KL over the kept actors; with none kept, the empty batch sums to 0
-    if stage == S1:
-        gt_ref = gt_end[:, None, :]
-        modes = dc.reshape(targets, (a, k, 1, 2))
-    else:
-        gt_ref = np.stack([np.asarray(g) if g is not None else np.zeros((traj.shape[2], 2))
-                           for g in gt_futures])
-        modes = traj
     kept = np.flatnonzero(has_gt & conf_filter(targets.data, gt_end))
-    c_hat = gt_confidence(dc.gather(modes, kept, axis=0), gt_ref[kept])
+    c_hat = gt_confidence(dc.gather(traj, kept, axis=0), gt_ref[kept])
     conf = dc.gather(dc.softmax(logits, axis=1), kept, axis=0)
     conf_term = dc.scale(confidence_loss(conf, c_hat), 1.0 / max(kept.size, 1))
 
@@ -179,7 +167,7 @@ def total_loss(targets, traj, logits, gt_futures, last_observed, stage):
 
     total = dc.add(conf_term, target_term)
     traj_val = 0.0
-    if stage == S2:
+    if t > 1:
         traj_term, _ = trajectory_loss(traj, gt_ref, reg_mask, winners)
         total = dc.add(total, traj_term)
         traj_val = float(traj_term.data)
@@ -189,7 +177,7 @@ def total_loss(targets, traj, logits, gt_futures, last_observed, stage):
     bd = LossBreakdown(
         conf=conf_val, target=target_val, traj=traj_val,
         total=conf_val + target_val + traj_val,
-        n_conf_kept=int(kept.size), n_target=n_target, stage=stage)
+        n_conf_kept=int(kept.size), n_target=n_target, stage=S1 if t == 1 else S2)
     if not math.isfinite(bd.total):
         raise ContractError("non-finite loss")
     return total, bd

@@ -149,12 +149,11 @@ def evaluate(forecasts, gt_by_key):
                         n_scenes=len({k[0] for k in keys}), n_actors=n)
 
 
-def gt_map(scenes, endpoint_only=False):
+def gt_map(scenes):
     """(scene_id, actor_id) -> future for every labeled focal actor."""
     out = {}
     for s in scenes:
         for a in s.focal_actors():
             if a.future is not None:
-                fut = np.asarray(a.future, dtype=np.float64)
-                out[(s.scene_id, a.id)] = fut[-1:] if endpoint_only else fut
+                out[(s.scene_id, a.id)] = np.asarray(a.future, dtype=np.float64)
     return out

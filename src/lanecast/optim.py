@@ -145,18 +145,15 @@ def _view_loss(scene, actor_id, store, cfg, stage):
     targets, traj, logits = run_pipeline(ns, store, cfg.model, stage)
     gt = [a.future for a in ns.actors]
     last_obs = np.array([bool(a.observed[-1]) for a in ns.actors])
-    loss, bd = total_loss(targets, traj, logits, gt, last_obs, stage)
-    # train-time minFDE(K=6) for the focal actor, in its agent frame
+    loss, bd = total_loss(targets, traj, logits, gt, last_obs)
+    # train-time minFDE(K) for the focal actor, in its agent frame; over all
+    # K modes it reads no confidences
     fde = None
     focal_idx = next(i for i, a in enumerate(ns.actors) if a.id == actor_id)
     if gt[focal_idx] is not None:
-        modes = traj.data[focal_idx] if traj is not None \
-            else targets.data[focal_idx][:, None, :]
-        conf = dc.softmax(logits, axis=1).data[focal_idx]
-        k = modes.shape[0]
-        gt_ref = np.asarray(gt[focal_idx], dtype=np.float64)
-        fde, _ = min_fde(np.asarray(modes, dtype=np.float64), conf,
-                         gt_ref[-1:] if modes.shape[1] == 1 else gt_ref, k)
+        modes = np.asarray(traj.data[focal_idx], dtype=np.float64)
+        fde, _ = min_fde(modes, None, np.asarray(gt[focal_idx], dtype=np.float64),
+                         modes.shape[0])
     return loss, bd, fde
 
 

@@ -34,6 +34,11 @@ WORLD_FRAME = "world"
 # lane plus boundary nodes per scene: bounds the all-pairs work a file can ask for
 MAX_SCENE_NODES = 2048
 _BLOCK_ROWS = 256  # rows per all-pairs distance block: memory ~ N * _BLOCK_ROWS
+# `generate_synthetic` runs Python loops over every polyline point and over
+# every (actor, time step) pair; these bound its work per scene
+MAX_POLYLINE_POINTS = 2048  # lane_length / sample_step
+MAX_TIME_STEPS = 1000       # h + t
+MAX_ACTORS = 256
 
 
 def wrap_angle(theta):
@@ -165,6 +170,16 @@ class SceneGenConfig:
             raise ConfigError("noise_sigma must be >= 0")
         if self.dt <= 0 or self.sample_step <= 0 or self.segment_len <= 0:
             raise ConfigError("dt, sample_step and segment_len must be positive")
+        if not self.lane_length / self.sample_step <= MAX_POLYLINE_POINTS:
+            raise ConfigError(f"data.gen.sample_step: lane_length / sample_step = "
+                              f"{self.lane_length / self.sample_step:g} points per polyline, "
+                              f"more than MAX_POLYLINE_POINTS={MAX_POLYLINE_POINTS}")
+        if self.h + self.t > MAX_TIME_STEPS:
+            raise ConfigError(f"data.gen.h: h + t = {self.h + self.t} steps, "
+                              f"more than MAX_TIME_STEPS={MAX_TIME_STEPS}")
+        if self.n_actors > MAX_ACTORS:
+            raise ConfigError(f"data.gen.n_actors: {self.n_actors} actors, "
+                              f"more than MAX_ACTORS={MAX_ACTORS}")
         # polylines lie within o = n_lanes * lane_width / 2 of one arc: <= (1 + o kappa) long
         lanes = min(self.n_lanes, MAX_SCENE_NODES + 1)  # keeps the bound in float range
         kappa = float(max(map(abs, self.curvature_range)))

@@ -151,7 +151,7 @@ def check_decoder_stage1(seed=0, n_samples=8):
     af = np.random.default_rng(seed + 1).normal(size=(2, cfg.d))
 
     def fn(s):
-        targets, logits = predict_targets(dc.Tensor(af), s, cfg)
+        targets, logits, _ = predict_targets(dc.Tensor(af), s, cfg)
         return dc.add(_reduce(targets), _reduce(dc.softmax(logits, axis=1)))
 
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
@@ -167,8 +167,8 @@ def check_decoder_stage2(seed=0, n_samples=8):
     af = np.random.default_rng(seed + 1).normal(size=(2, cfg.d))
 
     def fn(s):
-        targets, _ = predict_targets(dc.Tensor(af), s, cfg)
-        traj = complete_trajectories(dc.Tensor(af), targets, s, cfg, t=4)
+        targets, _, pairs = predict_targets(dc.Tensor(af), s, cfg)
+        traj = complete_trajectories(pairs, targets, s, cfg, t=4)
         return _reduce(traj)
 
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
@@ -185,7 +185,7 @@ def check_full_pipeline(seed=0, n_samples=2):
         targets, traj, logits = run_pipeline(scene, s, cfg, S2)
         gt = [a.future for a in scene.actors]
         mask = np.array([bool(a.observed[-1]) for a in scene.actors])
-        loss, _ = total_loss(targets, traj, logits, gt, mask, S2)
+        loss, _ = total_loss(targets, traj, logits, gt, mask)
         return loss
 
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)

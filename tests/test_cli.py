@@ -248,6 +248,17 @@ class TestMalformedInputs:
         assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gen, field", [
+        ({"sample_step": 1e-12}, "data.gen.sample_step"),
+        ({"h": 100000000}, "data.gen.h"),
+        ({"n_actors": 100000000}, "data.gen.n_actors"),
+    ], ids=["sample-step", "h", "n-actors"])
+    def test_generator_beyond_bound_is_user_error(self, tmp_path, gen, field, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"data": {"n_scenes": 1, "gen": gen}}))
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 1
+        assert field in capsys.readouterr().err
+
 
 class TestCheckpointMismatch:
     """predict rejects a checkpoint that does not fit the config as a user

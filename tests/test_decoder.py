@@ -32,9 +32,10 @@ class TestHeads:
         store = dc.ParamStore(np.float64)
         decoder.init_decoder(store, cfg, np.random.default_rng(1))
         af = dc.Tensor(np.random.default_rng(2).normal(size=(3, cfg.d)))
-        targets, logits = decoder.predict_targets(af, store, cfg)
+        targets, logits, pairs = decoder.predict_targets(af, store, cfg)
         assert targets.shape == (3, 6, 2)
         assert logits.shape == (3, 6)
+        assert pairs.shape == (3 * 6, 2 * cfg.d)
         conf = dc.softmax(logits, axis=1).data
         np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(conf >= 0)
@@ -43,8 +44,8 @@ class TestHeads:
         cfg = tiny_cfg()
         store = pipeline_store(cfg, t=5)
         af = dc.Tensor(np.random.default_rng(3).normal(size=(2, cfg.d)))
-        targets, _ = decoder.predict_targets(af, store, cfg)
-        traj = decoder.complete_trajectories(af, targets, store, cfg, t=5)
+        targets, _, pairs = decoder.predict_targets(af, store, cfg)
+        traj = decoder.complete_trajectories(pairs, targets, store, cfg, t=5)
         assert traj.shape == (2, 6, 5, 2)
         np.testing.assert_array_equal(traj.data[:, :, -1, :], targets.data)
 
@@ -52,18 +53,19 @@ class TestHeads:
         cfg = tiny_cfg()
         store = pipeline_store(cfg)
         af = dc.Tensor(np.zeros((1, cfg.d)))
-        targets, _ = decoder.predict_targets(af, store, cfg)
+        targets, _, pairs = decoder.predict_targets(af, store, cfg)
         with pytest.raises(ContractError):
-            decoder.complete_trajectories(af, targets, store, cfg, t=1)
+            decoder.complete_trajectories(pairs, targets, store, cfg, t=1)
 
-    def test_stage1_pipeline_has_no_trajectories(self):
+    def test_stage1_pipeline_returns_one_step_trajectories(self):
         cfg = tiny_cfg()
         scene = small_scene()
         store = pipeline_store(cfg, t=scene.horizon[1])
         ns = sc.normalize(scene, scene.actors[0].id)
         targets, traj, logits = decoder.run_pipeline(ns, store, cfg, decoder.S1)
-        assert traj is None
-        assert targets.shape[1] == 6
+        assert targets.shape == (len(ns.actors), 6, 2)
+        assert traj.shape == (len(ns.actors), 6, 1, 2)
+        np.testing.assert_array_equal(traj.data[:, :, 0, :], targets.data)
 
     def test_unknown_stage_rejected(self):
         cfg = tiny_cfg()

@@ -81,6 +81,11 @@ class TestElementwise:
         assert g[0] == 0.0
         np.testing.assert_allclose(g[1], 2.0)
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_log_nonpositive_floor_rejected(self, floor):
+        with pytest.raises(ContractError):
+            dc.log(dc.Tensor(np.array([0.5])), floor=floor)
+
     def test_smooth_l1_values(self):
         y = dc.smooth_l1(dc.Tensor(np.array([0.5, -2.0, 1.0])), beta=1.0)
         np.testing.assert_allclose(y.data, [0.125, 1.5, 0.5], atol=1e-15)

@@ -116,15 +116,6 @@ class TestDistanceAttention:
                 dc.Tensor(np.ones((3, 8))), np.zeros((3, 2)),
                 store, "att", tau=1.0, exclude_self=True)
 
-    def test_frame_mismatch_rejected(self):
-        store = attn_store()
-        with pytest.raises(ContractError):
-            fusion.distance_attention(
-                dc.Tensor(np.ones((1, 8))), np.zeros((1, 2)),
-                dc.Tensor(np.ones((1, 8))), np.zeros((1, 2)),
-                store, "att", tau=1.0,
-                query_frame="agent:a0", ctx_frame="world")
-
     def test_nonpositive_tau_rejected(self):
         store = attn_store()
         with pytest.raises(ContractError):

@@ -226,8 +226,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(6)
         store = synthetic_heads(rng)
         gt = self._gt(rng)
-        loss, bd = losses.total_loss(store["targets"], None, store["logits"],
-                                     gt, [True, True], losses.S1)
+        traj = dc.reshape(store["targets"], (2, 6, 1, 2))  # stage one's one-step trajectories
+        loss, bd = losses.total_loss(store["targets"], traj, store["logits"],
+                                     gt, [True, True])
         assert bd.stage == "S1"
         assert abs(bd.total - (bd.conf + bd.target)) < 1e-9
         assert bd.traj == 0.0
@@ -238,7 +239,7 @@ class TestTotalLoss:
         store = synthetic_heads(rng)
         gt = self._gt(rng)
         loss, bd = losses.total_loss(store["targets"], store["traj"],
-                                     store["logits"], gt, [True, True], losses.S2)
+                                     store["logits"], gt, [True, True])
         assert abs(bd.total - (bd.conf + bd.target + bd.traj)) < 1e-9
         for part in (bd.conf, bd.target, bd.traj):
             assert part >= 0.0
@@ -252,17 +253,10 @@ class TestTotalLoss:
         logits = np.full((a, k), 3.0)  # uniform confidence
         loss, bd = losses.total_loss(
             dc.Tensor(targets), dc.Tensor(traj), dc.Tensor(logits),
-            gt, [True, True], losses.S2)
+            gt, [True, True])
         assert bd.target == 0.0 and bd.traj == 0.0
         # all modes identical: gt confidence is uniform and matches exactly
         np.testing.assert_allclose(bd.conf, 0.0, atol=1e-12)
-
-    def test_s1_traj_supplied_rejected(self):
-        rng = np.random.default_rng(9)
-        store = synthetic_heads(rng)
-        with pytest.raises(ContractError):
-            losses.total_loss(store["targets"], store["traj"], store["logits"],
-                              self._gt(rng), [True, True], losses.S1)
 
     def test_s1_confidence_uses_endpoints_only(self):
         rng = np.random.default_rng(10)
@@ -281,7 +275,7 @@ class TestTotalLoss:
         store = synthetic_heads(rng)
         gt = [rng.normal(size=(4, 2)), None]
         loss, bd = losses.total_loss(store["targets"], store["traj"],
-                                     store["logits"], gt, [True, True], losses.S2)
+                                     store["logits"], gt, [True, True])
         assert bd.n_target == 1
 
     def test_gradient_matches_finite_differences(self):
@@ -291,7 +285,7 @@ class TestTotalLoss:
 
         def fn(s):
             loss, _ = losses.total_loss(s["targets"], s["traj"], s["logits"],
-                                        gt, [True, True], losses.S2)
+                                        gt, [True, True])
             return loss
 
         worst, _ = dc.grad_check(fn, store, seed=0)

@@ -186,14 +186,10 @@ class TestEvaluate:
 
 
 class TestGtMap:
-    def test_focal_only_and_endpoint_mode(self):
+    def test_focal_only(self):
         from lanecast.scene import SceneGenConfig, generate_synthetic
         scenes = [generate_synthetic(SceneGenConfig(n_actors=3), s,
                                      scene_id=f"s{s}") for s in range(2)]
         full = metrics.gt_map(scenes)
         assert set(full) == {(f"s{s}", scenes[s].focal_actors()[0].id)
                              for s in range(2)}
-        ends = metrics.gt_map(scenes, endpoint_only=True)
-        for key, fut in ends.items():
-            assert fut.shape == (1, 2)
-            np.testing.assert_array_equal(fut[0], full[key][-1])

@@ -1,6 +1,7 @@
 """The stacked K-mode decoder and the all-actor confidence loss against a
-per-mode, per-actor reference built here from the same parameters, plus a
-guard that the op count of one forward does not grow with K."""
+per-mode, per-actor reference built here from the same parameters, plus
+guards, one per stage, that the op count of one forward does not grow with
+K and stays within the current count."""
 
 import numpy as np
 import pytest
@@ -77,7 +78,8 @@ def reference_loss(targets, traj, logits, gt, last_obs, stage):
         disp = []
         for j in range(k):
             path = dc.reshape(dc.gather(actor, [j], axis=0), (steps, 2))
-            disp.append(dc.reshape(dc.max(dc.l2_norm_rows(dc.sub(path, dc.Tensor(ref)))), (1,)))
+            dist = dc.l2_norm_rows(dc.sub(path, dc.Tensor(ref)))
+            disp.append(dc.reshape(dc.max(dist, axis=0), (1,)))
         c_hat = dc.softmax(dc.scale(dc.concat(disp, axis=0), -1.0), axis=0)
         row = dc.reshape(dc.gather(conf, [i], axis=0), (k,))
         kls.append(dc.sum(dc.mul(c_hat, dc.sub(dc.log(c_hat, floor=losses.LOG_FLOOR),
@@ -124,9 +126,12 @@ def test_stacked_decoder_and_batched_loss_match_reference(stage, k_modes):
     params = dict(store.items())
 
     af = store["actor_f"]
-    targets, logits = decoder.predict_targets(af, store, cfg)
-    traj = decoder.complete_trajectories(af, targets, store, cfg, T) if stage == decoder.S2 else None
-    loss, bd = losses.total_loss(targets, traj, logits, gt, last_obs, stage)
+    targets, logits, pairs = decoder.predict_targets(af, store, cfg)
+    if stage == decoder.S2:
+        traj = decoder.complete_trajectories(pairs, targets, store, cfg, T)
+    else:
+        traj = dc.reshape(targets, (*targets.shape[:2], 1, 2))
+    loss, bd = losses.total_loss(targets, traj, logits, gt, last_obs)
 
     r_targets, r_logits = reference_targets(af, store, cfg)
     r_traj = reference_trajectories(af, r_targets, store, cfg) if stage == decoder.S2 else None
@@ -136,7 +141,7 @@ def test_stacked_decoder_and_batched_loss_match_reference(stage, k_modes):
     close = dict(rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(targets.data, r_targets.data, **close)
     np.testing.assert_allclose(logits.data, r_logits.data, **close)
-    if traj is not None:
+    if stage == decoder.S2:
         np.testing.assert_allclose(traj.data, r_traj.data, **close)
     np.testing.assert_allclose(float(loss.data), float(r_loss.data), **close)
     grads, r_grads = dc.backward(loss, params), dc.backward(r_loss, params)
@@ -149,8 +154,9 @@ def test_stacked_decoder_and_batched_loss_match_reference(stage, k_modes):
 def test_no_actor_kept_gives_zero_confidence_term():
     cfg, store, gt, last_obs = _fixture(6)
     gt = [None if g is None else g + 500.0 for g in gt]
-    targets, logits = decoder.predict_targets(store["actor_f"], store, cfg)
-    loss, bd = losses.total_loss(targets, None, logits, gt, last_obs, decoder.S1)
+    targets, logits, _ = decoder.predict_targets(store["actor_f"], store, cfg)
+    traj = dc.reshape(targets, (*targets.shape[:2], 1, 2))
+    loss, bd = losses.total_loss(targets, traj, logits, gt, last_obs)
     assert bd.n_conf_kept == 0 and bd.conf == 0.0
     assert not dc.backward(loss, {"dec.conf.l2.w": store["dec.conf.l2.w"]})["dec.conf.l2.w"].any()
 
@@ -164,7 +170,7 @@ def test_batched_gt_confidence_matches_unbatched():
         np.testing.assert_allclose(batched[i], losses.gt_confidence(s[i], gt[i]), atol=1e-15)
 
 
-def _ops_per_forward(k_modes, monkeypatch):
+def _ops_per_forward(k_modes, stage, monkeypatch):
     cfg = ModelConfig(d=32, l_graph=2, k_modes=k_modes)
     scene = sc.generate_synthetic(sc.SceneGenConfig(), seed=0)
     ns = sc.normalize(scene, scene.focal_actors()[0].id)
@@ -173,14 +179,20 @@ def _ops_per_forward(k_modes, monkeypatch):
     calls = []
     make = tensor._make
     monkeypatch.setattr(tensor, "_make", lambda *a: calls.append(a[-1]) or make(*a))
-    targets, traj, logits = decoder.run_pipeline(ns, store, cfg, decoder.S2)
+    targets, traj, logits = decoder.run_pipeline(ns, store, cfg, stage)
     losses.total_loss(targets, traj, logits, [a.future for a in ns.actors],
-                      np.array([bool(a.observed[-1]) for a in ns.actors]), decoder.S2)
+                      np.array([bool(a.observed[-1]) for a in ns.actors]))
     monkeypatch.undo()
     return len(calls)
 
 
 def test_ops_per_forward_do_not_grow_with_modes(monkeypatch):
-    ops = _ops_per_forward(6, monkeypatch)
-    assert ops == _ops_per_forward(1, monkeypatch)
-    assert ops <= 240
+    ops = _ops_per_forward(6, decoder.S2, monkeypatch)
+    assert ops == _ops_per_forward(1, decoder.S2, monkeypatch)
+    assert ops <= 217
+
+
+def test_stage_one_ops_per_forward_do_not_grow_with_modes(monkeypatch):
+    ops = _ops_per_forward(6, decoder.S1, monkeypatch)
+    assert ops == _ops_per_forward(1, decoder.S1, monkeypatch)
+    assert ops <= 202
