@@ -40,8 +40,8 @@ def init_layer_norm(store, name, dim):
     store.add(f"{name}.b", np.zeros(dim))
 
 
-def layer_norm(store, name, x, axis=-1):
-    return dc.layer_norm(x, store[f"{name}.g"], store[f"{name}.b"], axis=axis)
+def layer_norm(store, name, x):
+    return dc.layer_norm(x, store[f"{name}.g"], store[f"{name}.b"])
 
 
 def const(store, arr):

@@ -82,16 +82,16 @@ def predict_targets(actor_f, store, cfg):
     a, k, d = actor_f.shape[0], cfg.k_modes, cfg.d
     h = dc.reshape(dc.relu(linear(store, "dec.head.l1", actor_f)), (a * k, 1, d))
     w2 = dc.gather(store["dec.head.l2.w"], np.tile(np.arange(k), a), axis=0)  # [A*K, D, 2]
-    g = dc.add(dc.reshape(dc.matmul(h, w2), (a, k * 2)),
-               dc.reshape(store["dec.head.l2.b"], (k * 2,)))
+    g = dc.add(dc.reshape(dc.matmul(h, w2), (a, k, 2)), store["dec.head.l2.b"])
     # output_scale maps the O(1) feature range onto meters, mirroring
     # input_scale on the encoder side
-    g = dc.reshape(dc.scale(g, cfg.output_scale), (a * k, 2))
+    g = dc.scale(g, cfg.output_scale)
     per_mode = dc.gather(actor_f, np.repeat(np.arange(a), k), axis=0)  # [A*K, D]
-    pairs = dc.concat([per_mode, _encode_target(store, g, cfg.input_scale)], axis=1)
+    enc = _encode_target(store, dc.reshape(g, (a * k, 2)), cfg.input_scale)
+    pairs = dc.concat([per_mode, enc], axis=1)
     ch = dc.relu(linear(store, "dec.conf.l1", pairs))
     logits = dc.reshape(linear(store, "dec.conf.l2", ch), (a, k))
-    return dc.reshape(g, (a, k, 2)), logits, pairs
+    return g, logits, pairs
 
 
 def complete_trajectories(pairs, targets, store, cfg, t):

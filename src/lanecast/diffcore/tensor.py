@@ -5,8 +5,10 @@ gradient checking. Each op computes its forward result with numpy and, when
 any input requires gradients, attaches a backward rule to the output.
 `backward` replays those rules in reverse topological order.
 
-Broadcasting is deliberately restricted: elementwise ops require identical
-shapes, except `add`, which also accepts a rank-1 bias over the last axis.
+Features sit on the last axis ([N, D] rows, [A, H, D] sequences). `add`,
+`sub` and `mul` broadcast one way: the second operand broadcasts to the
+first operand's shape under numpy's rules, and that is the result's shape.
+Anything else is a ShapeError.
 """
 
 from __future__ import annotations
@@ -92,44 +94,48 @@ def _make(data, parents, backward, op):
 # elementwise and linear ops
 
 
-def add(a, b):
+def _operands(a, b, op):
+    """Both operands as tensors of one dtype, b broadcastable to a's shape."""
     a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check_same_dtype(a, b)
-    if a.shape == b.shape:
+    if a.shape != b.shape and (b.ndim > a.ndim or any(
+            m not in (1, n) for m, n in zip(reversed(b.shape), reversed(a.shape)))):
+        raise ShapeError(f"{op}: cannot broadcast {b.shape} to {a.shape}")
+    return a, b
 
-        def bwd(g):
-            return g, g
 
-    elif b.ndim == 1 and a.ndim > 1 and a.shape[-1] == b.shape[0]:
-        # rank-1 bias over rows; the only broadcast add supports
-        def bwd(g):
-            return g, g.reshape(-1, b.shape[0]).sum(axis=0)
+def _unbroadcast(g, shape):
+    """Sum a gradient of the broadcast shape back to an operand's `shape`."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
 
-    else:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+def add(a, b):
+    a, b = _operands(a, b, "add")
+
+    def bwd(g):
+        return g, _unbroadcast(g, b.shape)
+
     return _make(a.data + b.data, (a, b), bwd, "add")
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    _check_same_dtype(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    a, b = _operands(a, b, "sub")
 
     def bwd(g):
-        return g, -g
+        return g, -_unbroadcast(g, b.shape)
 
     return _make(a.data - b.data, (a, b), bwd, "sub")
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    _check_same_dtype(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    a, b = _operands(a, b, "mul")
 
     def bwd(g):
-        return g * b.data, g * a.data
+        return g * b.data, _unbroadcast(g * a.data, b.shape)
 
     return _make(a.data * b.data, (a, b), bwd, "mul")
 
@@ -241,9 +247,9 @@ def smooth_l1(a, beta=1.0):
 
 
 def _sum_grad_shape(g, axis, shape):
-    if axis is None:
-        return np.broadcast_to(g, shape).astype(g.dtype, copy=True)
-    return np.broadcast_to(np.expand_dims(g, axis), shape).astype(g.dtype, copy=True)
+    out = np.empty(shape, dtype=g.dtype)
+    out[...] = g if axis is None else np.expand_dims(g, axis)
+    return out
 
 
 def sum(a, axis=None):  # noqa: A001 - mirrors the op set's name
@@ -302,48 +308,42 @@ def softmax(a, axis=-1):
     return _make(s.astype(a.dtype), (a,), bwd, "softmax")
 
 
-def layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
-    """Normalize to zero mean / unit variance along one axis, then apply the
-    learned affine (gamma, beta), both shaped like that axis."""
+def layer_norm(a, gamma, beta, eps=1e-5):
+    """Normalize each slice along the last (feature) axis to zero mean / unit
+    variance, then apply the learned affine (gamma, beta), both [D]."""
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     _check_same_dtype(a, gamma, beta)
-    axis = _check_axis(axis, a.ndim)
-    n = a.shape[axis]
+    n = a.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match axis size {n}")
 
-    x = np.moveaxis(a.data, axis, -1)
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    xc = a.data - a.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
     xhat = xc * inv
-    y = np.moveaxis(xhat * gamma.data + beta.data, -1, axis)
 
     def bwd(g):
-        gm = np.moveaxis(g, axis, -1)
-        dxhat = gm * gamma.data
+        dxhat = g * gamma.data
         # standard layer-norm backward, per normalized slice
         dx = inv / n * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-        dgamma = (gm * xhat).reshape(-1, n).sum(axis=0)
-        dbeta = gm.reshape(-1, n).sum(axis=0)
-        return np.moveaxis(dx, -1, axis), dgamma, dbeta
+        return dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
 
-    return _make(y.astype(a.dtype), (a, gamma, beta), bwd, "layer_norm")
+    return _make((xhat * gamma.data + beta.data).astype(a.dtype), (a, gamma, beta), bwd,
+                 "layer_norm")
 
 
 def l2_norm_rows(a):
-    """Euclidean norm of each row of a 2-d tensor; zero rows get zero grad."""
+    """Euclidean norm over the last axis: [..., C] -> [...]; zero rows get
+    zero grad."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"l2_norm_rows: expected 2-d input, got {a.shape}")
-    y = np.sqrt((a.data * a.data).sum(axis=1))
+    if a.ndim < 1:
+        raise ShapeError("l2_norm_rows: expected at least 1-d input, got a scalar")
+    y = np.sqrt((a.data * a.data).sum(axis=-1))
     safe = np.where(y > 0, y, 1.0)
 
     def bwd(g):
-        return ((g / safe)[:, None] * a.data,)
+        return ((g / safe)[..., None] * a.data,)
 
     return _make(y, (a,), bwd, "l2_norm_rows")
 
@@ -395,64 +395,46 @@ def scatter_add(a, indices, size, axis=0):
 
 
 # ---------------------------------------------------------------------------
-# sequence ops (batched: [batch, channels, length])
-
-_conv_index_cache = {}
-
-
-def _conv_indices(length, kernel, stride, padding):
-    key = (length, kernel, stride, padding)
-    hit = _conv_index_cache.get(key)
-    if hit is None:
-        padded = length + 2 * padding
-        n_out = (padded - kernel) // stride + 1
-        starts = np.arange(n_out) * stride
-        hit = starts[:, None] + np.arange(kernel)[None, :]  # [n_out, kernel]
-        _conv_index_cache[key] = hit
-    return hit
+# sequence ops (time-major: [batch, length, channels])
 
 
 def conv1d(x, w, b=None, stride=1, padding=0):
-    """1-d convolution over the last axis of x: [B, Cin, L] -> [B, Cout, Lout]."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    parents = [x, w]
-    if b is not None:
-        b = _as_tensor(b)
-        parents.append(b)
-        _check_same_dtype(x, w, b)
-    else:
-        _check_same_dtype(x, w)
-    if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
+    """1-d convolution over the time axis: x [B, L, Cin], w [Cout, Cin, K],
+    b [Cout] -> [B, Lout, Cout], Lout = (L + 2 * padding - K) // stride + 1.
+
+    Tap k of every window is one strided slice of the padded input; the K
+    taps side by side are the im2col columns, and backward adds each tap's
+    column gradient back through the same slice."""
+    parents = [_as_tensor(t) for t in (x, w, b) if t is not None]
+    _check_same_dtype(*parents)
+    x, w = parents[:2]
+    if x.ndim != 3 or w.ndim != 3 or x.shape[2] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
-    batch, c_in, length = x.shape
+    batch, length, c_in = x.shape
     c_out, _, kernel = w.shape
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"conv1d: bias shape {b.shape} does not match {c_out} channels")
     if kernel > length + 2 * padding:
         raise ShapeError(f"conv1d: kernel {kernel} exceeds padded length {length + 2 * padding}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    win = _conv_indices(length, kernel, stride, padding)  # [Lout, K]
-    n_out = win.shape[0]
-    # cols: [B, Lout, Cin*K]
-    cols = xp[:, :, win].transpose(0, 2, 1, 3).reshape(batch, n_out, c_in * kernel)
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    n_out = (length + 2 * padding - kernel) // stride + 1
+    taps = [slice(k, k + stride * (n_out - 1) + 1, stride) for k in range(kernel)]
+    # cols [B, Lout, Cin*K], column c*K + k, matching w's flat layout
+    cols = np.stack([xp[:, tap] for tap in taps], axis=-1).reshape(batch, n_out, c_in * kernel)
     wf = w.data.reshape(c_out, c_in * kernel)
-    y = cols @ wf.T  # [B, Lout, Cout]
+    y = cols @ wf.T
     if b is not None:
-        y = y + b.data
-    y = y.transpose(0, 2, 1)
+        y = y + parents[2].data
 
     def bwd(g):
-        gt = g.transpose(0, 2, 1)  # [B, Lout, Cout]
-        dw = np.einsum("blo,blk->ok", gt, cols).reshape(c_out, c_in, kernel)
-        dcols = gt @ wf  # [B, Lout, Cin*K]
-        dxp = np.zeros((batch, c_in, length + 2 * padding), dtype=g.dtype)
-        dcols4 = dcols.reshape(batch, n_out, c_in, kernel).transpose(0, 2, 1, 3)
-        np.add.at(dxp, (slice(None), slice(None), win), dcols4)
-        dx = dxp[:, :, padding:padding + length] if padding else dxp
-        if b is not None:
-            return dx, dw, gt.sum(axis=(0, 1))
-        return dx, dw
+        dw = (g.reshape(-1, c_out).T @ cols.reshape(-1, c_in * kernel)).reshape(w.shape)
+        dcols = (g @ wf).reshape(batch, n_out, c_in, kernel)
+        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        for k, tap in enumerate(taps):
+            dxp[:, tap] += dcols[..., k]
+        dx = dxp[:, padding:padding + length] if padding else dxp
+        return (dx, dw, g.sum(axis=(0, 1)))[:len(parents)]
 
     return _make(y, parents, bwd, "conv1d")
 

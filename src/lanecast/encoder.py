@@ -1,9 +1,10 @@
 """Embedding extraction for the three input streams.
 
-Actors: each history channel group (coordinates, heading as cos/sin,
-velocity) runs through its own residual conv block; the three outputs are
-added, downsampled twice, merged back to full temporal resolution by a small
-feature pyramid, and max-pooled over observed steps.
+Actors: time-major [A, H, C] sequences, like the [N, D] rows of every other
+block. Each history channel group (coordinates, heading as cos/sin,
+velocity) runs through its own residual 1-d conv block; the three outputs
+are added, downsampled twice, merged back to full temporal resolution by a
+small feature pyramid, and max-pooled over observed steps.
 
 Lane nodes: geometry MLP followed by L gated graph convolution layers, where
 each adjacency category contributes a per-node sigmoid-gated neighbor sum.
@@ -48,17 +49,15 @@ def _init_res_block(store, name, c_in, c_out, rng):
 
 def _res_block(store, name, x, stride=1):
     h = conv(store, f"{name}.conv1", x, stride=stride, padding=1)
-    h = dc.relu(layer_norm(store, f"{name}.ln1", h, axis=1))
+    h = dc.relu(layer_norm(store, f"{name}.ln1", h))
     h = conv(store, f"{name}.conv2", h, stride=1, padding=1)
-    h = layer_norm(store, f"{name}.ln2", h, axis=1)
+    h = layer_norm(store, f"{name}.ln2", h)
     skip = conv(store, f"{name}.skip", x, stride=stride, padding=0)
     return dc.relu(dc.add(h, skip))
 
 
 def _upsample(x, length):
-    src = x.shape[2]
-    idx = (np.arange(length) * src) // length
-    return dc.gather(x, idx, axis=2)
+    return dc.gather(x, (np.arange(length) * x.shape[1]) // length, axis=1)
 
 
 def encode_actors(scene, store, cfg):
@@ -81,28 +80,26 @@ def encode_actors(scene, store, cfg):
             raise ContractError(f"actor {act.id} has no observed steps")
 
     s = cfg.input_scale
-    coord = np.stack([act.positions.T for act in actors]) * s          # [A, 2, H]
-    heading = np.stack([np.vstack([np.cos(act.headings), np.sin(act.headings)])
-                        for act in actors])
-    vel = np.stack([act.velocities.T for act in actors]) * s
-    keep = obs[:, None, :]
-    streams = {"coord": coord * keep, "heading": heading * keep, "vel": vel * keep}
+    headings = np.stack([act.headings for act in actors])
+    streams = {"coord": np.stack([act.positions for act in actors]) * s,  # each [A, H, 2]
+               "heading": np.stack([np.cos(headings), np.sin(headings)], axis=-1),
+               "vel": np.stack([act.velocities for act in actors]) * s}
 
     f0 = None
     for br in _BRANCHES:
-        out = _res_block(store, f"actor.{br}", const(store, streams[br]))
+        out = _res_block(store, f"actor.{br}", const(store, streams[br] * obs[:, :, None]))
         f0 = out if f0 is None else dc.add(f0, out)
     f1 = _res_block(store, "actor.down1", f0, stride=2)
     f2 = _res_block(store, "actor.down2", f1, stride=2)
 
     u2 = conv(store, "actor.lat2", f2)
-    u1 = dc.add(conv(store, "actor.lat1", f1), _upsample(u2, f1.shape[2]))
+    u1 = dc.add(conv(store, "actor.lat1", f1), _upsample(u2, f1.shape[1]))
     u0 = dc.add(conv(store, "actor.lat0", f0), _upsample(u1, h))
-    merged = dc.relu(conv(store, "actor.merge", u0, padding=1))  # [A, D, H]
+    merged = dc.relu(conv(store, "actor.merge", u0, padding=1))  # [A, H, D]
 
-    # mask the unobserved tail out of the max
-    neg = np.where(obs, 0.0, _NEG_BIG)[:, None, :] * np.ones((1, cfg.d, 1))
-    pooled = dc.max(dc.add(merged, const(store, neg)), axis=2)  # [A, D]
+    # mask the unobserved steps out of the max
+    neg = np.where(obs, 0.0, _NEG_BIG)[:, :, None]
+    pooled = dc.max(dc.add(merged, const(store, neg)), axis=1)  # [A, D]
 
     positions = np.stack([act.positions[act.last_observed_index()] for act in actors])
     return pooled, positions
@@ -155,7 +152,7 @@ def gated_lane_graph_conv(x, graph, store, prefix):
     rows = dc.reshape(dc.matmul(x, stacked("w.w", 1)), (n * c, d))
     gate = dc.sigmoid(dc.add(dc.matmul(x, stacked("gate.w", 1)), stacked("gate.b", 0)))
     gate = dc.gather(dc.reshape(gate, (n * c, 1)), gate_rows, axis=0)  # [E, 1]
-    msgs = dc.mul(dc.matmul(gate, const(store, np.ones((1, d)))), dc.gather(rows, msg_rows, axis=0))
+    msgs = dc.mul(dc.gather(rows, msg_rows, axis=0), gate)
     y = dc.add(linear(store, f"{prefix}.self", x), dc.scatter_add(msgs, src, n, axis=0))
     return dc.add(layer_norm(store, f"{prefix}.ln", dc.relu(y)), x)
 

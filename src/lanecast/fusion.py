@@ -59,7 +59,7 @@ def fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n, axis=0)
     counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
     inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
-    ctx = dc.mul(sums, const(store, np.repeat(inv[:, None], lane_f.shape[1], axis=1)))
+    ctx = dc.mul(sums, const(store, inv[:, None]))
 
     h = dc.concat([lane_f, ctx], axis=1)
     h = dc.relu(linear(store, "fuse.b2l.mlp1", h))

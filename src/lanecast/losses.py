@@ -55,9 +55,8 @@ def mode_displacements(s, s_hat):
     s_hat = np.asarray(s_hat)
     if s_hat.shape != (*lead, t, 2):
         raise ContractError(f"mode_displacements: gt shape {s_hat.shape} vs modes {s.shape}")
-    ref = np.broadcast_to(s_hat[..., None, :, :], s.shape).reshape(-1, 2)
-    diff = dc.sub(dc.reshape(s, (ref.shape[0], 2)), _const_like(s, ref))
-    return dc.max(dc.reshape(dc.l2_norm_rows(diff), s.shape[:-1]), axis=-1)
+    diff = dc.sub(s, _const_like(s, s_hat[..., None, :, :]))
+    return dc.max(dc.l2_norm_rows(diff), axis=-1)
 
 
 def gt_confidence(s, s_hat):

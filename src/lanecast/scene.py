@@ -34,8 +34,8 @@ WORLD_FRAME = "world"
 # lane plus boundary nodes per scene: bounds the all-pairs work a file can ask for
 MAX_SCENE_NODES = 2048
 _BLOCK_ROWS = 256  # rows per all-pairs distance block: memory ~ N * _BLOCK_ROWS
-# `generate_synthetic` runs Python loops over every polyline point and over
-# every (actor, time step) pair; these bound its work per scene
+# `generate_synthetic` builds arrays of every polyline's points and of every
+# actor's time steps; these cap their sizes per scene
 MAX_POLYLINE_POINTS = 2048  # lane_length / sample_step
 MAX_TIME_STEPS = 1000       # h + t
 MAX_ACTORS = 256
@@ -255,13 +255,16 @@ def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
     """Resample centerlines into a LaneGraph with typed adjacency.
 
     Successor edges chain consecutive nodes of one lane; predecessors mirror
-    them. Left/right edges join each node to the nearest node of a laterally
-    adjacent lane: centers closer than 1.2 * lane_width and nearly parallel
-    (|d_i . d_j| > 0.8). One all-pairs pass in row blocks finds them: lanes
-    own contiguous node ranges, so a segment min over a lane's columns gives
-    each node's nearest node on it. The first lane past MAX_SCENE_NODES is a
-    ParseError. Returns (graph, skipped), skipped counting degenerate
-    centerlines that produced no nodes.
+    them. Left/right edges join each node to its nearest lateral neighbour
+    on each side: among the nearest nodes of the other lanes, those closer
+    than 1.2 * lane_width and nearly parallel (|d_i . d_j| > 0.8), the
+    closest to its left and the closest to its right (ties to the lower
+    node index). Each node adds at most one edge per side, and right(i, j)
+    mirrors left(j, i), so there are at most 2N left edges. One all-pairs
+    pass in row blocks finds them: lanes own contiguous node ranges, so a
+    segment min over a lane's columns gives each node's nearest node on it.
+    The first lane past MAX_SCENE_NODES is a ParseError. Returns (graph,
+    skipped), skipped counting degenerate centerlines that produced no nodes.
     """
     if segment_len <= 0:
         raise ConfigError(f"segment_len must be positive, got {segment_len}")
@@ -283,13 +286,18 @@ def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
     for r in range(0, n, _BLOCK_ROWS):
         dist, near = _nearest(centers[r:r + _BLOCK_ROWS], centers, starts)
         rows, seg = np.nonzero(dist < 1.2 * lane_width)  # own lane: the node itself, cross 0
-        i, j = rows + r, near[rows, seg]
+        i, j, dij = rows + r, near[rows, seg], dist[rows, seg]
         di, dj = directions[i], directions[j]
         dx, dy = (centers[j] - centers[i]).T
         cross = di[:, 0] * dy - di[:, 1] * dx
         ok = (np.abs(di[:, 0] * dj[:, 0] + di[:, 1] * dj[:, 1]) > 0.8) & (np.abs(cross) >= 1e-9)
-        i, j = i[ok], j[ok]
-        keys.append(np.where(cross[ok] > 0, i * n + j, j * n + i))  # > 0: j lies left of i
+        i, j, dij, left_of = i[ok], j[ok], dij[ok], cross[ok] > 0  # j lies left of i
+        # the nearest candidate per (node, side): first of each group, sorted by distance, index
+        order = np.lexsort((j, dij, left_of, i))
+        i, j, left_of = i[order], j[order], left_of[order]
+        first = np.diff(i * 2 + left_of, prepend=-1) != 0
+        i, j, left_of = i[first], j[first], left_of[first]
+        keys.append(np.where(left_of, i * n + j, j * n + i))
     left = _sorted_edges(np.concatenate(keys), n)
     adjacency = {"predecessor": succ[:, ::-1].copy(), "successor": succ, "left": left,
                  "right": _sorted_edges(left[:, 1] * n + left[:, 0], n)}
@@ -336,22 +344,18 @@ def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3
 # synthetic generation
 
 
-def _arc_point(s, kappa):
+def _lane_points(s, lateral, kappa):
+    """Points at arc lengths s [P] of the arc of curvature kappa through the
+    origin (heading +x), offset `lateral` (scalar or [P]) to its left.
+    Returns (points [P, 2], tangent angles [P])."""
+    s = np.asarray(s, dtype=np.float64)
     if abs(kappa) < 1e-12:
-        return s, 0.0, 0.0  # x, y, tangent angle
-    th = kappa * s
-    return math.sin(th) / kappa, (1.0 - math.cos(th)) / kappa, th
-
-
-def _lane_point(s, lateral, kappa):
-    x, y, th = _arc_point(s, kappa)
+        x, y, th = s, np.zeros_like(s), np.zeros_like(s)
+    else:
+        th = kappa * s
+        x, y = np.sin(th) / kappa, (1.0 - np.cos(th)) / kappa
     # unit normal (left of travel): (-sin th, cos th)
-    return x - lateral * math.sin(th), y + lateral * math.cos(th), th
-
-
-def _smoothstep(u):
-    u = min(1.0, max(0.0, u))
-    return u * u * (3.0 - 2.0 * u)
+    return np.stack([x - lateral * np.sin(th), y + lateral * np.cos(th)], axis=-1), th
 
 
 def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
@@ -377,18 +381,18 @@ def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
     boundaries = []
     for li in range(config.n_lanes):
         lat = lane_lateral(li)
-        pts = np.array([_lane_point(s, lat, kappa)[:2] for s in svals])
         lane_id = f"lane{li}"
-        lanes.append(Lane(lane_id, pts))
+        lanes.append(Lane(lane_id, _lane_points(svals, lat, kappa)[0]))
         for side, off in (("left", lat + w / 2.0), ("right", lat - w / 2.0)):
             interior = (side == "left" and li + 1 < config.n_lanes) or \
                        (side == "right" and li > 0)
-            bpts = np.array([_lane_point(s, off, kappa)[:2] for s in svals])
+            bpts = _lane_points(svals, off, kappa)[0]
             boundaries.append(BoundaryPolyline(
                 points=bpts, marking="dashed" if interior else "solid",
                 side=side, lane_id=lane_id))
 
     n_steps = config.h + config.t
+    steps = np.arange(n_steps)
     actors = []
     for ai in range(config.n_actors):
         lane_idx = int(rng.integers(config.n_lanes))
@@ -408,15 +412,11 @@ def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
             change_at = int(rng.integers(max(1, config.h - 2), config.h + config.t // 2))
         window = 20
 
-        xs = np.empty((n_steps, 2))
-        ths = np.empty(n_steps)
-        for i in range(n_steps):
-            s = s0 + v * config.dt * i
-            blend = _smoothstep((i - change_at) / window) if i >= change_at else 0.0
-            lat = lat_from + (lat_to - lat_from) * blend
-            x, y, th = _lane_point(s, lat, kappa)
-            xs[i] = (x, y)
-            ths[i] = wrap_angle(th)
+        u = np.clip((steps - change_at) / window, 0.0, 1.0)
+        blend = u * u * (3.0 - 2.0 * u)  # smoothstep: 0 up to change_at
+        xs, ths = _lane_points(s0 + v * config.dt * steps,
+                               lat_from + (lat_to - lat_from) * blend, kappa)
+        ths = wrap_angles(ths)
 
         hist = xs[:config.h].copy()
         if config.noise_sigma > 0:

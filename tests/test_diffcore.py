@@ -104,6 +104,30 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             dc.add(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((3, 2))))
 
+    # every pattern the network uses: bias rows, per-row scales, the stacked
+    # head bias and the per-step observation mask
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((5, 4), (4,)), ((5, 4), (5, 1)), ((3, 6, 2), (6, 2)), ((3, 5, 4), (3, 5, 1))],
+        ids=["D-to-ND", "N1-to-ND", "K2-to-AK2", "AH1-to-AHD"])
+    @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.mul], ids=["add", "sub", "mul"])
+    def test_broadcast_grads(self, op, shape_a, shape_b):
+        rng = np.random.default_rng(17)
+        a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        w = dc.Tensor(rng.normal(size=shape_a))
+        at, bt = dc.Tensor(a), dc.Tensor(b)
+        assert op(at, bt).shape == shape_a
+        check_op(lambda t: dc.sum(dc.mul(op(t, bt), w)), a)
+        check_op(lambda t: dc.sum(dc.mul(op(at, t), w)), b)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((3,), (3, 1)), ((2, 3), (3, 2)),
+                                                  ((4, 1), (4, 3))],
+                             ids=["outgrows-first", "incompatible", "first-would-grow"])
+    @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.mul], ids=["add", "sub", "mul"])
+    def test_broadcast_beyond_first_operand_raises(self, op, shape_a, shape_b):
+        with pytest.raises(ShapeError) as e:
+            op(dc.Tensor(np.zeros(shape_a)), dc.Tensor(np.zeros(shape_b)))
+        assert str(shape_a) in str(e.value) and str(shape_b) in str(e.value)
+
     def test_mixed_dtype_rejected(self):
         a = dc.Tensor(np.zeros(3, dtype=np.float32))
         b = dc.Tensor(np.zeros(3, dtype=np.float64))
@@ -173,6 +197,14 @@ class TestReductionsAndShape:
         x = rng.normal(size=(5, 2)) + 2.0
         check_op(lambda t: dc.sum(dc.l2_norm_rows(t)), x)
 
+    def test_l2_norm_rows_takes_the_last_axis_of_any_rank(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(2, 3, 4, 2)) + 2.0
+        y = dc.l2_norm_rows(dc.Tensor(x)).data
+        np.testing.assert_allclose(y, np.hypot(x[..., 0], x[..., 1]), atol=1e-14)
+        w = dc.Tensor(rng.normal(size=(2, 3, 4)))
+        check_op(lambda t: dc.sum(dc.mul(dc.l2_norm_rows(t), w)), x)
+
 
 class TestSoftmaxAndNorm:
     def test_softmax_rows_simplex(self):
@@ -210,41 +242,62 @@ class TestSoftmaxAndNorm:
         w = dc.Tensor(rng.normal(size=(4, 8)))
         check_op(lambda t: dc.sum(dc.mul(dc.layer_norm(t, gamma, beta), w)), x)
 
+    def test_layer_norm_normalizes_the_last_axis_of_a_sequence(self):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(2, 5, 8))  # [A, H, D]
+        gamma = rng.normal(size=8)
+        beta = rng.normal(size=8)
+        y = dc.layer_norm(dc.Tensor(x), dc.Tensor(gamma), dc.Tensor(beta)).data
+        for step in range(5):
+            want = dc.layer_norm(dc.Tensor(x[:, step]), dc.Tensor(gamma), dc.Tensor(beta)).data
+            np.testing.assert_allclose(y[:, step], want, atol=1e-14)
+        w = dc.Tensor(rng.normal(size=(2, 5, 8)))
+        check_op(lambda t: dc.sum(dc.mul(dc.layer_norm(dc.Tensor(x), t, dc.Tensor(beta)), w)),
+                 gamma)
+        check_op(lambda t: dc.sum(dc.mul(dc.layer_norm(t, dc.Tensor(gamma), dc.Tensor(beta)),
+                                         w)), x)
+
 
 class TestConvAndPool:
     def test_conv1d_matches_naive(self):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 3, 9))
-        w = rng.normal(size=(4, 3, 3))
+        x = rng.normal(size=(2, 9, 3))  # [B, L, Cin]
+        w = rng.normal(size=(4, 3, 3))  # [Cout, Cin, K]
         b = rng.normal(size=4)
-        for stride, pad in ((1, 1), (2, 1), (1, 0)):
+        for stride, pad in ((1, 1), (2, 1), (1, 0), (2, 0)):
             y = dc.conv1d(dc.Tensor(x), dc.Tensor(w), dc.Tensor(b),
                           stride=stride, padding=pad).data
-            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-            lout = (xp.shape[2] - 3) // stride + 1
-            ref = np.zeros((2, 4, lout))
+            xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+            lout = (xp.shape[1] - 3) // stride + 1
+            assert y.shape == (2, lout, 4)
+            ref = np.zeros((2, lout, 4))
             for bi in range(2):
                 for co in range(4):
                     for l in range(lout):
                         s = l * stride
-                        ref[bi, co, l] = (xp[bi, :, s:s + 3] * w[co]).sum() + b[co]
+                        ref[bi, l, co] = (xp[bi, s:s + 3, :].T * w[co]).sum() + b[co]
             np.testing.assert_allclose(y, ref, atol=1e-12)
 
     def test_conv1d_grad(self):
         rng = np.random.default_rng(14)
-        x = rng.normal(size=(1, 2, 6))
+        x = rng.normal(size=(2, 7, 2))  # [B, L, Cin]
         w = dc.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
         b = dc.Tensor(rng.normal(size=3), requires_grad=True)
-
-        check_op(lambda t: dc.sum(dc.mul(dc.conv1d(t, w, b, stride=2, padding=1),
-                                         dc.conv1d(t, w, b, stride=2, padding=1))), x)
-        # weight and bias grads too
         xt = dc.Tensor(x)
-        loss = dc.sum(dc.mul(dc.conv1d(xt, w, b), dc.conv1d(xt, w, b)))
-        got = dc.backward(loss, [("w", w), ("b", b)])
-        nw = numeric_grad(lambda v: float(dc.sum(dc.mul(
-            dc.conv1d(xt, dc.Tensor(v), b), dc.conv1d(xt, dc.Tensor(v), b))).data), w.data)
-        np.testing.assert_allclose(got["w"], nw, atol=1e-6)
+        for stride, pad in ((2, 1), (2, 0), (1, 1)):
+            def sq(t, wt=w, bt=b):
+                y = dc.conv1d(t, wt, bt, stride=stride, padding=pad)
+                return dc.sum(dc.mul(y, y))
+
+            check_op(sq, x)
+            check_op(lambda v: sq(xt, bt=v), b.data)
+            # weight grads too
+            nw = numeric_grad(lambda v: float(sq(xt, wt=dc.Tensor(v)).data), w.data)
+            np.testing.assert_allclose(dc.backward(sq(xt), [("w", w)])["w"], nw, atol=1e-6)
+
+    def test_conv1d_channel_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            dc.conv1d(dc.Tensor(np.zeros((1, 6, 3))), dc.Tensor(np.zeros((4, 2, 3))))
 
 
 class TestTapeAndBackward:

@@ -1,15 +1,19 @@
 """The all-pairs array search in `build_lane_nodes` and `_match_boundaries`
-against the per-node loops it replaced, kept here as the reference: graphs
-and boundary matches must be byte-identical."""
+against per-node loops, kept here as the reference: graphs and boundary
+matches must be byte-identical. The lane-graph loop keeps, per node, the
+nearest lateral candidate on each side among the other lanes' nearest
+nodes."""
 
-import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from lanecast import diffcore as dc
+from lanecast import encoder
 from lanecast import scene as sc
+from lanecast.config import ModelConfig
 
 
 def reference_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
@@ -36,27 +40,38 @@ def reference_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
 
     left, right = set(), set()
     thresh = 1.2 * lane_width
-    for src_id, dst_id in itertools.permutations(lane_ranges, 2):
+    for src_id in lane_ranges:
         s0, s1 = lane_ranges[src_id]
-        d0, d1 = lane_ranges[dst_id]
         for i in range(s0, s1):
-            diff = centers[d0:d1] - centers[i]
-            dist = np.hypot(diff[:, 0], diff[:, 1])
-            j = d0 + int(np.argmin(dist))
-            if dist[j - d0] >= thresh:
-                continue
-            if abs(float(directions[i] @ directions[j])) <= 0.8:
-                continue
-            dx, dy = centers[j] - centers[i]
-            cross = directions[i, 0] * dy - directions[i, 1] * dx
-            if abs(cross) < 1e-9:
-                continue
-            if cross > 0:
-                left.add((i, j))
-                right.add((j, i))
-            else:
-                right.add((i, j))
-                left.add((j, i))
+            best = {True: None, False: None}  # side (j left of i) -> (distance, j)
+            for dst_id in lane_ranges:
+                if dst_id == src_id:
+                    continue
+                d0, d1 = lane_ranges[dst_id]
+                diff = centers[d0:d1] - centers[i]
+                dist = np.hypot(diff[:, 0], diff[:, 1])
+                j = d0 + int(np.argmin(dist))
+                if dist[j - d0] >= thresh:
+                    continue
+                if abs(float(directions[i] @ directions[j])) <= 0.8:
+                    continue
+                dx, dy = centers[j] - centers[i]
+                cross = directions[i, 0] * dy - directions[i, 1] * dx
+                if abs(cross) < 1e-9:
+                    continue
+                side = bool(cross > 0)
+                if best[side] is None or (dist[j - d0], j) < best[side]:
+                    best[side] = (dist[j - d0], j)
+            for side, hit in best.items():
+                if hit is None:
+                    continue
+                j = hit[1]
+                if side:
+                    left.add((i, j))
+                    right.add((j, i))
+                else:
+                    right.add((i, j))
+                    left.add((j, i))
 
     def _edges(pairs):
         return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
@@ -84,7 +99,7 @@ def reference_matches(boundaries, graph, segment_len):
 
 def arc(lateral, length, kappa, n_pts):
     s = np.linspace(0.0, length, n_pts)
-    return np.array([sc._lane_point(v, lateral, kappa)[:2] for v in s])
+    return sc._lane_points(s, lateral, kappa)[0]
 
 
 def random_lanes(rng):
@@ -235,4 +250,35 @@ def test_scene_at_the_budget_stays_in_bounded_memory(lanes):
     finally:
         tracemalloc.stop()
     assert graph.n_nodes == sc.MAX_SCENE_NODES
+    assert peak < 256 * 2**20
+    assert graph.adjacency["left"].shape[0] <= 2 * graph.n_nodes
+
+
+def test_crowded_lanes_keep_one_neighbour_per_side():
+    """With four parallel lanes 1 m apart all in range, each node links only
+    the adjacent lane's node on each side."""
+    lanes = [straight(f"l{k}", 1.0 * k, length=6.0) for k in range(4)]
+    graph, _ = sc.build_lane_nodes(lanes, 2.0, 3.5)
+    left = {tuple(e) for e in graph.adjacency["left"]}
+    # node i of lane k is 3k + i; its left neighbour is node i of lane k+1
+    assert left == {(3 * k + i, 3 * (k + 1) + i) for k in range(3) for i in range(3)}
+
+
+def test_graph_conv_on_the_crowded_budget_scene_stays_in_bounded_memory():
+    """One gated graph-conv layer at d=64, forward and backward, on 2048
+    two-node lanes 1 cm apart (a file `load_scene` accepts)."""
+    lanes = [straight(f"l{k}", 0.01 * k, length=2.0) for k in range(sc.MAX_SCENE_NODES)]
+    graph, _ = sc.build_lane_nodes(lanes)
+    cfg = ModelConfig(d=64, l_graph=1)
+    store = dc.ParamStore(np.float32)
+    encoder.init_lane_encoder(store, cfg, np.random.default_rng(0))
+    x = dc.Tensor(np.random.default_rng(1).normal(size=(graph.n_nodes, cfg.d)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        y = encoder.gated_lane_graph_conv(x, graph, store, "lane.gc0")
+        grads = dc.backward(dc.sum(y), dict(store.items()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(grads["lane.gc0.left.w.w"]).all()
     assert peak < 256 * 2**20
