@@ -98,9 +98,11 @@ def _operands(a, b, op):
     """Both operands as tensors of one dtype, b broadcastable to a's shape."""
     a, b = _as_tensor(a), _as_tensor(b, like=a)
     _check_same_dtype(a, b)
-    if a.shape != b.shape and (b.ndim > a.ndim or any(
-            m not in (1, n) for m, n in zip(reversed(b.shape), reversed(a.shape)))):
-        raise ShapeError(f"{op}: cannot broadcast {b.shape} to {a.shape}")
+    sa, sb = a.shape, b.shape
+    # equal shapes and trailing-axes biases, the common cases, skip the general test
+    if sa != sb and sa[len(sa) - len(sb):] != sb and (len(sb) > len(sa) or any(
+            m not in (1, n) for m, n in zip(sb[::-1], sa[::-1]))):
+        raise ShapeError(f"{op}: cannot broadcast {sb} to {sa}")
     return a, b
 
 

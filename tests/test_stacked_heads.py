@@ -189,10 +189,10 @@ def _ops_per_forward(k_modes, stage, monkeypatch):
 def test_ops_per_forward_do_not_grow_with_modes(monkeypatch):
     ops = _ops_per_forward(6, decoder.S2, monkeypatch)
     assert ops == _ops_per_forward(1, decoder.S2, monkeypatch)
-    assert ops <= 212
+    assert ops <= 211
 
 
 def test_stage_one_ops_per_forward_do_not_grow_with_modes(monkeypatch):
     ops = _ops_per_forward(6, decoder.S1, monkeypatch)
     assert ops == _ops_per_forward(1, decoder.S1, monkeypatch)
-    assert ops <= 197
+    assert ops <= 196
