@@ -17,10 +17,8 @@ def init_linear(store, name, n_in, n_out, rng, bias=True):
 
 
 def linear(store, name, x):
-    y = dc.matmul(x, store[f"{name}.w"])
-    if f"{name}.b" in store:
-        y = dc.add(y, store[f"{name}.b"])
-    return y
+    b = store[f"{name}.b"] if f"{name}.b" in store else None
+    return dc.matmul(x, store[f"{name}.w"], b)
 
 
 def init_conv(store, name, c_in, c_out, kernel, rng, bias=True):

@@ -105,9 +105,8 @@ def complete_trajectories(pairs, targets, store, cfg, t):
         raise ContractError(f"completion needs T >= 2, got {t}")
     a, k = targets.shape[0], targets.shape[1]
     h = dc.relu(linear(store, "dec.comp.l1", pairs))
-    body = dc.reshape(dc.scale(linear(store, "dec.comp.l2", h), cfg.output_scale),
-                      (a * k, t - 1, 2))
-    full = dc.concat([body, dc.reshape(targets, (a * k, 1, 2))], axis=1)  # [A*K, T, 2]
+    body = dc.scale(linear(store, "dec.comp.l2", h), cfg.output_scale)  # [A*K, 2(T-1)]
+    full = dc.concat([body, dc.reshape(targets, (a * k, 2))], axis=1)  # [A*K, 2T]
     return dc.reshape(full, (a, k, t, 2))
 
 

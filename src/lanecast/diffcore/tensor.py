@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays, float32 by default for training and float64 for
-gradient checking. Each op computes its forward result with numpy and, when
-any input requires gradients, attaches a backward rule to the output.
-`backward` replays those rules in reverse topological order.
+gradient checking. Each op computes its forward result with numpy and hands
+`_make` one edge per input: the input tensor and its vector-Jacobian product,
+which maps the output gradient to that input's gradient. Edges into inputs
+that carry no gradient (constants, an absent optional bias) are dropped there,
+so their vjps never run. `backward` replays the edges in reverse topological
+order.
 
 Features sit on the last axis ([N, D] rows, [A, H, D] sequences). `add`,
 `sub` and `mul` broadcast one way: the second operand broadcasts to the
@@ -23,12 +26,12 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """N-dimensional float array plus the bookkeeping backward needs.
 
-    `_parents` holds the input tensors of the op that produced this value and
-    `_backward` maps the output gradient to one gradient per parent. Leaf
-    tensors (constants, parameters) have neither.
+    `_edges` holds one (input, vjp) pair per gradient-carrying input of the
+    op that produced this value. Leaf tensors (constants, parameters) have
+    none.
     """
 
-    __slots__ = ("data", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "op", "_edges")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -37,8 +40,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.op = None
-        self._parents = ()
-        self._backward = None
+        self._edges = ()
 
     @property
     def shape(self):
@@ -80,13 +82,15 @@ def _check_axis(axis, ndim):
     return axis % ndim
 
 
-def _make(data, parents, backward, op):
+def _make(data, op, *edges):
+    """The output tensor of `op`; `edges` are (input, vjp) pairs, and the
+    input may be None for an absent optional operand."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    edges = tuple(e for e in edges if e[0] is not None and e[0].requires_grad)
+    if edges:
         out.requires_grad = True
         out.op = op
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._edges = edges
     return out
 
 
@@ -115,55 +119,53 @@ def _unbroadcast(g, shape):
     return g.sum(axis=axes, keepdims=True).reshape(shape)
 
 
+def _identity(g):
+    return g
+
+
 def add(a, b):
     a, b = _operands(a, b, "add")
-
-    def bwd(g):
-        return g, _unbroadcast(g, b.shape)
-
-    return _make(a.data + b.data, (a, b), bwd, "add")
+    return _make(a.data + b.data, "add",
+                 (a, _identity), (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b):
     a, b = _operands(a, b, "sub")
-
-    def bwd(g):
-        return g, -_unbroadcast(g, b.shape)
-
-    return _make(a.data - b.data, (a, b), bwd, "sub")
+    return _make(a.data - b.data, "sub",
+                 (a, _identity), (b, lambda g: -_unbroadcast(g, b.shape)))
 
 
 def mul(a, b):
     a, b = _operands(a, b, "mul")
-
-    def bwd(g):
-        return g * b.data, _unbroadcast(g * a.data, b.shape)
-
-    return _make(a.data * b.data, (a, b), bwd, "mul")
+    return _make(a.data * b.data, "mul",
+                 (a, lambda g: g * b.data), (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a, c):
     a = _as_tensor(a)
     c = float(c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _make(a.data * c, (a,), bwd, "scale")
+    return _make(a.data * c, "scale", (a, lambda g: g * c))
 
 
-def matmul(a, b):
-    """[M, N] @ [N, P] -> [M, P], or batched [B, M, N] @ [B, N, P] -> [B, M, P]."""
+def matmul(a, b, bias=None):
+    """[M, N] @ [N, P] -> [M, P], or batched [B, M, N] @ [B, N, P] -> [B, M, P],
+    plus an optional bias [P]."""
     a, b = _as_tensor(a), _as_tensor(b, like=a)
-    _check_same_dtype(a, b)
+    bias = None if bias is None else _as_tensor(bias, like=a)
+    _check_same_dtype(*(t for t in (a, b, bias) if t is not None))
     if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    if bias is not None and bias.shape != b.shape[-1:]:
+        raise ShapeError(f"matmul: bias shape {bias.shape} does not match {b.shape[-1]} columns")
 
-    def bwd(g):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
-
-    return _make(a.data @ b.data, (a, b), bwd, "matmul")
+    y = a.data @ b.data
+    if bias is not None:
+        y = y + bias.data
+    return _make(y, "matmul",
+                 (a, lambda g: g @ b.data.swapaxes(-1, -2)),
+                 (b, lambda g: a.data.swapaxes(-1, -2) @ g),
+                 (bias, lambda g: _unbroadcast(g, bias.shape)))
 
 
 def concat(tensors, axis=0):
@@ -172,33 +174,26 @@ def concat(tensors, axis=0):
         raise ShapeError("concat: empty input list")
     _check_same_dtype(*tensors)
     axis = _check_axis(axis, tensors[0].ndim)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    ends = np.cumsum([t.shape[axis] for t in tensors]).tolist()
+    lead = (slice(None),) * axis
 
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+    def part(lo, hi):
+        return lambda g: g[lead + (slice(lo, hi),)]
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd, "concat")
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), "concat",
+                 *((t, part(lo, hi)) for t, lo, hi in zip(tensors, [0] + ends, ends)))
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
     old = a.shape
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return _make(a.data.reshape(shape), (a,), bwd, "reshape")
+    return _make(a.data.reshape(shape), "reshape", (a, lambda g: g.reshape(old)))
 
 
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _make(np.where(mask, a.data, 0), (a,), bwd, "relu")
+    return _make(np.where(mask, a.data, 0), "relu", (a, lambda g: g * mask))
 
 
 def sigmoid(a):
@@ -207,11 +202,7 @@ def sigmoid(a):
     s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
                  np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
     s = s.astype(a.dtype)
-
-    def bwd(g):
-        return (g * s * (1.0 - s),)
-
-    return _make(s, (a,), bwd, "sigmoid")
+    return _make(s, "sigmoid", (a, lambda g: g * s * (1.0 - s)))
 
 
 def log(a, floor):
@@ -222,11 +213,7 @@ def log(a, floor):
         raise ContractError("log: floor must be positive")
     clamped = np.maximum(a.data, floor)
     mask = a.data >= floor
-
-    def bwd(g):
-        return (g * mask / clamped,)
-
-    return _make(np.log(clamped), (a,), bwd, "log")
+    return _make(np.log(clamped), "log", (a, lambda g: g * mask / clamped))
 
 
 def smooth_l1(a, beta=1.0):
@@ -237,11 +224,8 @@ def smooth_l1(a, beta=1.0):
     absa = np.abs(a.data)
     inside = absa < beta
     out = np.where(inside, 0.5 * a.data * a.data / beta, absa - 0.5 * beta)
-
-    def bwd(g):
-        return (g * np.where(inside, a.data / beta, np.sign(a.data)),)
-
-    return _make(out.astype(a.dtype), (a,), bwd, "smooth_l1")
+    return _make(out.astype(a.dtype), "smooth_l1",
+                 (a, lambda g: g * np.where(inside, a.data / beta, np.sign(a.data))))
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +243,7 @@ def sum(a, axis=None):  # noqa: A001 - mirrors the op set's name
     if axis is not None:
         axis = _check_axis(axis, a.ndim)
     shape = a.shape
-
-    def bwd(g):
-        return (_sum_grad_shape(g, axis, shape),)
-
-    return _make(a.data.sum(axis=axis), (a,), bwd, "sum")
+    return _make(a.data.sum(axis=axis), "sum", (a, lambda g: _sum_grad_shape(g, axis, shape)))
 
 
 def mean(a, axis=None):
@@ -274,11 +254,8 @@ def mean(a, axis=None):
     n = a.size if axis is None else shape[axis]
     if n == 0:
         raise ShapeError(f"mean over empty axis of shape {shape}")
-
-    def bwd(g):
-        return (_sum_grad_shape(g, axis, shape) / n,)
-
-    return _make(a.data.mean(axis=axis), (a,), bwd, "mean")
+    return _make(a.data.mean(axis=axis), "mean",
+                 (a, lambda g: _sum_grad_shape(g, axis, shape) / n))
 
 
 def max(a, axis):  # noqa: A001
@@ -288,12 +265,12 @@ def max(a, axis):  # noqa: A001
     axis = _check_axis(axis, a.ndim)
     idx = np.argmax(a.data, axis=axis)
 
-    def bwd(g):
+    def vjp(g):
         ga = np.zeros_like(a.data)
         np.put_along_axis(ga, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-        return (ga,)
+        return ga
 
-    return _make(a.data.max(axis=axis), (a,), bwd, "max")
+    return _make(a.data.max(axis=axis), "max", (a, vjp))
 
 
 def softmax(a, axis=-1):
@@ -303,11 +280,11 @@ def softmax(a, axis=-1):
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def bwd(g):
+    def vjp(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
+        return s * (g - dot)
 
-    return _make(s.astype(a.dtype), (a,), bwd, "softmax")
+    return _make(s.astype(a.dtype), "softmax", (a, vjp))
 
 
 def layer_norm(a, gamma, beta, eps=1e-5):
@@ -324,15 +301,15 @@ def layer_norm(a, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
     xhat = xc * inv
 
-    def bwd(g):
+    def vjp(g):
         dxhat = g * gamma.data
         # standard layer-norm backward, per normalized slice
-        dx = inv / n * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-        return dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
+        return inv / n * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                          - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
 
-    return _make((xhat * gamma.data + beta.data).astype(a.dtype), (a, gamma, beta), bwd,
-                 "layer_norm")
+    return _make((xhat * gamma.data + beta.data).astype(a.dtype), "layer_norm", (a, vjp),
+                 (gamma, lambda g: _unbroadcast(g * xhat, gamma.shape)),
+                 (beta, lambda g: _unbroadcast(g, beta.shape)))
 
 
 def l2_norm_rows(a):
@@ -343,11 +320,7 @@ def l2_norm_rows(a):
         raise ShapeError("l2_norm_rows: expected at least 1-d input, got a scalar")
     y = np.sqrt((a.data * a.data).sum(axis=-1))
     safe = np.where(y > 0, y, 1.0)
-
-    def bwd(g):
-        return ((g / safe)[..., None] * a.data,)
-
-    return _make(y, (a,), bwd, "l2_norm_rows")
+    return _make(y, "l2_norm_rows", (a, lambda g: (g / safe)[..., None] * a.data))
 
 
 # ---------------------------------------------------------------------------
@@ -363,37 +336,30 @@ def gather(a, indices, axis=0):
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
         raise ContractError(f"gather: index out of range for axis size {a.shape[axis]}")
 
-    def bwd(g):
+    def vjp(g):
         ga = np.zeros_like(a.data)
-        gm = np.moveaxis(ga, axis, 0)
-        np.add.at(gm, idx, np.moveaxis(g, axis, 0))
-        return (ga,)
+        np.add.at(ga, (slice(None),) * axis + (idx,), g)
+        return ga
 
-    return _make(np.take(a.data, idx, axis=axis), (a,), bwd, "gather")
+    return _make(np.take(a.data, idx, axis=axis), "gather", (a, vjp))
 
 
-def scatter_add(a, indices, size, axis=0):
-    """Sum rows of `a` into a zero tensor of `size` slots along `axis`.
+def scatter_add(a, indices, size):
+    """Sum the rows of `a` into a zero tensor of `size` rows.
 
-    Adjoint of gather: rows sharing an index accumulate.
+    Adjoint of gather along axis 0: rows sharing an index accumulate.
     """
     a = _as_tensor(a)
-    axis = _check_axis(axis, a.ndim)
+    _check_axis(0, a.ndim)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (a.shape[axis],):
+    if idx.shape != a.shape[:1]:
         raise ShapeError(
-            f"scatter_add: indices shape {idx.shape} does not match axis size {a.shape[axis]}")
+            f"scatter_add: indices shape {idx.shape} does not match axis size {a.shape[0]}")
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ContractError(f"scatter_add: index out of range for size {size}")
-    out_shape = list(a.shape)
-    out_shape[axis] = size
-    out = np.zeros(out_shape, dtype=a.dtype)
-    np.add.at(np.moveaxis(out, axis, 0), idx, np.moveaxis(a.data, axis, 0))
-
-    def bwd(g):
-        return (np.take(g, idx, axis=axis),)
-
-    return _make(out, (a,), bwd, "scatter_add")
+    out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
+    np.add.at(out, idx, a.data)
+    return _make(out, "scatter_add", (a, lambda g: np.take(g, idx, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +373,9 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     Tap k of every window is one strided slice of the padded input; the K
     taps side by side are the im2col columns, and backward adds each tap's
     column gradient back through the same slice."""
-    parents = [_as_tensor(t) for t in (x, w, b) if t is not None]
-    _check_same_dtype(*parents)
-    x, w = parents[:2]
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    _check_same_dtype(*(t for t in (x, w, b) if t is not None))
     if x.ndim != 3 or w.ndim != 3 or x.shape[2] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
     batch, length, c_in = x.shape
@@ -427,18 +393,19 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     wf = w.data.reshape(c_out, c_in * kernel)
     y = cols @ wf.T
     if b is not None:
-        y = y + parents[2].data
+        y = y + b.data
 
-    def bwd(g):
-        dw = (g.reshape(-1, c_out).T @ cols.reshape(-1, c_in * kernel)).reshape(w.shape)
+    def dx(g):
         dcols = (g @ wf).reshape(batch, n_out, c_in, kernel)
         dxp = np.zeros(xp.shape, dtype=g.dtype)
         for k, tap in enumerate(taps):
             dxp[:, tap] += dcols[..., k]
-        dx = dxp[:, padding:padding + length] if padding else dxp
-        return (dx, dw, g.sum(axis=(0, 1)))[:len(parents)]
+        return dxp[:, padding:padding + length] if padding else dxp
 
-    return _make(y, parents, bwd, "conv1d")
+    def dw(g):
+        return (g.reshape(-1, c_out).T @ cols.reshape(-1, c_in * kernel)).reshape(w.shape)
+
+    return _make(y, "conv1d", (x, dx), (w, dw), (b, lambda g: g.sum(axis=(0, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +413,8 @@ def conv1d(x, w, b=None, stride=1, padding=0):
 
 
 def _topological_order(root):
-    """The tensors reaching `root` through gradient-tracking ops, parents
-    before children."""
+    """The tensors reaching `root` through tape edges, inputs before the ops
+    that use them."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -460,8 +427,8 @@ def _topological_order(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p, _ in node._edges:
+            if id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -478,17 +445,14 @@ def backward(loss, params):
     items = params.items() if hasattr(params, "items") else list(params)
 
     grads = {id(loss): np.ones((), dtype=loss.dtype)}
-    if loss.requires_grad:
-        for node in reversed(_topological_order(loss)):
-            g = grads.get(id(node))
-            if g is None or node._backward is None:
-                continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+    # every node in the order is reached from the loss, so its gradient is
+    # complete before the walk gets to it
+    for node in reversed(_topological_order(loss)):
+        g = grads[id(node)]
+        for inp, vjp in node._edges:
+            gi = vjp(g)
+            acc = grads.get(id(inp))
+            grads[id(inp)] = gi if acc is None else acc + gi
 
     out = {}
     for name, t in items:

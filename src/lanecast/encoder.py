@@ -150,10 +150,10 @@ def gated_lane_graph_conv(x, graph, store, prefix):
 
     src, msg_rows, gate_rows = _typed_edges(graph)
     rows = dc.reshape(dc.matmul(x, stacked("w.w", 1)), (n * c, d))
-    gate = dc.sigmoid(dc.add(dc.matmul(x, stacked("gate.w", 1)), stacked("gate.b", 0)))
+    gate = dc.sigmoid(dc.matmul(x, stacked("gate.w", 1), stacked("gate.b", 0)))
     gate = dc.gather(dc.reshape(gate, (n * c, 1)), gate_rows, axis=0)  # [E, 1]
     msgs = dc.mul(dc.gather(rows, msg_rows, axis=0), gate)
-    y = dc.add(linear(store, f"{prefix}.self", x), dc.scatter_add(msgs, src, n, axis=0))
+    y = dc.add(linear(store, f"{prefix}.self", x), dc.scatter_add(msgs, src, n))
     return dc.add(layer_norm(store, f"{prefix}.ln", dc.relu(y)), x)
 
 

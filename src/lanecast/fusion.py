@@ -56,7 +56,7 @@ def fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     pairs_bnd = kept[np.argsort(matched[kept], kind="stable")]
     pairs_lane = matched[pairs_bnd]
 
-    sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n, axis=0)
+    sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n)
     counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
     inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
     ctx = dc.mul(sums, const(store, inv[:, None]))
@@ -99,7 +99,7 @@ def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
     msgs = linear(store, f"{name}.ctx",
                   dc.concat([rel_enc, dc.gather(ctx_f, cj, axis=0)], axis=1))
     q_proj = dc.gather(linear(store, f"{name}.query", query_f), qi, axis=0)
-    agg = dc.scatter_add(dc.relu(dc.add(msgs, q_proj)), qi, nq, axis=0)
+    agg = dc.scatter_add(dc.relu(dc.add(msgs, q_proj)), qi, nq)
     out = dc.add(query_f, linear(store, f"{name}.out", agg))
     return layer_norm(store, f"{name}.ln", out)
 

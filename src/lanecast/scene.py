@@ -41,17 +41,20 @@ MAX_TIME_STEPS = 1000       # h + t
 MAX_ACTORS = 256
 
 
-def wrap_angle(theta):
-    """Map an angle to (-pi, pi]. Idempotent, including at the boundary."""
-    r = math.remainder(float(theta), math.tau)
-    if r <= -math.pi:
-        r += math.tau
-    return r
-
-
 def wrap_angles(arr):
-    return np.array([wrap_angle(t) for t in np.asarray(arr, dtype=np.float64).ravel()],
-                    dtype=np.float64).reshape(np.asarray(arr).shape)
+    """Map angles to (-pi, pi], elementwise. Idempotent, including at the
+    boundary.
+
+    fmod is exact and leaves |r| < tau; the one shift by tau that follows is
+    exact too (Sterbenz's lemma), so each result is exactly x - n*tau for the
+    one integer n that lands it in (-pi, pi]."""
+    r = np.fmod(np.asarray(arr, dtype=np.float64), math.tau)
+    return np.where(r > math.pi, r - math.tau, np.where(r <= -math.pi, r + math.tau, r))
+
+
+def wrap_angle(theta):
+    """`wrap_angles` of one angle, as a float."""
+    return float(wrap_angles(theta))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanecast import diffcore as dc
+from lanecast.diffcore import tensor
 from lanecast.errors import ContractError, ParseError, ShapeError
 
 EPS = 1e-5
@@ -153,6 +154,28 @@ class TestReductionsAndShape:
         check_op(lambda t: dc.sum(dc.mul(dc.matmul(t, dc.Tensor(b)), w)), a)
         check_op(lambda t: dc.sum(dc.mul(dc.matmul(dc.Tensor(a), t), w)), b)
 
+    @pytest.mark.parametrize("sa, sw", [((5, 4), (4, 3)), ((2, 5, 4), (2, 4, 3))])
+    def test_matmul_bias_equals_matmul_then_add_bit_for_bit(self, sa, sw):
+        rng = np.random.default_rng(15)
+        arrays = rng.normal(size=sa), rng.normal(size=sw), rng.normal(size=sw[-1:])
+        up = rng.normal(size=sa[:-1] + sw[-1:])
+
+        def run(fused):
+            a, w, b = (dc.Tensor(v, requires_grad=True) for v in arrays)
+            y = dc.matmul(a, w, b) if fused else dc.add(dc.matmul(a, w), b)
+            g = dc.backward(dc.sum(dc.mul(y, dc.Tensor(up))), [("a", a), ("w", w), ("b", b)])
+            return [y.data] + list(g.values())
+
+        for got, want in zip(run(True), run(False)):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), (3, 1), (2,), ()])
+    def test_matmul_bias_of_wrong_shape_raises(self, shape):
+        with pytest.raises(ShapeError):
+            dc.matmul(dc.Tensor(np.zeros((5, 4))), dc.Tensor(np.zeros((4, 3))),
+                      dc.Tensor(np.zeros(shape)))
+
     def test_batched_matmul_shape_mismatch_raises(self):
         for sa, sb in (((3, 2, 4), (2, 4, 5)), ((3, 2, 4), (4, 5)), ((3, 2, 4), (3, 3, 5))):
             with pytest.raises(ShapeError):
@@ -187,7 +210,7 @@ class TestReductionsAndShape:
 
         def build(t):
             rows = dc.gather(t, idx, axis=0)
-            back = dc.scatter_add(rows, idx, 6, axis=0)
+            back = dc.scatter_add(rows, idx, 6)
             return dc.sum(dc.mul(back, back))
 
         check_op(build, x)
@@ -318,6 +341,41 @@ class TestTapeAndBackward:
         x = dc.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError):
             dc.backward(x, [("x", x)])
+
+    @pytest.mark.parametrize("op, shapes", [
+        (dc.matmul, [(3, 4), (4, 2)]),
+        (dc.matmul, [(3, 4), (4, 2), (2,)]),
+        (dc.conv1d, [(2, 6, 3), (4, 3, 3), (4,)]),
+        (dc.mul, [(3, 4), (3, 4)]),
+        (dc.sub, [(3, 4), (4,)]),
+        (dc.add, [(3, 4), (1, 4)]),
+        (dc.layer_norm, [(3, 4), (4,), (4,)]),
+    ])
+    def test_constant_inputs_get_no_edge_and_no_vjp_call(self, op, shapes, monkeypatch):
+        """Every input in turn is a constant, the others parameters."""
+        rng = np.random.default_rng(16)
+        arrays = [rng.normal(size=s) for s in shapes]
+        make = tensor._make
+        for const_at in range(len(shapes)):
+            calls = {}
+
+            def counting_make(data, name, *edges):
+                def counted(inp, vjp):
+                    def f(g):
+                        calls[id(inp)] = calls.get(id(inp), 0) + 1
+                        return vjp(g)
+                    return inp, f
+                return make(data, name, *(counted(*e) for e in edges))
+
+            inputs = [dc.Tensor(v, requires_grad=i != const_at) for i, v in enumerate(arrays)]
+            monkeypatch.setattr(tensor, "_make", counting_make)
+            y = op(*inputs)
+            monkeypatch.undo()
+            assert [inp for inp, _ in y._edges] == [t for t in inputs if t.requires_grad]
+            grads = dc.backward(dc.sum(y), [(str(i), t) for i, t in enumerate(inputs)])
+            assert id(inputs[const_at]) not in calls
+            assert all(calls[id(t)] == 1 for t in inputs if t.requires_grad)
+            assert not grads[str(const_at)].any()
 
     def test_deep_chain_no_recursion_limit(self):
         x = dc.Tensor(np.array(1.0), requires_grad=True)

@@ -236,7 +236,7 @@ def _pipeline_ops(tau, monkeypatch):
     decoder.init_model(store, cfg, ns.horizon[1], np.random.default_rng(0))
     calls = []
     make = tensor._make
-    monkeypatch.setattr(tensor, "_make", lambda *a: calls.append(a[-1]) or make(*a))
+    monkeypatch.setattr(tensor, "_make", lambda *a: calls.append(a[1]) or make(*a))
     decoder.run_pipeline(ns, store, cfg, decoder.S2)
     monkeypatch.undo()
     return len(calls)

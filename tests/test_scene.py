@@ -19,7 +19,33 @@ def straight_lane(lane_id="L0", length=10.0, y=0.0, step=1.0):
     return sc.Lane(id=lane_id, centerline=pts)
 
 
+def remainder_wrap(theta):
+    """The scalar wrap `wrap_angles` replaced: IEEE remainder, then -pi to pi."""
+    r = math.remainder(float(theta), math.tau)
+    if r <= -math.pi:
+        r += math.tau
+    return r
+
+
 class TestWrapAngle:
+    def test_array_wrap_equals_the_remainder_wrap_bit_for_bit(self):
+        edges = [0.0, 5e-324, 1e-300, 1.0, 1e300, np.finfo(np.float64).max]
+        for k in range(-8, 9):
+            edges += [k * math.pi, k * math.tau, k * math.pi / 2]
+        for v in (math.pi, 3 * math.pi, math.tau):
+            edges += [np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+        edges = np.array(edges)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([edges, -edges, rng.uniform(-50, 50, 100_000),
+                            rng.normal(0, 1e6, 20_000),
+                            np.ldexp(rng.uniform(-1, 1, 20_000), rng.integers(-60, 200, 20_000))])
+        want = np.array([remainder_wrap(t) for t in x])
+        got = sc.wrap_angles(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(sc.wrap_angle(t) == w for t, w in zip(edges, want[:len(edges)]))
+        assert sc.wrap_angles(x.reshape(2, -1)).shape == (2, x.size // 2)
+
     @given(st.floats(-1e6, 1e6))
     @settings(max_examples=200, deadline=None)
     def test_range_and_idempotence(self, a):

@@ -32,6 +32,12 @@ TOL = 1e-12
 # the parent's ops
 
 
+def _make(data, parents, bwd, op):
+    """The old tape form, one backward returning a gradient per parent, as one
+    edge per parent."""
+    return tensor._make(data, op, *((p, lambda g, i=i: bwd(g)[i]) for i, p in enumerate(parents)))
+
+
 def ref_add(a, b):
     a, b = tensor._as_tensor(a), tensor._as_tensor(b, like=a)
     if a.shape == b.shape:
@@ -42,21 +48,21 @@ def ref_add(a, b):
             return g, g.reshape(-1, b.shape[0]).sum(axis=0)
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return tensor._make(a.data + b.data, (a, b), bwd, "add")
+    return _make(a.data + b.data, (a, b), bwd, "add")
 
 
 def ref_sub(a, b):
     a, b = tensor._as_tensor(a), tensor._as_tensor(b, like=a)
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    return tensor._make(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def ref_mul(a, b):
     a, b = tensor._as_tensor(a), tensor._as_tensor(b, like=a)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    return tensor._make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def ref_l2_norm_rows(a):
@@ -64,7 +70,7 @@ def ref_l2_norm_rows(a):
         raise ShapeError(f"l2_norm_rows: expected 2-d input, got {a.shape}")
     y = np.sqrt((a.data * a.data).sum(axis=1))
     safe = np.where(y > 0, y, 1.0)
-    return tensor._make(y, (a,), lambda g: ((g / safe)[:, None] * a.data,), "l2_norm_rows")
+    return _make(y, (a,), lambda g: ((g / safe)[:, None] * a.data,), "l2_norm_rows")
 
 
 def ref_layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
@@ -87,7 +93,7 @@ def ref_layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
         dbeta = gm.reshape(-1, n).sum(axis=0)
         return np.moveaxis(dx, -1, axis), dgamma, dbeta
 
-    return tensor._make(y.astype(a.dtype), (a, gamma, beta), bwd, "layer_norm")
+    return _make(y.astype(a.dtype), (a, gamma, beta), bwd, "layer_norm")
 
 
 def ref_conv1d(x, w, b=None, stride=1, padding=0):
@@ -115,7 +121,7 @@ def ref_conv1d(x, w, b=None, stride=1, padding=0):
         dx = dxp[:, :, padding:padding + length] if padding else dxp
         return (dx, dw, gt.sum(axis=(0, 1))) if b is not None else (dx, dw)
 
-    return tensor._make(y, parents, bwd, "conv1d")
+    return _make(y, parents, bwd, "conv1d")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,7 @@ def ref_gated_lane_graph_conv(x, graph, store, prefix):
     gate = dc.gather(dc.reshape(gate, (n * c, 1)), gate_rows, axis=0)
     msgs = ref_mul(dc.matmul(gate, const(store, np.ones((1, d)))),
                    dc.gather(rows, msg_rows, axis=0))
-    y = ref_add(linear(store, f"{prefix}.self", x), dc.scatter_add(msgs, src, n, axis=0))
+    y = ref_add(linear(store, f"{prefix}.self", x), dc.scatter_add(msgs, src, n))
     return ref_add(layer_norm(store, f"{prefix}.ln", dc.relu(y)), x)
 
 
@@ -196,7 +202,7 @@ def ref_fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     kept = np.flatnonzero((matched >= 0) & (matched < n))
     pairs_bnd = kept[np.argsort(matched[kept], kind="stable")]
     pairs_lane = matched[pairs_bnd]
-    sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n, axis=0)
+    sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n)
     counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
     inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
     ctx = ref_mul(sums, const(store, np.repeat(inv[:, None], lane_f.shape[1], axis=1)))
