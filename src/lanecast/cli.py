@@ -2,7 +2,7 @@
 
 Subcommands: gen-data, train, predict, eval, ensemble, grad-check, lr-table.
 Exit codes: 0 success, 1 user error, 2 gradient verification failure,
-3 internal error. User errors print a one-line message, never a trace.
+3 internal error or aborted training. User errors print one line, never a trace.
 """
 
 from __future__ import annotations

@@ -65,9 +65,9 @@ def init_completion(store, cfg, rng, t):
     init_linear(store, "dec.comp.l2", cfg.d, (t - 1) * 2, rng)
 
 
-def _encode_target(store, g, input_scale):
-    h = dc.relu(linear(store, "dec.tenc.l1", dc.scale(g, input_scale)))
-    return linear(store, "dec.tenc.l2", h)
+def _mlp(store, prefix, x):
+    """The two-layer head `{prefix}.l2(relu({prefix}.l1(x)))`."""
+    return linear(store, f"{prefix}.l2", dc.relu(linear(store, f"{prefix}.l1", x)))
 
 
 def predict_targets(actor_f, store, cfg):
@@ -87,11 +87,9 @@ def predict_targets(actor_f, store, cfg):
     # input_scale on the encoder side
     g = dc.scale(g, cfg.output_scale)
     per_mode = dc.gather(actor_f, np.repeat(np.arange(a), k), axis=0)  # [A*K, D]
-    enc = _encode_target(store, dc.reshape(g, (a * k, 2)), cfg.input_scale)
+    enc = _mlp(store, "dec.tenc", dc.scale(dc.reshape(g, (a * k, 2)), cfg.input_scale))
     pairs = dc.concat([per_mode, enc], axis=1)
-    ch = dc.relu(linear(store, "dec.conf.l1", pairs))
-    logits = dc.reshape(linear(store, "dec.conf.l2", ch), (a, k))
-    return g, logits, pairs
+    return g, dc.reshape(_mlp(store, "dec.conf", pairs), (a, k)), pairs
 
 
 def complete_trajectories(pairs, targets, store, cfg, t):
@@ -104,8 +102,7 @@ def complete_trajectories(pairs, targets, store, cfg, t):
     if t < 2:
         raise ContractError(f"completion needs T >= 2, got {t}")
     a, k = targets.shape[0], targets.shape[1]
-    h = dc.relu(linear(store, "dec.comp.l1", pairs))
-    body = dc.scale(linear(store, "dec.comp.l2", h), cfg.output_scale)  # [A*K, 2(T-1)]
+    body = dc.scale(_mlp(store, "dec.comp", pairs), cfg.output_scale)  # [A*K, 2(T-1)]
     full = dc.concat([body, dc.reshape(targets, (a * k, 2))], axis=1)  # [A*K, 2T]
     return dc.reshape(full, (a, k, t, 2))
 

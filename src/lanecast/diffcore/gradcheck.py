@@ -2,7 +2,8 @@
 
 Runs in float64 only. For each sampled coordinate the numeric derivative is
 the central difference (f(x+eps) - f(x-eps)) / (2 eps) and the reported error
-is |a - n| / max(1e-8, |a| + |n|).
+is |a - n| / max(1e-8, |a| + |n|). A non-finite error counts as inf, so a
+NaN value or derivative fails at any tolerance.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = float(a_flat[c])
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            if not np.isfinite(rel):  # NaN compares false against any bound
+                rel = np.inf
             if entry is None or rel > entry[3]:
                 entry = (c, a, numeric, rel)
             if rel > worst:

@@ -73,12 +73,7 @@ def encode_actors(scene, store, cfg):
     if not actors:
         raise ContractError("scene has no actors")
 
-    a = len(actors)
     obs = np.stack([act.observed for act in actors])  # [A, H]
-    for act in actors:
-        if not act.observed.any():
-            raise ContractError(f"actor {act.id} has no observed steps")
-
     s = cfg.input_scale
     headings = np.stack([act.headings for act in actors])
     streams = {"coord": np.stack([act.positions for act in actors]) * s,  # each [A, H, 2]
@@ -101,20 +96,32 @@ def encode_actors(scene, store, cfg):
     neg = np.where(obs, 0.0, _NEG_BIG)[:, :, None]
     pooled = dc.max(dc.add(merged, const(store, neg)), axis=1)  # [A, D]
 
+    # raises ContractError for an actor with no observed step
     positions = np.stack([act.positions[act.last_observed_index()] for act in actors])
     return pooled, positions
 
 
 # ---------------------------------------------------------------------------
-# lanes
+# lanes and boundaries: both open with the same two-layer input MLP
+
+
+def _init_input_mlp(store, prefix, n_in, d, rng):
+    for i, width in ((1, n_in), (2, d)):
+        init_linear(store, f"{prefix}.in{i}", width, d, rng)
+        init_layer_norm(store, f"{prefix}.ln{i}", d)
+
+
+def _input_mlp(store, prefix, feats):
+    """Node features [N, n_in] -> [N, D] through relu(layer_norm(linear)) twice."""
+    x = const(store, feats)
+    for i in (1, 2):
+        x = dc.relu(layer_norm(store, f"{prefix}.ln{i}", linear(store, f"{prefix}.in{i}", x)))
+    return x
 
 
 def init_lane_encoder(store, cfg, rng):
     d = cfg.d
-    init_linear(store, "lane.in1", 5, d, rng)
-    init_layer_norm(store, "lane.ln1", d)
-    init_linear(store, "lane.in2", d, d, rng)
-    init_layer_norm(store, "lane.ln2", d)
+    _init_input_mlp(store, "lane", 5, d, rng)
     for layer in range(cfg.l_graph):
         p = f"lane.gc{layer}"
         init_linear(store, f"{p}.self", d, d, rng, bias=False)
@@ -164,8 +171,7 @@ def encode_lane_nodes(graph, store, cfg):
     s = cfg.input_scale
     feats = np.concatenate([graph.centers * s, graph.directions,
                             graph.lengths[:, None] * s], axis=1)
-    x = dc.relu(layer_norm(store, "lane.ln1", linear(store, "lane.in1", const(store, feats))))
-    x = dc.relu(layer_norm(store, "lane.ln2", linear(store, "lane.in2", x)))
+    x = _input_mlp(store, "lane", feats)
     for layer in range(cfg.l_graph):
         x = gated_lane_graph_conv(x, graph, store, f"lane.gc{layer}")
     return x
@@ -176,12 +182,7 @@ def encode_lane_nodes(graph, store, cfg):
 
 
 def init_boundary_encoder(store, cfg, rng):
-    d = cfg.d
-    n_in = 4 + len(MARKINGS)
-    init_linear(store, "bound.in1", n_in, d, rng)
-    init_layer_norm(store, "bound.ln1", d)
-    init_linear(store, "bound.in2", d, d, rng)
-    init_layer_norm(store, "bound.ln2", d)
+    _init_input_mlp(store, "bound", 4 + len(MARKINGS), cfg.d, rng)
 
 
 def boundary_nodes(boundaries):
@@ -190,21 +191,15 @@ def boundary_nodes(boundaries):
     Returns (centers [B,2], directions [B,2], marking one-hot [B,4],
     matched lane-node index [B], -1 where unmatched).
     """
-    centers, directions = [np.zeros((0, 2))], [np.zeros((0, 2))]
-    marks, matched = [np.zeros((0, len(MARKINGS)))], [np.zeros(0, dtype=np.int64)]
-    for b in boundaries:
-        m = b.node_centers.shape[0]
-        centers.append(b.node_centers)
-        directions.append(b.node_directions)
-        one_hot = np.zeros((m, len(MARKINGS)))
-        one_hot[:, MARKINGS.index(b.marking)] = 1.0
-        marks.append(one_hot)
-        if len(b.matched_lane_nodes) == m:
-            matched.append(np.asarray(b.matched_lane_nodes, dtype=np.int64))
-        else:
-            matched.append(np.full(m, -1, dtype=np.int64))
-    return (np.concatenate(centers), np.concatenate(directions),
-            np.concatenate(marks), np.concatenate(matched))
+    sizes = [b.node_centers.shape[0] for b in boundaries]
+    centers = np.concatenate([np.zeros((0, 2))] + [b.node_centers for b in boundaries])
+    directions = np.concatenate([np.zeros((0, 2))] + [b.node_directions for b in boundaries])
+    kinds = np.repeat([MARKINGS.index(b.marking) for b in boundaries], sizes).astype(np.int64)
+    full = [len(b.matched_lane_nodes) == m for b, m in zip(boundaries, sizes)]
+    matched = np.full(len(centers), -1, dtype=np.int64)
+    matched[np.repeat(full, sizes).astype(bool)] = [
+        j for b, f in zip(boundaries, full) if f for j in b.matched_lane_nodes]
+    return centers, directions, np.eye(len(MARKINGS))[kinds], matched
 
 
 def encode_boundaries(boundaries, store, cfg):
@@ -215,9 +210,7 @@ def encode_boundaries(boundaries, store, cfg):
     """
     centers, directions, marks, matched = boundary_nodes(boundaries)
     feats = np.concatenate([centers * cfg.input_scale, directions, marks], axis=1)
-    x = dc.relu(layer_norm(store, "bound.ln1", linear(store, "bound.in1", const(store, feats))))
-    x = dc.relu(layer_norm(store, "bound.ln2", linear(store, "bound.in2", x)))
-    return x, centers, matched
+    return _input_mlp(store, "bound", feats), centers, matched
 
 
 def init_encoders(store, cfg, rng):

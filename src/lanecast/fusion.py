@@ -51,18 +51,13 @@ def fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     if matched.shape != (boundary_f.shape[0],):
         raise ShapeError(f"matched shape {matched.shape} != boundary nodes "
                          f"({boundary_f.shape[0]},)")
-    # lane-major pairs, boundary nodes in index order within each lane
+    # each lane sums its boundary nodes in index order; a lane without any sums to 0
     kept = np.flatnonzero((matched >= 0) & (matched < n))
-    pairs_bnd = kept[np.argsort(matched[kept], kind="stable")]
-    pairs_lane = matched[pairs_bnd]
+    sums = dc.scatter_add(dc.gather(boundary_f, kept, axis=0), matched[kept], n)
+    counts = np.bincount(matched[kept], minlength=n).astype(np.float64)
+    ctx = dc.mul(sums, const(store, 1.0 / np.maximum(counts, 1.0)[:, None]))
 
-    sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n)
-    counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
-    inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
-    ctx = dc.mul(sums, const(store, inv[:, None]))
-
-    h = dc.concat([lane_f, ctx], axis=1)
-    h = dc.relu(linear(store, "fuse.b2l.mlp1", h))
+    h = dc.relu(linear(store, "fuse.b2l.mlp1", dc.concat([lane_f, ctx], axis=1)))
     h = linear(store, "fuse.b2l.mlp2", h)
     return layer_norm(store, "fuse.b2l.ln", dc.add(lane_f, h))
 

@@ -17,7 +17,6 @@ and the ground-truth confidence and the KL run batched over [n, K, T, 2].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +172,7 @@ def total_loss(targets, traj, logits, gt_futures, last_observed):
 
     conf_val = float(conf_term.data)
     target_val = float(target_term.data)
-    bd = LossBreakdown(
+    return total, LossBreakdown(
         conf=conf_val, target=target_val, traj=traj_val,
         total=conf_val + target_val + traj_val,
         n_conf_kept=int(kept.size), n_target=n_target, stage=S1 if t == 1 else S2)
-    if not math.isfinite(bd.total):
-        raise ContractError("non-finite loss")
-    return total, bd

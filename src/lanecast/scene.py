@@ -127,7 +127,6 @@ class Scene:
     # x_world = world_rot @ x_frame + world_trans
     world_rot: np.ndarray = field(default_factory=lambda: np.eye(2))
     world_trans: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    n_skipped_lanes: int = 0
     scene_id: str = "scene"
 
     def actor(self, actor_id):
@@ -325,7 +324,7 @@ def _match_boundaries(boundaries, graph, segment_len):
 
 
 def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3.5,
-               frame=WORLD_FRAME, scene_id="scene"):
+               scene_id="scene"):
     """Assemble a Scene: build the lane graph, match boundaries, validate."""
     h, t = horizon
     if not any(a.focal for a in actors):
@@ -337,10 +336,10 @@ def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3
             raise ContractError(f"actor {a.id}: future length != T={t}")
         if not a.observed.any():
             raise ContractError(f"actor {a.id}: no observed steps")
-    graph, skipped = build_lane_nodes(lanes, segment_len, lane_width)
+    graph, _ = build_lane_nodes(lanes, segment_len, lane_width)
     _match_boundaries(boundaries, graph, segment_len)
     return Scene(horizon=(h, t), actors=actors, lanes=lanes, boundaries=boundaries,
-                 lane_graph=graph, frame=frame, n_skipped_lanes=skipped, scene_id=scene_id)
+                 lane_graph=graph, scene_id=scene_id)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +488,7 @@ def normalize(scene: Scene, actor_id: str) -> Scene:
     return Scene(horizon=scene.horizon, actors=actors, lanes=lanes,
                  boundaries=boundaries, lane_graph=graph,
                  frame=f"agent:{actor_id}", world_rot=world_rot,
-                 world_trans=world_trans, n_skipped_lanes=scene.n_skipped_lanes,
-                 scene_id=scene.scene_id)
+                 world_trans=world_trans, scene_id=scene.scene_id)
 
 
 def to_world(scene: Scene, points):
@@ -539,10 +537,12 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
     raw_actors = _require(obj, "actors", "")
     if not isinstance(raw_actors, list) or not raw_actors:
         raise ParseError("actors", "actors must be a nonempty list")
-    actors = []
+    actors, actor_ids = [], set()
     for i, ra in enumerate(raw_actors):
         p = f"actors[{i}]."
-        aid = _require(ra, "id", p)
+        aid = str(_require(ra, "id", p))
+        if aid in actor_ids:
+            raise ParseError(p + "id", f"{p}id {aid!r} repeats an earlier actor's id")
         kind = _require(ra, "kind", p)
         if kind not in ACTOR_KINDS:
             raise ParseError(p + "kind", f"unknown actor kind {kind!r}")
@@ -560,9 +560,10 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
         if not isinstance(focal, bool):
             raise ParseError(p + "focal")
         actors.append(ActorTrack(
-            id=str(aid), kind=kind, positions=hist[:, 0:2].copy(),
+            id=aid, kind=kind, positions=hist[:, 0:2].copy(),
             headings=wrap_angles(hist[:, 2]), velocities=hist[:, 3:5].copy(),
             observed=obs, future=future, focal=focal))
+        actor_ids.add(aid)
 
     raw_lanes = _require(obj, "lanes", "")
     if not isinstance(raw_lanes, list):

@@ -49,6 +49,15 @@ def _jitter_biases(store, seed):
             t.data = t.data + rng.normal(0.0, 0.1, t.shape)
 
 
+def _store(seed, *inits):
+    """One float64 store: each `init(store, cfg, rng)` on one seeded rng, then jittered."""
+    store, rng = dc.ParamStore(np.float64), np.random.default_rng(seed)
+    for init in inits:
+        init(store, _tiny_cfg(), rng)
+    _jitter_biases(store, seed)
+    return store
+
+
 def _reduce(t):
     flat = dc.reshape(t, (t.size,)) if t.ndim != 1 else t
     # mix components so no gradient path cancels by symmetry
@@ -59,9 +68,7 @@ def _reduce(t):
 def check_actor_encoder(seed=0, n_samples=3):
     scene = _tiny_scene()
     cfg = _tiny_cfg()
-    store = dc.ParamStore(np.float64)
-    init_actor_encoder(store, cfg, np.random.default_rng(seed))
-    _jitter_biases(store, seed)
+    store = _store(seed, init_actor_encoder)
 
     def fn(s):
         feats, _ = encode_actors(scene, s, cfg)
@@ -73,9 +80,7 @@ def check_actor_encoder(seed=0, n_samples=3):
 def check_lane_encoder(seed=0, n_samples=3):
     scene = _tiny_scene()
     cfg = _tiny_cfg()
-    store = dc.ParamStore(np.float64)
-    init_lane_encoder(store, cfg, np.random.default_rng(seed))
-    _jitter_biases(store, seed)
+    store = _store(seed, init_lane_encoder)
 
     def fn(s):
         return _reduce(encode_lane_nodes(scene.lane_graph, s, cfg))
@@ -106,11 +111,7 @@ def check_gated_conv(seed=0, n_samples=4):
 def check_boundary_lane_fusion(seed=0, n_samples=4):
     scene = _tiny_scene()
     cfg = _tiny_cfg()
-    store = dc.ParamStore(np.float64)
-    rng = np.random.default_rng(seed)
-    init_boundary_encoder(store, cfg, rng)
-    init_boundary_lane_fusion(store, cfg, rng)
-    _jitter_biases(store, seed)
+    store = _store(seed, init_boundary_encoder, init_boundary_lane_fusion)
     n = scene.lane_graph.n_nodes
     lane_f = np.random.default_rng(seed + 1).normal(size=(n, cfg.d))
 
@@ -123,10 +124,7 @@ def check_boundary_lane_fusion(seed=0, n_samples=4):
 
 def check_distance_attention(seed=0, n_samples=4):
     cfg = _tiny_cfg()
-    store = dc.ParamStore(np.float64)
-    rng = np.random.default_rng(seed)
-    init_distance_attention(store, "att", cfg, rng)
-    _jitter_biases(store, seed)
+    store = _store(seed, lambda s, c, rng: init_distance_attention(s, "att", c, rng))
     gen = np.random.default_rng(seed + 1)
     q_pos = gen.uniform(-5, 5, (4, 2))
     c_pos = gen.uniform(-5, 5, (7, 2))
@@ -145,9 +143,7 @@ def check_distance_attention(seed=0, n_samples=4):
 # compare as many coordinates as 3 per parameter did over K separate heads.
 def check_decoder_stage1(seed=0, n_samples=8):
     cfg = _tiny_cfg()
-    store = dc.ParamStore(np.float64)
-    init_decoder(store, cfg, np.random.default_rng(seed))
-    _jitter_biases(store, seed)
+    store = _store(seed, init_decoder)
     af = np.random.default_rng(seed + 1).normal(size=(2, cfg.d))
 
     def fn(s):
@@ -159,11 +155,7 @@ def check_decoder_stage1(seed=0, n_samples=8):
 
 def check_decoder_stage2(seed=0, n_samples=8):
     cfg = _tiny_cfg()
-    store = dc.ParamStore(np.float64)
-    rng = np.random.default_rng(seed)
-    init_decoder(store, cfg, rng)
-    init_completion(store, cfg, rng, t=4)
-    _jitter_biases(store, seed)
+    store = _store(seed, init_decoder, lambda s, c, rng: init_completion(s, c, rng, t=4))
     af = np.random.default_rng(seed + 1).normal(size=(2, cfg.d))
 
     def fn(s):
@@ -177,9 +169,7 @@ def check_decoder_stage2(seed=0, n_samples=8):
 def check_full_pipeline(seed=0, n_samples=2):
     scene = _tiny_scene(n_actors=3)
     cfg = _tiny_cfg()
-    store = dc.ParamStore(np.float64)
-    init_model(store, cfg, scene.horizon[1], np.random.default_rng(seed))
-    _jitter_biases(store, seed)
+    store = _store(seed, lambda s, c, rng: init_model(s, c, scene.horizon[1], rng))
 
     def fn(s):
         targets, traj, logits = run_pipeline(scene, s, cfg, S2)

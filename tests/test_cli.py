@@ -233,6 +233,16 @@ class TestMalformedInputs:
                    "--out", str(tmp_path / "run")) == 1
         assert "lanes[0].centerline" in capsys.readouterr().err
 
+    def test_repeated_actor_id_is_user_error(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        scene = json.loads((data_dir / "data" / "scene000.json").read_text())
+        scene["actors"][1]["id"] = scene["actors"][0]["id"]
+        (data / "scene000.json").write_text(json.dumps(scene))
+        assert run("train", "--config", str(data_dir / "run.json"), "--data", str(data),
+                   "--out", str(tmp_path / "run")) == 1
+        assert "actors[1].id" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, field", [
         ({"model": {"d": "x"}}, "model.d"),
         ({"data": {"gen": {"n_lanes": 1e9}}}, "data.gen.n_lanes"),
@@ -316,6 +326,21 @@ class TestCheckpointMismatch:
         assert run("predict", "--config", cfg_path, "--checkpoint", str(ckpt),
                    "--data", str(data), "--out", str(tmp_path / "p.json")) == 1
         assert "dtype" in capsys.readouterr().err
+
+
+class TestTrainingAborted:
+    def test_non_finite_loss_exits_3_naming_epoch_and_view(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"], "lr_max": 1e30}}))
+        data = tmp_path / "data"
+        assert run("gen-data", "--config", str(cfg), "--out", str(data)) == 0
+        with np.errstate(all="ignore"):
+            code = run("train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(tmp_path / "run"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("training aborted: non-finite loss at epoch ")
+        assert ", view (" in err
 
 
 class TestDiagnostics:

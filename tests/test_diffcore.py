@@ -484,6 +484,30 @@ class TestGradCheckHarness:
         assert worst < 1e-7
         assert set(report) == {"w1", "b1", "w2"}
 
+    def test_nan_loss_fails(self):
+        store = dc.ParamStore(np.float64)
+        store.add("w", np.array([1.0, 2.0]))
+
+        def fn(s):
+            return dc.sum(dc.mul(s["w"], dc.Tensor(np.full(2, np.nan))))
+
+        worst, report = dc.grad_check(fn, store, seed=0)
+        assert worst == np.inf
+        assert report["w"][3] == np.inf
+
+    def test_nan_gradient_of_a_finite_loss_fails(self):
+        store = dc.ParamStore(np.float64)
+        store.add("w", np.array([1.0, 2.0]))
+
+        def fn(s):  # sigmoid(inf) = 1 forward; backward is 0 * inf = NaN
+            return dc.sum(dc.sigmoid(dc.mul(s["w"], dc.Tensor(np.full(2, np.inf)))))
+
+        with np.errstate(invalid="ignore"):
+            assert float(fn(store).data) == 2.0
+            worst, report = dc.grad_check(fn, store, seed=0)
+        assert np.isnan(report["w"][1]) and report["w"][2] == 0.0
+        assert worst == np.inf
+
     def test_float32_store_rejected(self):
         store = dc.ParamStore(np.float32)
         store.add("w", np.ones(2))

@@ -96,6 +96,16 @@ class TestActorEncoder:
             encoder.encode_actors(
                 straight_scene([make_actor("a0", pos)], 3), store, cfg)
 
+    def test_actor_without_observed_step_rejected(self):
+        cfg = tiny_cfg()
+        store = dc.ParamStore(np.float64)
+        encoder.init_actor_encoder(store, cfg, np.random.default_rng(0))
+        pos = np.stack([np.arange(6.0), np.zeros(6)], axis=1)
+        scene = straight_scene([make_actor("a0", pos), make_actor("a1", pos + 1.0)])
+        scene.actors[1].observed[:] = False
+        with pytest.raises(ContractError, match="actor a1 has no observed steps"):
+            encoder.encode_actors(scene, store, cfg)
+
     def test_position_is_last_observed_not_last_row(self):
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
@@ -178,6 +188,34 @@ class TestBoundaryEncoder:
         np.testing.assert_array_equal(marks.sum(axis=1), np.ones(b))
         assert matched.shape == (b,)
         assert matched.min() >= 0
+
+    def test_arrays_equal_the_per_polyline_loop(self):
+        """Against the per-polyline loop it replaced, with one polyline that
+        has no matches and one whose match list is short."""
+        def per_polyline(boundaries):
+            centers, directions = [np.zeros((0, 2))], [np.zeros((0, 2))]
+            marks, matched = [np.zeros((0, len(sc.MARKINGS)))], [np.zeros(0, dtype=np.int64)]
+            for b in boundaries:
+                m = b.node_centers.shape[0]
+                centers.append(b.node_centers)
+                directions.append(b.node_directions)
+                one_hot = np.zeros((m, len(sc.MARKINGS)))
+                one_hot[:, sc.MARKINGS.index(b.marking)] = 1.0
+                marks.append(one_hot)
+                if len(b.matched_lane_nodes) == m:
+                    matched.append(np.asarray(b.matched_lane_nodes, dtype=np.int64))
+                else:
+                    matched.append(np.full(m, -1, dtype=np.int64))
+            return tuple(map(np.concatenate, (centers, directions, marks, matched)))
+
+        boundaries = sc.generate_synthetic(sc.SceneGenConfig(n_lanes=3), 2).boundaries
+        boundaries[1].matched_lane_nodes = []
+        boundaries[4].matched_lane_nodes = boundaries[4].matched_lane_nodes[:-1]
+        for subset in (boundaries, boundaries[1:2], []):
+            got, want = encoder.boundary_nodes(subset), per_polyline(subset)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                np.testing.assert_array_equal(g, w)
 
     def test_encode_shapes(self):
         cfg = tiny_cfg()

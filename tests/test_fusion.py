@@ -8,7 +8,7 @@ from lanecast import decoder, fusion
 from lanecast import diffcore as dc
 from lanecast import scene as sc
 from lanecast.diffcore import tensor
-from lanecast._layers import layer_norm
+from lanecast._layers import layer_norm, linear
 from lanecast.config import ModelConfig
 from lanecast.errors import ContractError, ShapeError
 
@@ -175,6 +175,44 @@ class TestBoundaryToLane:
         one = fusion.fuse_boundary_to_lane(
             dc.Tensor(lane_f), dc.Tensor(bound_f[:1]), np.array([1]), store).data
         np.testing.assert_array_equal(both, one)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_index_order_pairs_equal_lane_major_pairs_bit_for_bit(self, dtype):
+        """The gathered pairs in boundary index order against the lane-major
+        (stable argsort) order they replaced: output and every gradient."""
+        def lane_major(lane_f, boundary_f, matched, store):
+            n = lane_f.shape[0]
+            kept = np.flatnonzero((matched >= 0) & (matched < n))
+            pairs_bnd = kept[np.argsort(matched[kept], kind="stable")]
+            pairs_lane = matched[pairs_bnd]
+            sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n)
+            counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
+            inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
+            ctx = dc.mul(sums, dc.Tensor(inv[:, None].astype(dtype)))
+            h = dc.concat([lane_f, ctx], axis=1)
+            h = dc.relu(linear(store, "fuse.b2l.mlp1", h))
+            h = linear(store, "fuse.b2l.mlp2", h)
+            return layer_norm(store, "fuse.b2l.ln", dc.add(lane_f, h))
+
+        rng = np.random.default_rng(9)
+        store = dc.ParamStore(dtype)
+        fusion.init_boundary_lane_fusion(store, tiny_cfg(), rng)
+        matched = np.array([3, 0, -1, 1, 0, 3, 7, 3, 1, 0])
+        lane = rng.normal(size=(5, 8)).astype(dtype)
+        bound = rng.normal(size=(len(matched), 8)).astype(dtype)
+        mix = dc.Tensor(rng.normal(size=(5, 8)).astype(dtype))
+        results = []
+        for block in (fusion.fuse_boundary_to_lane, lane_major):
+            lane_f = dc.Tensor(lane, requires_grad=True)
+            bound_f = dc.Tensor(bound, requires_grad=True)
+            out = block(lane_f, bound_f, matched, store)
+            params = {"lane": lane_f, "bound": bound_f, **dict(store.items())}
+            results.append((out.data, dc.backward(dc.sum(dc.mul(out, mix)), params)))
+        (got, got_g), (want, want_g) = results
+        np.testing.assert_array_equal(got, want)
+        assert got_g.keys() == want_g.keys()
+        for name in want_g:
+            np.testing.assert_array_equal(got_g[name], want_g[name], err_msg=name)
 
     def test_matched_length_must_equal_boundary_nodes(self):
         store = self._store()

@@ -11,7 +11,7 @@ import pytest
 from lanecast import diffcore as dc
 from lanecast import optim
 from lanecast.config import DataConfig, ModelConfig, RunConfig, TrainConfig
-from lanecast.errors import ContractError
+from lanecast.errors import ContractError, TrainingError
 from lanecast.scene import SceneGenConfig, generate_synthetic
 
 
@@ -239,6 +239,13 @@ class TestTrainLoop:
         cfg = tiny_run_cfg(epochs=6)
         _, records, _, _ = optim.train(scenes_for(cfg), cfg)
         assert records[-1]["total"] < records[0]["total"]
+
+    def test_non_finite_loss_names_epoch_and_view(self):
+        cfg = tiny_run_cfg(epochs=4)
+        cfg.train.lr_max = 1e30
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match=r"non-finite loss at epoch \d+, view \(\d+, 'a\d+'\)"):
+            optim.train(scenes_for(cfg), cfg)
 
     def test_log_file_is_jsonl(self, tmp_path):
         import json

@@ -234,6 +234,15 @@ class TestSceneIO:
             sc.load_scene(json.dumps(obj))
         assert e.value.field == "lanes[1].id"
 
+    @pytest.mark.parametrize("first, second", [("a0", "a0"), ("7", 7)], ids=["same", "after-str"])
+    def test_repeated_actor_id_rejected(self, first, second):
+        scene = sc.generate_synthetic(sc.SceneGenConfig(n_actors=3), 0)
+        obj = json.loads(sc.save_scene(scene))
+        obj["actors"][0]["id"], obj["actors"][2]["id"] = first, second
+        with pytest.raises(ParseError) as e:
+            sc.load_scene(json.dumps(obj))
+        assert e.value.field == "actors[2].id"
+
     def test_boundary_with_unknown_lane_rejected(self):
         scene = sc.generate_synthetic(sc.SceneGenConfig(), 0)
         obj = json.loads(sc.save_scene(scene))

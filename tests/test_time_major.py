@@ -212,6 +212,11 @@ def ref_fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     return layer_norm(store, "fuse.b2l.ln", ref_add(lane_f, h))
 
 
+def ref_encode_target(store, g, input_scale):
+    h = dc.relu(linear(store, "dec.tenc.l1", dc.scale(g, input_scale)))
+    return linear(store, "dec.tenc.l2", h)
+
+
 def ref_predict_targets(actor_f, store, cfg):
     a, k, d = actor_f.shape[0], cfg.k_modes, cfg.d
     h = dc.reshape(dc.relu(linear(store, "dec.head.l1", actor_f)), (a * k, 1, d))
@@ -220,7 +225,7 @@ def ref_predict_targets(actor_f, store, cfg):
                 dc.reshape(store["dec.head.l2.b"], (k * 2,)))
     g = dc.reshape(dc.scale(g, cfg.output_scale), (a * k, 2))
     per_mode = dc.gather(actor_f, np.repeat(np.arange(a), k), axis=0)
-    pairs = dc.concat([per_mode, decoder._encode_target(store, g, cfg.input_scale)], axis=1)
+    pairs = dc.concat([per_mode, ref_encode_target(store, g, cfg.input_scale)], axis=1)
     ch = dc.relu(linear(store, "dec.conf.l1", pairs))
     logits = dc.reshape(linear(store, "dec.conf.l2", ch), (a, k))
     return dc.reshape(g, (a, k, 2)), logits, pairs
