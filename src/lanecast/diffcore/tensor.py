@@ -6,7 +6,7 @@ gradient checking. Each op computes its forward result with numpy and hands
 which maps the output gradient to that input's gradient. Edges into inputs
 that carry no gradient (constants, an absent optional bias) are dropped there,
 so their vjps never run. `backward` replays the edges in reverse topological
-order.
+order and frees the graph as it goes, so it walks a graph once.
 
 Features sit on the last axis ([N, D] rows, [A, H, D] sequences). `add`,
 `sub` and `mul` broadcast one way: the second operand broadcasts to the
@@ -385,7 +385,10 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     if kernel > length + 2 * padding:
         raise ShapeError(f"conv1d: kernel {kernel} exceeds padded length {length + 2 * padding}")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    xp = x.data
+    if padding:
+        xp = np.zeros((batch, length + 2 * padding, c_in), dtype=x.dtype)
+        xp[:, padding:padding + length] = x.data
     n_out = (length + 2 * padding - kernel) // stride + 1
     taps = [slice(k, k + stride * (n_out - 1) + 1, stride) for k in range(kernel)]
     # cols [B, Lout, Cin*K], column c*K + k, matching w's flat layout
@@ -425,6 +428,8 @@ def _topological_order(root):
             continue
         if id(node) in seen:
             continue
+        if node.op is not None and not node._edges:
+            raise ContractError(f"backward: the graph through {node.op!r} was already walked")
         seen.add(id(node))
         stack.append((node, True))
         for p, _ in node._edges:
@@ -437,22 +442,28 @@ def backward(loss, params):
     """Gradients of a scalar loss for every tensor in `params`.
 
     `params` maps name -> Tensor. Parameters disconnected from the loss get
-    zero gradients.
+    zero gradients. Once a node's vjps have run, the node drops its edges (the
+    vjps and the arrays they hold) and, unless it is in `params`, its gradient.
+    It keeps its op, and a second walk through it raises ContractError.
     """
     loss = _as_tensor(loss)
     if loss.shape != ():
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     items = params.items() if hasattr(params, "items") else list(params)
+    keep = {id(t) for _, t in items}
 
+    order = _topological_order(loss)
     grads = {id(loss): np.ones((), dtype=loss.dtype)}
     # every node in the order is reached from the loss, so its gradient is
     # complete before the walk gets to it
-    for node in reversed(_topological_order(loss)):
-        g = grads[id(node)]
+    while order:
+        node = order.pop()
+        g = grads[id(node)] if id(node) in keep else grads.pop(id(node))
         for inp, vjp in node._edges:
             gi = vjp(g)
             acc = grads.get(id(inp))
             grads[id(inp)] = gi if acc is None else acc + gi
+        node._edges = ()
 
     out = {}
     for name, t in items:

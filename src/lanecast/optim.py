@@ -157,12 +157,14 @@ def _view_loss(scene, actor_id, store, cfg, stage):
     return loss, bd, fde
 
 
+@np.errstate(all="ignore")
 def train(scenes, run_cfg, log_path=None):
     """Two-stage training over synthetic scenes.
 
     Deterministic for a fixed (scenes, config): parameter init, batch order
     and every reduction order are seeded or fixed. Returns (store, log
-    records, optimizer). Non-finite losses abort with context.
+    records, optimizer). A non-finite loss raises TrainingError naming the
+    epoch, scene id and actor id; numpy's warnings are off while training.
     """
     if not scenes:
         raise TrainingError("empty dataset")
@@ -198,8 +200,8 @@ def train(scenes, run_cfg, log_path=None):
                                                run_cfg, stage)
                     if not math.isfinite(bd.total):
                         raise TrainingError(
-                            f"non-finite loss at epoch {epoch}, view "
-                            f"{views[vi]}, components {bd}")
+                            f"non-finite loss at epoch {epoch}, view (scene "
+                            f"{scenes[si].scene_id!r}, actor {aid!r}), components {bd}")
                     batch_terms.append(loss)
                     for key, val in (("conf", bd.conf), ("target", bd.target),
                                      ("traj", bd.traj), ("total", bd.total)):

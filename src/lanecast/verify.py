@@ -16,6 +16,7 @@ from . import diffcore as dc
 from .config import ModelConfig
 from .decoder import (S2, complete_trajectories, init_completion, init_decoder,
                       init_model, predict_targets, run_pipeline)
+from .diffcore.gradcheck import TOLERANCE  # noqa: F401 - the pass bound of every check
 from .encoder import (encode_actors, encode_boundaries, encode_lane_nodes,
                       gated_lane_graph_conv, init_actor_encoder,
                       init_boundary_encoder, init_lane_encoder)
@@ -23,8 +24,6 @@ from .fusion import (distance_attention, fuse_boundary_to_lane,
                      init_boundary_lane_fusion, init_distance_attention)
 from .losses import total_loss
 from .scene import SceneGenConfig, generate_synthetic, normalize
-
-TOLERANCE = 1e-4
 
 
 def _tiny_cfg():

@@ -1,6 +1,8 @@
 """End-to-end command-line flows on tiny configurations."""
 
 import json
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +343,21 @@ class TestTrainingAborted:
         err = capsys.readouterr().err
         assert err.startswith("training aborted: non-finite loss at epoch ")
         assert ", view (" in err
+
+    def test_divergence_prints_one_line_naming_the_scene_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"], "lr_max": 1e30}}))
+        data = tmp_path / "data"
+        assert run("gen-data", "--config", str(cfg), "--out", str(data)) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(tmp_path / "run"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.search(r", view \(scene 'scene00\d', actor 'a\d+'\), ", lines[0])
 
 
 class TestDiagnostics:

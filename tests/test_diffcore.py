@@ -318,6 +318,30 @@ class TestConvAndPool:
             nw = numeric_grad(lambda v: float(sq(xt, wt=dc.Tensor(v)).data), w.data)
             np.testing.assert_allclose(dc.backward(sq(xt), [("w", w)])["w"], nw, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_conv1d_padding_equals_np_pad_bit_for_bit(self, pad, stride, dtype):
+        """The reference pads with np.pad and convolves with padding 0; its
+        input gradient is the padded input's, sliced back to the input."""
+        rng = np.random.default_rng([15, pad, stride])
+        x, w, b = (dc.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                   for s in ((3, 8, 5), (4, 5, 3), (4,)))
+        xp = dc.Tensor(np.pad(x.data, ((0, 0), (pad, pad), (0, 0))), requires_grad=True)
+
+        def run(inp, padding):
+            y = dc.conv1d(inp, w, b, stride=stride, padding=padding)
+            up = dc.Tensor(np.random.default_rng(16).normal(size=y.shape).astype(dtype))
+            return y.data, dc.backward(dc.sum(dc.mul(y, up)), {"x": inp, "w": w, "b": b})
+
+        y, got = run(x, pad)
+        y_ref, want = run(xp, 0)
+        assert y.dtype == dtype
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(got["x"], want["x"][:, pad:pad + 8])
+        np.testing.assert_array_equal(got["w"], want["w"])
+        np.testing.assert_array_equal(got["b"], want["b"])
+
     def test_conv1d_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             dc.conv1d(dc.Tensor(np.zeros((1, 6, 3))), dc.Tensor(np.zeros((4, 2, 3))))

@@ -4,6 +4,7 @@ update it replaced, restart schedule values, and the two-stage training
 loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,7 +245,16 @@ class TestTrainLoop:
         cfg = tiny_run_cfg(epochs=4)
         cfg.train.lr_max = 1e30
         with np.errstate(all="ignore"), pytest.raises(
-                TrainingError, match=r"non-finite loss at epoch \d+, view \(\d+, 'a\d+'\)"):
+                TrainingError,
+                match=r"non-finite loss at epoch \d+, view \(scene 's\d+', actor 'a\d+'\)"):
+            optim.train(scenes_for(cfg), cfg)
+
+    def test_divergence_warns_nothing_and_names_the_scene_id(self):
+        cfg = tiny_run_cfg(epochs=4)
+        cfg.train.lr_max = 1e30
+        with warnings.catch_warnings(), pytest.raises(
+                TrainingError, match=r"view \(scene 's00\d', actor 'a\d+'\)"):
+            warnings.simplefilter("error")
             optim.train(scenes_for(cfg), cfg)
 
     def test_log_file_is_jsonl(self, tmp_path):
