@@ -101,9 +101,7 @@ def cmd_predict(args):
     stage = store.meta.get("stage", S2)
     if stage not in (S1, S2):
         raise ParseError("stage", f"checkpoint has invalid stage {stage!r}")
-    forecasts = []
-    for scene in scenes:
-        forecasts.extend(forecast(scene, store, cfg.model, stage))
+    forecasts = [f for scene in scenes for f in forecast(scene, store, cfg.model, stage)]
     Path(args.out).write_bytes(save_predictions(forecasts))
     print(f"wrote {len(forecasts)} forecasts to {args.out}")
     return 0

@@ -156,6 +156,7 @@ def forecast(scene, store, cfg, stage=S2):
             trajectories=to_world(ns, traj.data[idx].astype(np.float64)),
             confidences=conf.astype(np.float64),
         ))
+        del targets, traj, logits  # this actor's tape goes before the next one's forward
     return out
 
 

@@ -438,13 +438,17 @@ def _topological_order(root):
     return order
 
 
-def backward(loss, params):
+def backward(loss, params, into=None):
     """Gradients of a scalar loss for every tensor in `params`.
 
     `params` maps name -> Tensor. Parameters disconnected from the loss get
     zero gradients. Once a node's vjps have run, the node drops its edges (the
     vjps and the arrays they hold) and, unless it is in `params`, its gradient.
     It keeps its op, and a second walk through it raises ContractError.
+
+    `into`, a dict of per-parameter sums, carries gradients across walks:
+    walking l0, l1, ... in turn adds onto the sums the walks before left, in
+    the order one walk over `add(add(l0, l1), ...)` would, bit for bit.
     """
     loss = _as_tensor(loss)
     if loss.shape != ():
@@ -454,6 +458,8 @@ def backward(loss, params):
 
     order = _topological_order(loss)
     grads = {id(loss): np.ones((), dtype=loss.dtype)}
+    if into:
+        grads.update((id(t), into[name]) for name, t in items if name in into)
     # every node in the order is reached from the loss, so its gradient is
     # complete before the walk gets to it
     while order:
@@ -468,5 +474,7 @@ def backward(loss, params):
     out = {}
     for name, t in items:
         g = grads.get(id(t))
+        if into is not None and g is not None:
+            into[name] = g
         out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=t.dtype)
     return out

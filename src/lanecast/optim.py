@@ -165,6 +165,10 @@ def train(scenes, run_cfg, log_path=None):
     and every reduction order are seeded or fixed. Returns (store, log
     records, optimizer). A non-finite loss raises TrainingError naming the
     epoch, scene id and actor id; numpy's warnings are off while training.
+
+    Each view's tape is walked as soon as its loss is known, adding onto the
+    batch's gradient sums, so a step's peak is one view's tape, not the
+    batch's; the bits equal one walk over the mean of the batch's losses.
     """
     if not scenes:
         raise TrainingError("empty dataset")
@@ -193,35 +197,25 @@ def train(scenes, run_cfg, log_path=None):
             fde_sum, fde_n = 0.0, 0
             for b0 in range(0, len(perm), tc.batch_size):
                 batch = perm[b0:b0 + tc.batch_size]
-                batch_terms = []
+                grad_sums = {}
                 for vi in batch:
                     si, aid = views[vi]
-                    loss, bd, fde = _view_loss(scenes[si], aid, store,
-                                               run_cfg, stage)
+                    loss, bd, fde = _view_loss(scenes[si], aid, store, run_cfg, stage)
                     if not math.isfinite(bd.total):
                         raise TrainingError(
                             f"non-finite loss at epoch {epoch}, view (scene "
                             f"{scenes[si].scene_id!r}, actor {aid!r}), components {bd}")
-                    batch_terms.append(loss)
-                    for key, val in (("conf", bd.conf), ("target", bd.target),
-                                     ("traj", bd.traj), ("total", bd.total)):
-                        sums[key] += val
+                    # walk this view's tape before the next view's forward
+                    grads = dc.backward(dc.scale(loss, 1.0 / len(batch)),
+                                        dict(store.items()), into=grad_sums)
+                    for key in sums:
+                        sums[key] += getattr(bd, key)
                     if fde is not None:
-                        fde_sum += fde
-                        fde_n += 1
-                acc = batch_terms[0]
-                for term in batch_terms[1:]:
-                    acc = dc.add(acc, term)
-                batch_loss = dc.scale(acc, 1.0 / len(batch_terms))
-                grads = dc.backward(batch_loss, dict(store.items()))
+                        fde_sum, fde_n = fde_sum + fde, fde_n + 1
                 opt.step(grads, lr)
 
-            n = len(views)
-            rec = {"epoch": epoch, "lr": lr, "stage": stage,
-                   "conf": sums["conf"] / n, "target": sums["target"] / n}
-            if stage == S2:
-                rec["traj"] = sums["traj"] / n
-            rec["total"] = sums["total"] / n
+            rec = {"epoch": epoch, "lr": lr, "stage": stage}
+            rec.update((k, v / len(views)) for k, v in sums.items() if k != "traj" or stage == S2)
             rec["minFDE6"] = (fde_sum / fde_n) if fde_n else None
             records.append(rec)
             if log_file:

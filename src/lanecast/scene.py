@@ -207,9 +207,10 @@ def resample_polyline(points, segment_len, budget=MAX_SCENE_NODES, path="points"
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
         return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
-    deltas = np.diff(pts, axis=0)
-    seg = np.hypot(deltas[:, 0], deltas[:, 1])
-    total = float(seg.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN count as over budget
+        deltas = np.diff(pts, axis=0)
+        seg = np.hypot(deltas[:, 0], deltas[:, 1])
+        total = float(seg.sum())
     if total <= 1e-9:
         return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
     if not total / segment_len <= budget:

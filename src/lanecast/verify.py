@@ -194,8 +194,4 @@ ALL_CHECKS = (
 
 def run_all(seed=0):
     """Run every block check; returns list of (name, worst relative error)."""
-    results = []
-    for name, fn in ALL_CHECKS:
-        err, _ = fn(seed=seed)
-        results.append((name, err))
-    return results
+    return [(name, fn(seed=seed)[0]) for name, fn in ALL_CHECKS]

@@ -3,6 +3,7 @@ generation, JSON round trips, and agent-centric normalization."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,16 @@ class TestSceneIO:
         obj["lanes"][0]["centerline"][1][0] = 10**400
         with pytest.raises(ParseError) as e:
             sc.load_scene(json.dumps(obj))
+        assert e.value.field == "lanes[0].centerline"
+
+    def test_far_endpoints_raise_parse_error_without_a_numpy_warning(self):
+        scene = sc.generate_synthetic(sc.SceneGenConfig(), 0)
+        obj = json.loads(sc.save_scene(scene))
+        obj["lanes"][0]["centerline"] = [[-1e308, 0.0], [1e308, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as e:
+                sc.load_scene(json.dumps(obj))
         assert e.value.field == "lanes[0].centerline"
 
     def test_repeated_lane_id_rejected(self):
