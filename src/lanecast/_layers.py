@@ -40,8 +40,3 @@ def init_layer_norm(store, name, dim):
 
 def layer_norm(store, name, x):
     return dc.layer_norm(x, store[f"{name}.g"], store[f"{name}.b"])
-
-
-def const(store, arr):
-    """Wrap an array as a gradient-free tensor in the store's dtype."""
-    return dc.Tensor(np.asarray(arr, dtype=store.dtype))

@@ -67,13 +67,14 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     store, records, _, elapsed = train(scenes, cfg,
                                        log_path=out / "train_log.jsonl")
-    final_stage = records[-1]["stage"] if records else S1
-    store.save(out / "checkpoint.bin",
-               meta={"config_hash": config_hash(cfg), "stage": final_stage,
-                     "epochs": len(records), "t": scenes[0].horizon[1]})
     last = records[-1]
+    store.save(out / "checkpoint.bin",
+               meta={"config_hash": config_hash(cfg), "stage": last["stage"],
+                     "epochs": len(records), "t": scenes[0].horizon[1]})
+    # no focal actor with a future leaves minFDE6 undefined; the loss still trains
+    fde = "n/a" if last["minFDE6"] is None else f"{last['minFDE6']:.4f}"
     print(f"trained {len(records)} epochs in {elapsed:.1f}s; "
-          f"final total={last['total']:.4f} minFDE6={last['minFDE6']:.4f} "
+          f"final total={last['total']:.4f} minFDE6={fde} "
           f"(config {config_hash(cfg)})")
     return 0
 

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import diffcore as dc
 from ._layers import init_linear, linear
-from .encoder import encode_actors, encode_boundaries, encode_lane_nodes
+from .encoder import encode_actors, encode_boundaries, encode_lane_nodes, init_encoders
 from .errors import ContractError, ParseError, parse_json
-from .fusion import fuse_scene
+from .fusion import fuse_scene, init_fusion
 from .scene import normalize, to_world
 
 S1, S2 = "S1", "S2"
@@ -109,9 +109,6 @@ def complete_trajectories(pairs, targets, store, cfg, t):
 
 def init_model(store, cfg, t, rng):
     """All pipeline parameters, in a fixed creation order."""
-    from .encoder import init_encoders
-    from .fusion import init_fusion
-
     init_encoders(store, cfg, rng)
     init_fusion(store, cfg, rng)
     init_decoder(store, cfg, rng)

@@ -12,6 +12,11 @@ Features sit on the last axis ([N, D] rows, [A, H, D] sequences). `add`,
 `sub` and `mul` broadcast one way: the second operand broadcasts to the
 first operand's shape under numpy's rules, and that is the result's shape.
 Anything else is a ShapeError.
+
+An operand that is not a Tensor is a constant: an op with several operands
+casts it to the dtype of its tensor operands (with none, the first operand's
+dtype), as NumPy's NEP 50 casts a Python scalar. Tensor operands of two
+dtypes are a ContractError.
 """
 
 from __future__ import annotations
@@ -63,17 +68,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={tag})"
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(x, dtype=dtype)
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_same_dtype(*tensors):
-    dtypes = {t.dtype for t in tensors}
+def _tensors(*operands):
+    """The operands of one op as tensors of one dtype: arrays become
+    constants in the dtype of the tensor operands, and None (an absent
+    bias) stays None."""
+    dtypes = {x.dtype for x in operands if isinstance(x, Tensor)}
     if len(dtypes) > 1:
         raise ContractError(f"mixed dtypes in op: {sorted(str(d) for d in dtypes)}")
+    dtype = dtypes.pop() if dtypes else Tensor(operands[0]).dtype
+    return [x if x is None or isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+            for x in operands]
 
 
 def _check_axis(axis, ndim):
@@ -100,8 +108,7 @@ def _make(data, op, *edges):
 
 def _operands(a, b, op):
     """Both operands as tensors of one dtype, b broadcastable to a's shape."""
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    _check_same_dtype(a, b)
+    a, b = _tensors(a, b)
     sa, sb = a.shape, b.shape
     # equal shapes and trailing-axes biases, the common cases, skip the general test
     if sa != sb and sa[len(sa) - len(sb):] != sb and (len(sb) > len(sa) or any(
@@ -150,9 +157,7 @@ def scale(a, c):
 def matmul(a, b, bias=None):
     """[M, N] @ [N, P] -> [M, P], or batched [B, M, N] @ [B, N, P] -> [B, M, P],
     plus an optional bias [P]."""
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    bias = None if bias is None else _as_tensor(bias, like=a)
-    _check_same_dtype(*(t for t in (a, b, bias) if t is not None))
+    a, b, bias = _tensors(a, b, bias)
     if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -169,10 +174,9 @@ def matmul(a, b, bias=None):
 
 
 def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat: empty input list")
-    _check_same_dtype(*tensors)
+    tensors = _tensors(*tensors)
     axis = _check_axis(axis, tensors[0].ndim)
     ends = np.cumsum([t.shape[axis] for t in tensors]).tolist()
     lead = (slice(None),) * axis
@@ -290,8 +294,7 @@ def softmax(a, axis=-1):
 def layer_norm(a, gamma, beta, eps=1e-5):
     """Normalize each slice along the last (feature) axis to zero mean / unit
     variance, then apply the learned affine (gamma, beta), both [D]."""
-    a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
-    _check_same_dtype(a, gamma, beta)
+    a, gamma, beta = _tensors(a, gamma, beta)
     n = a.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(
@@ -373,9 +376,7 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     Tap k of every window is one strided slice of the padded input; the K
     taps side by side are the im2col columns, and backward adds each tap's
     column gradient back through the same slice."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    b = None if b is None else _as_tensor(b)
-    _check_same_dtype(*(t for t in (x, w, b) if t is not None))
+    x, w, b = _tensors(x, w, b)
     if x.ndim != 3 or w.ndim != 3 or x.shape[2] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
     batch, length, c_in = x.shape

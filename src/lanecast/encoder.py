@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from ._layers import const, conv, init_conv, init_layer_norm, init_linear, layer_norm, linear
+from ._layers import conv, init_conv, init_layer_norm, init_linear, layer_norm, linear
 from .errors import ContractError
 from .scene import ADJ_CATEGORIES, MARKINGS
 
@@ -82,7 +82,7 @@ def encode_actors(scene, store, cfg):
 
     f0 = None
     for br in _BRANCHES:
-        out = _res_block(store, f"actor.{br}", const(store, streams[br] * obs[:, :, None]))
+        out = _res_block(store, f"actor.{br}", streams[br] * obs[:, :, None])
         f0 = out if f0 is None else dc.add(f0, out)
     f1 = _res_block(store, "actor.down1", f0, stride=2)
     f2 = _res_block(store, "actor.down2", f1, stride=2)
@@ -94,7 +94,7 @@ def encode_actors(scene, store, cfg):
 
     # mask the unobserved steps out of the max
     neg = np.where(obs, 0.0, _NEG_BIG)[:, :, None]
-    pooled = dc.max(dc.add(merged, const(store, neg)), axis=1)  # [A, D]
+    pooled = dc.max(dc.add(merged, neg), axis=1)  # [A, D]
 
     # raises ContractError for an actor with no observed step
     positions = np.stack([act.positions[act.last_observed_index()] for act in actors])
@@ -111,9 +111,8 @@ def _init_input_mlp(store, prefix, n_in, d, rng):
         init_layer_norm(store, f"{prefix}.ln{i}", d)
 
 
-def _input_mlp(store, prefix, feats):
+def _input_mlp(store, prefix, x):
     """Node features [N, n_in] -> [N, D] through relu(layer_norm(linear)) twice."""
-    x = const(store, feats)
     for i in (1, 2):
         x = dc.relu(layer_norm(store, f"{prefix}.ln{i}", linear(store, f"{prefix}.in{i}", x)))
     return x

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from ._layers import const, init_layer_norm, init_linear, layer_norm, linear
+from ._layers import init_layer_norm, init_linear, layer_norm, linear
 from .errors import ContractError, ShapeError
 
 
@@ -55,7 +55,7 @@ def fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     kept = np.flatnonzero((matched >= 0) & (matched < n))
     sums = dc.scatter_add(dc.gather(boundary_f, kept, axis=0), matched[kept], n)
     counts = np.bincount(matched[kept], minlength=n).astype(np.float64)
-    ctx = dc.mul(sums, const(store, 1.0 / np.maximum(counts, 1.0)[:, None]))
+    ctx = dc.mul(sums, 1.0 / np.maximum(counts, 1.0)[:, None])
 
     h = dc.relu(linear(store, "fuse.b2l.mlp1", dc.concat([lane_f, ctx], axis=1)))
     h = linear(store, "fuse.b2l.mlp2", h)
@@ -90,7 +90,7 @@ def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
     # with no pair in range every message is empty, `.out` (no bias) maps
     # the zero sum to zero, and the result is layer_norm(query)
     rel = (c_pos[cj] - q_pos[qi])
-    rel_enc = linear(store, f"{name}.rel", const(store, rel))
+    rel_enc = linear(store, f"{name}.rel", rel)
     msgs = linear(store, f"{name}.ctx",
                   dc.concat([rel_enc, dc.gather(ctx_f, cj, axis=0)], axis=1))
     q_proj = dc.gather(linear(store, f"{name}.query", query_f), qi, axis=0)

@@ -40,10 +40,6 @@ class LossBreakdown:
     stage: str
 
 
-def _const_like(t, arr):
-    return dc.Tensor(np.asarray(arr, dtype=t.dtype))
-
-
 def mode_displacements(s, s_hat):
     """Displacement error per mode: [K, T, 2] tensor -> [K] tensor, or
     batched [n, K, T, 2] -> [n, K].
@@ -54,7 +50,7 @@ def mode_displacements(s, s_hat):
     s_hat = np.asarray(s_hat)
     if s_hat.shape != (*lead, t, 2):
         raise ContractError(f"mode_displacements: gt shape {s_hat.shape} vs modes {s.shape}")
-    diff = dc.sub(s, _const_like(s, s_hat[..., None, :, :]))
+    diff = dc.sub(s, s_hat[..., None, :, :])
     return dc.max(dc.l2_norm_rows(diff), axis=-1)
 
 
@@ -76,7 +72,7 @@ def confidence_loss(c, c_hat):
     if not isinstance(c, dc.Tensor):
         c = dc.Tensor(np.asarray(c, dtype=np.float64))
     if not isinstance(c_hat, dc.Tensor):
-        c_hat = _const_like(c, c_hat)
+        c_hat = dc.Tensor(np.asarray(c_hat, dtype=c.dtype))
     if c.shape != c_hat.shape:
         raise ContractError(f"confidence_loss: shapes {c.shape} vs {c_hat.shape}")
     diff = dc.sub(dc.log(c_hat, floor=LOG_FLOOR), dc.log(c, floor=LOG_FLOOR))
@@ -115,7 +111,7 @@ def target_loss(targets, gt_endpoints, mask):
         return dc.Tensor(np.zeros((), dtype=targets.dtype)), 0, winners
     flat = dc.reshape(targets, (a * k, 2))
     rows = dc.gather(flat, kept * k + winners[kept], axis=0)
-    diff = dc.sub(rows, _const_like(targets, np.asarray(gt_endpoints)[kept]))
+    diff = dc.sub(rows, np.asarray(gt_endpoints)[kept])
     return dc.mean(dc.smooth_l1(diff, beta=1.0)), int(kept.size), winners
 
 
@@ -135,7 +131,7 @@ def trajectory_loss(traj, gt, mask, winners):
     idx = ((kept * k + winners[kept])[:, None] * t + steps[None, :]).reshape(-1)
     rows = dc.gather(flat, idx, axis=0)
     gt_rows = np.asarray(gt, dtype=np.float64)[kept][:, : t - 1].reshape(-1, 2)
-    diff = dc.sub(rows, _const_like(traj, gt_rows))
+    diff = dc.sub(rows, gt_rows)
     return dc.mean(dc.smooth_l1(diff, beta=1.0)), int(kept.size)
 
 

@@ -52,11 +52,6 @@ def wrap_angles(arr):
     return np.where(r > math.pi, r - math.tau, np.where(r <= -math.pi, r + math.tau, r))
 
 
-def wrap_angle(theta):
-    """`wrap_angles` of one angle, as a float."""
-    return float(wrap_angles(theta))
-
-
 @dataclass
 class ActorTrack:
     """One agent: H observed states and, when labeled, T future positions."""

@@ -61,7 +61,7 @@ def _reduce(t):
     flat = dc.reshape(t, (t.size,)) if t.ndim != 1 else t
     # mix components so no gradient path cancels by symmetry
     mix = np.arange(1, t.size + 1, dtype=np.float64) / t.size
-    return dc.sum(dc.mul(flat, dc.Tensor(mix, dtype=t.dtype)))
+    return dc.sum(dc.mul(flat, mix))
 
 
 def check_actor_encoder(seed=0, n_samples=3):

@@ -81,6 +81,25 @@ class TestPipeline:
             "--data", str(data), "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_train_without_focal_futures_reports_no_min_fde(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**TINY, "data": {**TINY["data"], "n_scenes": 2},
+                                   "train": {**TINY["train"], "total_epochs": 2,
+                                             "periods": [2]}}))
+        data, out = tmp_path / "data", tmp_path / "run"
+        run("gen-data", "--config", str(cfg), "--out", str(data))
+        for f in data.glob("*.json"):
+            doc = json.loads(f.read_text())
+            for actor in doc["actors"]:
+                if actor["focal"]:
+                    actor["future"] = None
+            f.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(out)) == 0
+        assert (out / "checkpoint.bin").is_file()
+        assert "minFDE6=n/a" in capsys.readouterr().out
+
     def test_ensemble_command(self, tmp_path, cfg_path):
         data = tmp_path / "data"
         run("gen-data", "--config", cfg_path, "--out", str(data))

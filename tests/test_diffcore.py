@@ -41,6 +41,18 @@ def analytic_grad(build, x):
     return dc.backward(loss, [("x", t)])["x"]
 
 
+# every op with more than one operand, with operand shapes it accepts
+MULTI_OPERAND_OPS = {
+    "add": (dc.add, [(3, 4), (4,)]),
+    "sub": (dc.sub, [(3, 4), (3, 1)]),
+    "mul": (dc.mul, [(2, 3, 4), (3, 4)]),
+    "matmul": (dc.matmul, [(3, 4), (4, 2), (2,)]),
+    "concat": (lambda *ts: dc.concat(list(ts), axis=0), [(2, 3), (4, 3), (1, 3)]),
+    "layer_norm": (dc.layer_norm, [(3, 4), (4,), (4,)]),
+    "conv1d": (lambda x, w, b: dc.conv1d(x, w, b, padding=1), [(2, 6, 3), (4, 3, 3), (4,)]),
+}
+
+
 def check_op(build, x, atol=1e-7):
     a = analytic_grad(build, x)
     n = numeric_grad(lambda v: float(build(dc.Tensor(v)).data), np.asarray(x, dtype=np.float64))
@@ -134,6 +146,27 @@ class TestElementwise:
         b = dc.Tensor(np.zeros(3, dtype=np.float64))
         with pytest.raises((ContractError, ShapeError)):
             dc.add(a, b)
+        for op, shapes in MULTI_OPERAND_OPS.values():
+            for at in range(len(shapes)):
+                with pytest.raises(ContractError):
+                    op(*(dc.Tensor(np.zeros(s, dtype=np.float64 if i == at else np.float32))
+                         for i, s in enumerate(shapes)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+    def test_array_operand_is_a_constant_of_the_tensor_dtype(self, name, dtype):
+        """An array in any operand position: the bytes of wrapping it in the
+        op's dtype first, the tensors' dtype out, and no tape edge."""
+        op, shapes = MULTI_OPERAND_OPS[name]
+        rng = np.random.default_rng(18)
+        arrays = [rng.normal(size=s) for s in shapes]
+        for at, arr in enumerate(arrays):
+            params = [dc.Tensor(v.astype(dtype), requires_grad=True) for v in arrays]
+            y = op(*params[:at], arr, *params[at + 1:])
+            want = op(*params[:at], dc.Tensor(np.asarray(arr, dtype=dtype)), *params[at + 1:])
+            assert y.dtype == want.dtype == dtype
+            assert y.data.tobytes() == want.data.tobytes()
+            assert [inp for inp, _ in y._edges] == params[:at] + params[at + 1:]
 
 
 class TestReductionsAndShape:

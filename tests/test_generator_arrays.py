@@ -81,7 +81,7 @@ def reference_generate_synthetic(config, seed):
             lat = lat_from + (lat_to - lat_from) * blend
             x, y, th = _lane_point(s, lat, kappa)
             xs[i] = (x, y)
-            ths[i] = sc.wrap_angle(th)
+            ths[i] = float(sc.wrap_angles(th))
 
         hist = xs[:config.h].copy()
         if config.noise_sigma > 0:

@@ -44,20 +44,20 @@ class TestWrapAngle:
         got = sc.wrap_angles(x)
         assert got.dtype == np.float64 and got.shape == x.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        assert all(sc.wrap_angle(t) == w for t, w in zip(edges, want[:len(edges)]))
+        assert all(float(sc.wrap_angles(t)) == w for t, w in zip(edges, want[:len(edges)]))
         assert sc.wrap_angles(x.reshape(2, -1)).shape == (2, x.size // 2)
 
     @given(st.floats(-1e6, 1e6))
     @settings(max_examples=200, deadline=None)
     def test_range_and_idempotence(self, a):
-        w = sc.wrap_angle(a)
+        w = float(sc.wrap_angles(a))
         assert -math.pi < w <= math.pi
-        assert sc.wrap_angle(w) == w
+        assert float(sc.wrap_angles(w)) == w
 
     def test_pi_maps_to_pi(self):
-        assert sc.wrap_angle(math.pi) == math.pi
-        assert sc.wrap_angle(-math.pi) == math.pi
-        assert sc.wrap_angle(3 * math.pi) == math.pi
+        assert float(sc.wrap_angles(math.pi)) == math.pi
+        assert float(sc.wrap_angles(-math.pi)) == math.pi
+        assert float(sc.wrap_angles(3 * math.pi)) == math.pi
 
     def test_equivalence_mod_2pi(self):
         rng = np.random.default_rng(0)
@@ -65,7 +65,7 @@ class TestWrapAngle:
             a = rng.uniform(-10, 10)
             k = rng.integers(-3, 4)
             np.testing.assert_allclose(
-                sc.wrap_angle(a + 2 * math.pi * k), sc.wrap_angle(a), atol=1e-9)
+                float(sc.wrap_angles(a + 2 * math.pi * k)), float(sc.wrap_angles(a)), atol=1e-9)
 
 
 class TestLaneGraph:

@@ -8,7 +8,7 @@ import pytest
 from lanecast import diffcore as dc
 from lanecast import encoder
 from lanecast import scene as sc
-from lanecast._layers import const, layer_norm, linear
+from lanecast._layers import layer_norm, linear
 from lanecast.config import ModelConfig
 from lanecast.diffcore import tensor
 
@@ -18,7 +18,7 @@ TOL = 1e-12
 def per_category_conv(x, graph, store, prefix):
     """The previous layer: one pass per category, empty categories skipped."""
     n = x.shape[0]
-    ones_row = const(store, np.ones((1, x.shape[1])))
+    ones_row = np.ones((1, x.shape[1]))
     y = linear(store, f"{prefix}.self", x)
     for cat in sc.ADJ_CATEGORIES:
         edges = graph.adjacency[cat]

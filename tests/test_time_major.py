@@ -21,7 +21,7 @@ import pytest
 from lanecast import decoder, encoder, fusion, losses
 from lanecast import diffcore as dc
 from lanecast import scene as sc
-from lanecast._layers import const, layer_norm, linear
+from lanecast._layers import layer_norm, linear
 from lanecast.config import ModelConfig
 from lanecast.diffcore import tensor
 from lanecast.errors import ShapeError
@@ -39,7 +39,7 @@ def _make(data, parents, bwd, op):
 
 
 def ref_add(a, b):
-    a, b = tensor._as_tensor(a), tensor._as_tensor(b, like=a)
+    a, b = tensor._tensors(a, b)
     if a.shape == b.shape:
         def bwd(g):
             return g, g
@@ -52,14 +52,14 @@ def ref_add(a, b):
 
 
 def ref_sub(a, b):
-    a, b = tensor._as_tensor(a), tensor._as_tensor(b, like=a)
+    a, b = tensor._tensors(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
     return _make(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def ref_mul(a, b):
-    a, b = tensor._as_tensor(a), tensor._as_tensor(b, like=a)
+    a, b = tensor._tensors(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
@@ -98,6 +98,7 @@ def ref_layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
 
 def ref_conv1d(x, w, b=None, stride=1, padding=0):
     """Channels first: [B, Cin, L] -> [B, Cout, Lout]."""
+    x, w, b = tensor._tensors(x, w, b)
     parents = [x, w] + ([b] if b is not None else [])
     batch, c_in, length = x.shape
     c_out, _, kernel = w.shape
@@ -164,7 +165,7 @@ def ref_encode_actors(scene, store, cfg):
 
     f0 = None
     for br in ("coord", "heading", "vel"):
-        out = _ref_res_block(store, f"actor.{br}", const(store, streams[br]))
+        out = _ref_res_block(store, f"actor.{br}", streams[br])
         f0 = out if f0 is None else ref_add(f0, out)
     f1 = _ref_res_block(store, "actor.down1", f0, stride=2)
     f2 = _ref_res_block(store, "actor.down2", f1, stride=2)
@@ -173,7 +174,7 @@ def ref_encode_actors(scene, store, cfg):
     u0 = ref_add(_ref_conv(store, "actor.lat0", f0), _ref_upsample(u1, h))
     merged = dc.relu(_ref_conv(store, "actor.merge", u0, padding=1))
     neg = np.where(obs, 0.0, -1e9)[:, None, :] * np.ones((1, cfg.d, 1))
-    pooled = dc.max(ref_add(merged, const(store, neg)), axis=2)
+    pooled = dc.max(ref_add(merged, neg), axis=2)
     positions = np.stack([act.positions[act.last_observed_index()] for act in actors])
     return pooled, positions
 
@@ -190,7 +191,7 @@ def ref_gated_lane_graph_conv(x, graph, store, prefix):
     rows = dc.reshape(dc.matmul(x, stacked("w.w", 1)), (n * c, d))
     gate = dc.sigmoid(ref_add(dc.matmul(x, stacked("gate.w", 1)), stacked("gate.b", 0)))
     gate = dc.gather(dc.reshape(gate, (n * c, 1)), gate_rows, axis=0)
-    msgs = ref_mul(dc.matmul(gate, const(store, np.ones((1, d)))),
+    msgs = ref_mul(dc.matmul(gate, np.ones((1, d))),
                    dc.gather(rows, msg_rows, axis=0))
     y = ref_add(linear(store, f"{prefix}.self", x), dc.scatter_add(msgs, src, n))
     return ref_add(layer_norm(store, f"{prefix}.ln", dc.relu(y)), x)
@@ -205,7 +206,7 @@ def ref_fuse_boundary_to_lane(lane_f, boundary_f, matched, store):
     sums = dc.scatter_add(dc.gather(boundary_f, pairs_bnd, axis=0), pairs_lane, n)
     counts = np.bincount(pairs_lane, minlength=n).astype(np.float64)
     inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
-    ctx = ref_mul(sums, const(store, np.repeat(inv[:, None], lane_f.shape[1], axis=1)))
+    ctx = ref_mul(sums, np.repeat(inv[:, None], lane_f.shape[1], axis=1))
     h = dc.concat([lane_f, ctx], axis=1)
     h = dc.relu(linear(store, "fuse.b2l.mlp1", h))
     h = linear(store, "fuse.b2l.mlp2", h)
@@ -233,7 +234,7 @@ def ref_predict_targets(actor_f, store, cfg):
 
 def ref_mode_displacements(s, s_hat):
     ref = np.broadcast_to(np.asarray(s_hat)[..., None, :, :], s.shape).reshape(-1, 2)
-    diff = ref_sub(dc.reshape(s, (ref.shape[0], 2)), losses._const_like(s, ref))
+    diff = ref_sub(dc.reshape(s, (ref.shape[0], 2)), ref)
     return dc.max(dc.reshape(ref_l2_norm_rows(diff), s.shape[:-1]), axis=-1)
 
 
