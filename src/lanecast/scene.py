@@ -232,13 +232,14 @@ def resample_polyline(points, segment_len, budget=MAX_SCENE_NODES, path="points"
 
 def _nearest(points, centers, starts):
     """Distance to, and index of, each point's nearest node in every node
-    range of `centers` (range k starts at starts[k]); ties go to the lowest
-    index, as in np.argmin. Returns ([P, R], [P, R])."""
+    range of `centers` (range k starts at starts[k]). Nodes within a relative
+    1e-9 of the minimum tie, and a tie goes to the lowest index, so a match
+    does not hang on the frame's roundoff. Returns ([P, R], [P, R])."""
     diff = centers[None, :, :] - points[:, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     dmin = np.minimum.reduceat(dist, starts, axis=1)
     col = np.arange(len(centers))
-    hit = dist == dmin[:, np.searchsorted(starts, col, side="right") - 1]
+    hit = dist <= dmin[:, np.searchsorted(starts, col, side="right") - 1] * (1 + 1e-9)
     return dmin, np.minimum.reduceat(np.where(hit, col, len(centers)), starts, axis=1)
 
 

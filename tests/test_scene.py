@@ -330,6 +330,15 @@ class TestBoundaries:
         assert marks <= {"solid", "dashed"}
         assert "solid" in marks  # outer edges
 
+    def test_nearest_node_near_ties_go_to_the_lower_index(self):
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
+        # node 1, then node 3, is nearer by 2e-13 (a near-tie) and by 1e-6 (not one)
+        points = np.array([[1.0 + 1e-13, 0.0], [1.0 + 5e-7, 0.0], [5.0 + 1e-13, 0.0]])
+        dist, near = sc._nearest(points, centers, [0, 2])
+        assert near.tolist() == [[0, 2], [1, 2], [1, 2]]
+        gap = np.abs(points[:, None, 0] - centers[None, :, 0])
+        np.testing.assert_array_equal(dist, np.stack([gap[:, :2].min(1), gap[:, 2:].min(1)], 1))
+
 
 class TestActorSeeds:
     def test_stable_and_distinct(self):

@@ -4,14 +4,13 @@ and leaves the confidences alone, and the order of the non-focal actors, the
 lanes and the boundaries in a scene file does not change any focal forecast.
 
 The scenes have straight lanes, the generator's default. On a curved arc a
-boundary node can sit exactly midway between two lane nodes, and which one it
-matches then depends on roundoff; the last test pins that known defect."""
+boundary node can sit exactly midway between two lane nodes; the last test
+checks that such a near-tie matches the same node in a shifted frame."""
 
 import json
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,8 +98,6 @@ def test_reordering_context_leaves_every_focal_forecast_unchanged(seed, data):
                                        err_msg=field)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="nearest-node ties on curved arcs break by roundoff")
 def test_a_shift_moves_forecasts_on_a_curved_arc_too():
     obj = _scene_json(391, replace(GEN, curvature_range=(-0.01, 0.01)))
     moved, _ = _moved(obj, 0.0, np.array([0.0, 0.5]))
