@@ -332,7 +332,8 @@ class TestBoundaries:
 
     def test_nearest_node_near_ties_go_to_the_lower_index(self):
         centers = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
-        # node 1, then node 3, is nearer by 2e-13 (a near-tie) and by 1e-6 (not one)
+        # points 0 and 2 are 2e-13 nearer to nodes 1 and 3 (near-ties: the lower index
+        # wins); point 1 is 1e-6 nearer to node 1, which wins
         points = np.array([[1.0 + 1e-13, 0.0], [1.0 + 5e-7, 0.0], [5.0 + 1e-13, 0.0]])
         dist, near = sc._nearest(points, centers, [0, 2])
         assert near.tolist() == [[0, 2], [1, 2], [1, 2]]
