@@ -27,7 +27,7 @@ import numpy as np
 from . import diffcore as dc
 from ._layers import init_linear, linear
 from .encoder import encode_actors, encode_boundaries, encode_lane_nodes, init_encoders
-from .errors import ContractError, ParseError, parse_json
+from .errors import ContractError, ParseError, iter_json_list
 from .fusion import fuse_scene, init_fusion
 from .scene import normalize, to_world
 
@@ -162,14 +162,15 @@ def forecast(scene, store, cfg, stage=S2):
 
 
 def save_predictions(forecasts) -> bytes:
-    recs = [{
+    """Forecasts -> json.dumps of their record list, dumped record by record."""
+    recs = (json.dumps({
         "scene_id": f.scene_id,
         "actor_id": f.actor_id,
         "trajectories": f.trajectories.tolist(),
         "confidences": f.confidences.tolist(),
         "targets": f.targets.tolist(),
-    } for f in forecasts]
-    return json.dumps(recs).encode("utf-8")
+    }).encode("utf-8") for f in forecasts)
+    return b"[" + b", ".join(recs) + b"]"
 
 
 # a float32 softmax read back as float64 sums to 1 within this
@@ -195,30 +196,41 @@ def _bad_shape(field, arr, want):
     return ParseError(field, f"{field}: shape {list(arr.shape)}, want {want}")
 
 
+def _forecast(r, i, seen):
+    p = f"predictions[{i}]."
+    for key in ("scene_id", "actor_id", "trajectories", "confidences", "targets"):
+        if not isinstance(r, dict) or key not in r:
+            raise ParseError(p + key)
+    traj = _numbers(r["trajectories"], p + "trajectories")
+    if traj.ndim != 3 or traj.shape[2] != 2:
+        raise _bad_shape(p + "trajectories", traj, "[K, T, 2]")
+    k = traj.shape[0]
+    conf = _numbers(r["confidences"], p + "confidences")
+    if conf.shape != (k,):
+        raise _bad_shape(p + "confidences", conf, f"[{k}]")
+    if conf.min() < 0 or abs(conf.sum() - 1.0) > CONF_SUM_TOL:
+        raise ParseError(p + "confidences", f"{p}confidences: must be non-negative "
+                         f"and sum to 1, got min {conf.min():g}, sum {conf.sum():.9g}")
+    targ = _numbers(r["targets"], p + "targets")
+    if targ.shape != (k, 2):
+        raise _bad_shape(p + "targets", targ, f"[{k}, 2]")
+    f = Forecast(str(r["scene_id"]), str(r["actor_id"]), targ, traj, conf)
+    first = seen.setdefault((f.scene_id, f.actor_id), i)
+    if first != i:
+        raise ParseError(p + "actor_id", f"{p}actor_id: scene {f.scene_id!r}, actor "
+                         f"{f.actor_id!r} repeats predictions[{first}]")
+    return f
+
+
 def load_predictions(data):
-    """Prediction file -> Forecasts. Per record: trajectories [K, T, 2],
-    confidences [K] (non-negative, summing to 1), targets [K, 2]."""
-    recs = parse_json(data, "prediction file")
-    if not isinstance(recs, list):
-        raise ParseError("document", "prediction file must be a JSON list")
-    out = []
-    for i, r in enumerate(recs):
-        p = f"predictions[{i}]."
-        for key in ("scene_id", "actor_id", "trajectories", "confidences", "targets"):
-            if not isinstance(r, dict) or key not in r:
-                raise ParseError(p + key)
-        traj = _numbers(r["trajectories"], p + "trajectories")
-        if traj.ndim != 3 or traj.shape[2] != 2:
-            raise _bad_shape(p + "trajectories", traj, "[K, T, 2]")
-        k = traj.shape[0]
-        conf = _numbers(r["confidences"], p + "confidences")
-        if conf.shape != (k,):
-            raise _bad_shape(p + "confidences", conf, f"[{k}]")
-        if conf.min() < 0 or abs(conf.sum() - 1.0) > CONF_SUM_TOL:
-            raise ParseError(p + "confidences", f"{p}confidences: must be non-negative "
-                             f"and sum to 1, got min {conf.min():g}, sum {conf.sum():.9g}")
-        targ = _numbers(r["targets"], p + "targets")
-        if targ.shape != (k, 2):
-            raise _bad_shape(p + "targets", targ, f"[{k}, 2]")
-        out.append(Forecast(str(r["scene_id"]), str(r["actor_id"]), targ, traj, conf))
-    return out
+    """Prediction file -> Forecasts, decoded and checked one record at a
+    time. Per record: trajectories [K, T, 2], confidences [K] (non-negative,
+    summing to 1), targets [K, 2]; no (scene_id, actor_id) twice."""
+    records = iter_json_list(data, "prediction file")
+    seen = {}
+    try:
+        return [_forecast(r, i, seen) for i, r in enumerate(records)]
+    except ParseError:
+        for _ in records:  # a syntax error further on outranks a bad record
+            pass
+        raise

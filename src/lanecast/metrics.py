@@ -135,13 +135,11 @@ def evaluate(forecasts, gt_by_key):
     sums = {c: 0.0 for c in COLUMNS}
     for key in keys:
         f = pred[key]
-        if f.trajectories.shape[1] != np.asarray(gt_by_key[key]).shape[0]:
-            raise EvaluationError(
-                f"{key}: prediction has {f.trajectories.shape[1]} steps, "
-                f"ground truth {np.asarray(gt_by_key[key]).shape[0]}")
-        vals = actor_metrics(f.trajectories.tolist(),
-                             f.confidences.tolist(),
-                             np.asarray(gt_by_key[key], dtype=np.float64).tolist())
+        gt = np.asarray(gt_by_key[key], dtype=np.float64)
+        if f.trajectories.shape[1] != gt.shape[0]:
+            raise EvaluationError(f"{key}: prediction has {f.trajectories.shape[1]} steps, "
+                                  f"ground truth {gt.shape[0]}")
+        vals = actor_metrics(f.trajectories.tolist(), f.confidences.tolist(), gt.tolist())
         for c in COLUMNS:
             sums[c] += vals[c]
     n = len(keys)

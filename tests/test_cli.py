@@ -197,6 +197,22 @@ class TestMalformedInputs:
                    "--predictions", str(preds), "--data", str(data_dir / "data")) == 1
         assert f"predictions[1].{field}" in capsys.readouterr().err
 
+    def test_repeated_prediction_key_is_user_error(self, data_dir, tmp_path, capsys):
+        """Two records for one actor: eval scored whichever came last."""
+        far = _record()
+        far["trajectories"] = [[[50.5, 51.0]] * 8] * 6
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps([far, _record()]))
+        assert run("eval", "--config", str(data_dir / "run.json"),
+                   "--predictions", str(preds), "--data", str(data_dir / "data")) == 1
+        assert "predictions[1].actor_id" in capsys.readouterr().err
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"model_id": "m", "alpha": 1.0,
+                                         "prediction_file": "preds.json"}]))
+        assert run("ensemble", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "f.json")) == 1
+        assert "predictions[1].actor_id" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_alpha_is_user_error(self, tmp_path, alpha, capsys):
         (tmp_path / "p.json").write_text(json.dumps([_record()]))

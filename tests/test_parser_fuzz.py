@@ -1,6 +1,7 @@
 """Mutation fuzz of the prediction-file, manifest, checkpoint and scene
 parsers: whatever is done to a valid document, loading it either succeeds or
-raises ParseError."""
+raises ParseError. The record-by-record prediction loader also gives the
+same result as the whole-tree loader it replaced."""
 
 import json
 import struct
@@ -11,9 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lanecast import diffcore as dc
-from lanecast.decoder import load_predictions
+from lanecast.decoder import CONF_SUM_TOL, Forecast, _bad_shape, _numbers, load_predictions
 from lanecast.ensemble import load_manifest
-from lanecast.errors import ParseError
+from lanecast.errors import ParseError, parse_json
 from lanecast.scene import SceneGenConfig, generate_synthetic, load_scene, save_scene
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -74,6 +75,111 @@ def parses_or_parse_error(load, blob):
         pass
 
 
+def reference_load_predictions(data):
+    """The whole-tree loader `load_predictions` replaced: parse the document,
+    then check every record. Kept as the reference, with the one rule added
+    since: a repeated (scene_id, actor_id) is an error at its second record."""
+    recs = parse_json(data, "prediction file")
+    if not isinstance(recs, list):
+        raise ParseError("document", "prediction file must be a JSON list")
+    out, seen = [], {}
+    for i, r in enumerate(recs):
+        p = f"predictions[{i}]."
+        for key in ("scene_id", "actor_id", "trajectories", "confidences", "targets"):
+            if not isinstance(r, dict) or key not in r:
+                raise ParseError(p + key)
+        traj = _numbers(r["trajectories"], p + "trajectories")
+        if traj.ndim != 3 or traj.shape[2] != 2:
+            raise _bad_shape(p + "trajectories", traj, "[K, T, 2]")
+        k = traj.shape[0]
+        conf = _numbers(r["confidences"], p + "confidences")
+        if conf.shape != (k,):
+            raise _bad_shape(p + "confidences", conf, f"[{k}]")
+        if conf.min() < 0 or abs(conf.sum() - 1.0) > CONF_SUM_TOL:
+            raise ParseError(p + "confidences", f"{p}confidences: must be non-negative "
+                             f"and sum to 1, got min {conf.min():g}, sum {conf.sum():.9g}")
+        targ = _numbers(r["targets"], p + "targets")
+        if targ.shape != (k, 2):
+            raise _bad_shape(p + "targets", targ, f"[{k}, 2]")
+        key = (str(r["scene_id"]), str(r["actor_id"]))
+        if key in seen:
+            raise ParseError(p + "actor_id", f"{p}actor_id: scene {key[0]!r}, actor "
+                             f"{key[1]!r} repeats predictions[{seen[key]}]")
+        seen[key] = i
+        out.append(Forecast(key[0], key[1], targ, traj, conf))
+    return out
+
+
+def loads_like_the_reference(blob):
+    """`load_predictions(blob)` gives bit-identical forecasts to the
+    reference, or a ParseError with the same field and message; returns
+    the forecasts, or the error."""
+    try:
+        want = reference_load_predictions(blob)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            load_predictions(blob)
+        assert (got.value.field, str(got.value)) == (e.field, str(e))
+        return got.value
+    got = load_predictions(blob)
+    assert [(f.scene_id, f.actor_id) for f in got] == [(f.scene_id, f.actor_id) for f in want]
+    for a, b in zip(got, want):
+        for name in ("targets", "trajectories", "confidences"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    return got
+
+
+VALID = json.dumps(valid_predictions()).encode()
+BAD_RECORD_0 = json.dumps([{**valid_predictions()[0], "confidences": [1.0]},
+                           valid_predictions()[1]]).encode()
+
+
+@pytest.mark.parametrize("blob, field", [
+    (b" \t\r\n" + VALID + b"\n \t", None),
+    (VALID.decode(), None),
+    (b"[]", None),
+    (b" [ \n] ", None),
+    (b"\xef\xbb\xbf" + VALID, "document"),
+    ("\ufeff" + VALID.decode(), "document"),
+    (b"\x0c" + VALID, "document"),
+    (VALID[:-1] + b", ]", "document"),
+    (VALID[:-1] + b",", "document"),
+    (VALID[:-1], "document"),
+    (b"[,]", "document"),
+    (VALID + b"x", "document"),
+    (VALID + b"]", "document"),
+    (VALID + VALID, "document"),
+    (VALID.replace(b"}, {", b"} {"), "document"),
+    (b'{"predictions": []}', "document"),
+    (b'"[]"', "document"),
+    (b"]", "document"),
+    (b"", "document"),
+    (b"[" * 100000 + b"]" * 100000, "document"),
+    (b"[" + b"1" * 5000 + b"]", "document"),
+    (b"[\x80]", "document"),
+    (b"[1]", "predictions[0].scene_id"),
+    (b"[NaN]", "predictions[0].scene_id"),
+    (BAD_RECORD_0, "predictions[0].confidences"),
+    (BAD_RECORD_0[:-1], "document"),
+    (BAD_RECORD_0[:-2] + b"}, [}]", "document"),
+    (json.dumps(valid_predictions()[:1] * 2).encode(), "predictions[1].actor_id"),
+    (json.dumps(valid_predictions()[:1] * 2).encode()[:-1] + b"x", "document"),
+], ids=["whitespace", "str", "empty", "empty-spaced", "bom", "bom-str", "form-feed",
+        "trailing-comma", "no-close", "truncated", "lone-comma", "garbage", "extra-close",
+        "two-lists", "no-comma", "object", "string", "close-only", "blank", "deep",
+        "big-int", "utf8", "number-record", "nan-record", "bad-record-0",
+        "bad-record-0-then-truncated", "bad-record-0-then-syntax-error", "repeated-key",
+        "repeated-key-then-garbage"])
+def test_streamed_loader_matches_the_reference(blob, field):
+    result = loads_like_the_reference(blob)
+    if field is None:
+        assert isinstance(result, list)
+    else:
+        assert result.field == field
+
+
 def test_valid_documents_parse(tmp_path):
     assert len(load_predictions(json.dumps(valid_predictions()))) == 2
     (tmp_path / "p.json").write_text(json.dumps(valid_predictions()))
@@ -85,14 +191,13 @@ def test_valid_documents_parse(tmp_path):
 @FUZZ
 def test_predictions_tree_mutation(data):
     doc = mutate_tree(data, valid_predictions())
-    parses_or_parse_error(load_predictions, json.dumps(doc).encode())
+    loads_like_the_reference(json.dumps(doc).encode())
 
 
 @given(data=st.data())
 @FUZZ
 def test_predictions_byte_mutation(data):
-    blob = mutate_bytes(data, json.dumps(valid_predictions()).encode())
-    parses_or_parse_error(load_predictions, blob)
+    loads_like_the_reference(mutate_bytes(data, json.dumps(valid_predictions()).encode()))
 
 
 @pytest.fixture
