@@ -19,7 +19,7 @@ from .config import RunConfig, config_hash, load_config
 from .decoder import S1, S2, forecast, init_model, load_predictions, save_predictions
 from .ensemble import fuse, load_manifest
 from .errors import (ConfigError, ContractError, EnsembleError,
-                     EvaluationError, ParseError, TrainingError)
+                     EvaluationError, ParseError, TrainingError, one_of)
 from .metrics import evaluate, gt_map
 from .optim import LrSchedule, train
 from .scene import generate_synthetic, load_scene, save_scene
@@ -99,9 +99,7 @@ def cmd_predict(args):
     scenes = _load_scenes(args.data, cfg)
     for t in sorted({scene.horizon[1] for scene in scenes}):
         _check_checkpoint(store, cfg, t)
-    stage = store.meta.get("stage", S2)
-    if stage not in (S1, S2):
-        raise ParseError("stage", f"checkpoint has invalid stage {stage!r}")
+    stage = one_of(store.meta.get("stage", S2), "stage", (S1, S2))
     forecasts = [f for scene in scenes for f in forecast(scene, store, cfg.model, stage)]
     Path(args.out).write_bytes(save_predictions(forecasts))
     print(f"wrote {len(forecasts)} forecasts to {args.out}")

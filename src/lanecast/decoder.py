@@ -27,7 +27,7 @@ import numpy as np
 from . import diffcore as dc
 from ._layers import init_linear, linear
 from .encoder import encode_actors, encode_boundaries, encode_lane_nodes, init_encoders
-from .errors import ContractError, ParseError, iter_json_list
+from .errors import ContractError, ParseError, iter_json_list, numbers, require, string
 from .fusion import fuse_scene, init_fusion
 from .scene import normalize, to_world
 
@@ -177,59 +177,36 @@ def save_predictions(forecasts) -> bytes:
 CONF_SUM_TOL = 1e-6
 
 
-def _numbers(value, field):
-    """A nested JSON list of finite numbers -> float64 array, else
-    ParseError(field)."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as e:  # ragged nesting
-        raise ParseError(field, f"{field}: not a rectangular array") from e
-    if arr.dtype.kind not in "iuf":
-        raise ParseError(field, f"{field}: must hold numbers only")
-    arr = arr.astype(np.float64, copy=False)
-    if not np.isfinite(arr).all():
-        raise ParseError(field, f"{field}: non-finite values")
-    return arr
-
-
-def _bad_shape(field, arr, want):
-    return ParseError(field, f"{field}: shape {list(arr.shape)}, want {want}")
-
-
-def _forecast(r, i, seen):
-    p = f"predictions[{i}]."
-    for key in ("scene_id", "actor_id", "trajectories", "confidences", "targets"):
-        if not isinstance(r, dict) or key not in r:
-            raise ParseError(p + key)
-    traj = _numbers(r["trajectories"], p + "trajectories")
-    if traj.ndim != 3 or traj.shape[2] != 2:
-        raise _bad_shape(p + "trajectories", traj, "[K, T, 2]")
+def _forecast(r, i, seen, bools):
+    p = f"predictions[{i}]"
+    sid, aid, traj, conf, targ = (require(r, key, p) for key in (
+        "scene_id", "actor_id", "trajectories", "confidences", "targets"))
+    traj = numbers(traj, p + ".trajectories", (None, None, 2), bools)
     k = traj.shape[0]
-    conf = _numbers(r["confidences"], p + "confidences")
-    if conf.shape != (k,):
-        raise _bad_shape(p + "confidences", conf, f"[{k}]")
+    conf = numbers(conf, p + ".confidences", (k,), bools)
     if conf.min() < 0 or abs(conf.sum() - 1.0) > CONF_SUM_TOL:
-        raise ParseError(p + "confidences", f"{p}confidences: must be non-negative "
+        raise ParseError(p + ".confidences", f"{p}.confidences: must be non-negative "
                          f"and sum to 1, got min {conf.min():g}, sum {conf.sum():.9g}")
-    targ = _numbers(r["targets"], p + "targets")
-    if targ.shape != (k, 2):
-        raise _bad_shape(p + "targets", targ, f"[{k}, 2]")
-    f = Forecast(str(r["scene_id"]), str(r["actor_id"]), targ, traj, conf)
-    first = seen.setdefault((f.scene_id, f.actor_id), i)
+    targ = numbers(targ, p + ".targets", (k, 2), bools)
+    f = Forecast(string(sid, p + ".scene_id"), string(aid, p + ".actor_id"), targ, traj, conf)
+    first = seen.setdefault((sid, aid), i)
     if first != i:
-        raise ParseError(p + "actor_id", f"{p}actor_id: scene {f.scene_id!r}, actor "
-                         f"{f.actor_id!r} repeats predictions[{first}]")
+        raise ParseError(p + ".actor_id", f"{p}.actor_id: scene {sid!r}, actor "
+                         f"{aid!r} repeats predictions[{first}]")
     return f
 
 
 def load_predictions(data):
     """Prediction file -> Forecasts, decoded and checked one record at a
     time. Per record: trajectories [K, T, 2], confidences [K] (non-negative,
-    summing to 1), targets [K, 2]; no (scene_id, actor_id) twice."""
+    summing to 1), targets [K, 2]; string ids, no (scene_id, actor_id) twice.
+    Only a document that spells `true` or `false` is searched for booleans."""
     records = iter_json_list(data, "prediction file")
+    bools = any(w in data for w in (("true", "false") if isinstance(data, str)
+                                     else (b"true", b"false")))
     seen = {}
     try:
-        return [_forecast(r, i, seen) for i, r in enumerate(records)]
+        return [_forecast(r, i, seen, bools) for i, r in enumerate(records)]
     except ParseError:
         for _ in records:  # a syntax error further on outranks a bad record
             pass

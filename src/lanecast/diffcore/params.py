@@ -15,7 +15,8 @@ import struct
 
 import numpy as np
 
-from ..errors import ContractError, ParseError, parse_json
+from ..errors import (ContractError, ParseError, integer, one_of, parse_json, require,
+                      string)
 from .tensor import Tensor
 
 _MAGIC = "lanecast-params-v1"
@@ -78,8 +79,7 @@ class ParamStore:
                 raise ParseError("manifest", f"checkpoint manifest length {mlen} exceeds the file")
             manifest = parse_json(f.read(mlen), "checkpoint manifest")
             left -= mlen
-            if not isinstance(manifest, dict) or manifest.get("format") != _MAGIC:
-                raise ParseError("format", "unrecognized checkpoint format")
+            one_of(require(manifest, "format"), "format", (_MAGIC,))
             entries, meta = manifest.get("params"), manifest.get("meta", {})
             if not isinstance(entries, list):
                 raise ParseError("params", "checkpoint manifest has no params list")
@@ -112,13 +112,11 @@ class ParamStore:
 
 
 def _check_entry(e):
-    if not (isinstance(e, dict) and isinstance(e.get("name"), str)):
-        raise ParseError("params", f"malformed manifest entry: {e!r}")
-    name, shape = e["name"], e.get("shape")
-    if not isinstance(shape, list) or any(
-            not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in shape):
-        raise ParseError(name, f"parameter {name}: shape must be a list of "
-                               f"non-negative ints, got {shape!r}")
-    if e.get("dtype") not in ("float32", "float64"):
-        raise ParseError("dtype", f"parameter {name}: dtype must be "
-                                  f"float32 or float64, got {e.get('dtype')!r}")
+    if not isinstance(e, dict):
+        raise ParseError("params", f"malformed manifest entry: {e!r:.60}")
+    name, shape = string(e.get("name"), "params"), e.get("shape")
+    if not isinstance(shape, list):
+        raise ParseError(name, f"parameter {name}: shape must be a list, got {shape!r:.60}")
+    for s in shape:
+        integer(s, name, 0)
+    one_of(e.get("dtype"), "dtype", ("float32", "float64"))

@@ -8,13 +8,13 @@ confidences.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoder import Forecast, load_predictions
-from .errors import ContractError, EnsembleError, ParseError, parse_json
+from .errors import (ContractError, EnsembleError, ParseError, numbers, parse_json,
+                     require, string)
 from .scene import actor_rng_seed
 
 KMEANS_MAX_ITERS = 100
@@ -190,29 +190,24 @@ def _read_bytes(path, field):
 
 
 def load_manifest(data, base_dir=None):
-    """Manifest: JSON list of {model_id, alpha, prediction_file}."""
+    """Manifest: JSON list of {model_id, alpha, prediction_file}; no
+    model_id twice."""
     entries = parse_json(data, "manifest")
     if not isinstance(entries, list) or not entries:
         raise ParseError("document", "manifest must be a nonempty JSON list")
-    subs = []
+    subs, model_ids = [], {}
     for i, e in enumerate(entries):
-        p = f"manifest[{i}]."
-        for key in ("model_id", "alpha", "prediction_file"):
-            if not isinstance(e, dict) or key not in e:
-                raise ParseError(p + key)
-        alpha = e["alpha"]
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) \
-                or not 0 < alpha <= sys.float_info.max:
-            raise ParseError(p + "alpha", f"{p}alpha must be positive and finite, "
-                                          f"got {alpha!r}")
-        path = e["prediction_file"]
-        if not isinstance(path, str):
-            raise ParseError(p + "prediction_file", f"{p}prediction_file must be a "
-                                                    f"string, got {path!r}")
+        p = f"manifest[{i}]"
+        model_id, alpha, path = (require(e, key, p) for key in (
+            "model_id", "alpha", "prediction_file"))
+        alpha = float(numbers(alpha, p + ".alpha", ()))
+        if not alpha > 0:
+            raise ParseError(p + ".alpha", f"{p}.alpha must be positive, got {alpha!r}")
+        path = string(path, p + ".prediction_file")
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        forecasts = load_predictions(_read_bytes(path, p + "prediction_file"))
+        forecasts = load_predictions(_read_bytes(path, p + ".prediction_file"))
         subs.append(SubmodelPrediction(
-            model_id=str(e["model_id"]), alpha=float(alpha),
+            model_id=string(model_id, p + ".model_id", model_ids), alpha=alpha,
             forecasts={(fc.scene_id, fc.actor_id): fc for fc in forecasts}))
     return subs

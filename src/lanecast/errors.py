@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the JSON readers every
-input file goes through: a whole document, or a list element by element."""
+"""Exception types shared across the package, the JSON readers every input
+file goes through (a whole document, or a list element by element), and the
+field rules they apply: ids are strings, numbers finite non-boolean numbers."""
 
 import json
+from itertools import chain
+
+import numpy as np
 
 
 class LanecastError(Exception):
@@ -73,3 +77,65 @@ def iter_json_list(data, what):
     except (ValueError, RecursionError):  # incl. JSONDecodeError, bad UTF-8, huge ints
         parse_json(data, what)
         raise ParseError("document", f"{what} must be a JSON list") from None
+
+
+def require(obj, key, path=""):
+    """obj[key]; ParseError naming `path.key` when `obj` is no JSON object
+    or lacks `key`."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"{path}.{key}" if path else key)
+    return obj[key]
+
+
+def string(value, field, seen=None):
+    """A JSON string; with `seen` (string -> field it was read from), also a
+    new one, which is added."""
+    if not isinstance(value, str):
+        raise ParseError(field, f"{field}: must be a string, got {value!r:.60}")
+    if seen is not None and seen.setdefault(value, field) != field:
+        raise ParseError(field, f"{field}: {value!r:.60} repeats {seen[value]}")
+    return value
+
+
+def integer(value, field, low):
+    """A JSON integer, not a boolean, of at least `low`."""
+    if type(value) is not int or value < low:
+        raise ParseError(field, f"{field}: must be an integer >= {low}, got {value!r:.60}")
+    return value
+
+
+def one_of(value, field, choices):
+    """A member of the tuple `choices`."""
+    if value not in choices:
+        raise ParseError(field, f"{field}: must be one of {', '.join(choices)}, got {value!r:.60}")
+    return value
+
+
+def numbers(value, field, shape=None, bools=True):
+    """Nested JSON lists of finite, non-boolean numbers (one number for shape
+    ()) -> float64 array, of `shape` if given; None in it matches any size.
+    `bools=False` skips the walk for booleans over every number: for values
+    from a document that spells neither `true` nor `false`."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(type(x) in (int, float) for x in arr.flat):
+            arr = arr.astype(np.float64)  # ints beyond int64
+        ok = arr.dtype.kind in "iuf"
+    except (ValueError, OverflowError):  # ragged nesting; an int beyond float range
+        ok = False
+    if ok and bools:
+        leaves = [value]
+        for _ in range(arr.ndim):
+            leaves = chain.from_iterable(leaves)
+        ok = bool not in map(type, leaves)
+    if ok:
+        arr = arr.astype(np.float64, copy=False)
+        ok = np.isfinite(arr).all()
+    if not ok:
+        raise ParseError(field, f"{field}: must be finite, non-boolean numbers "
+                                f"in equal-length lists")
+    if shape is not None and arr.shape != shape and (arr.ndim != len(shape) or any(
+            want not in (None, n) for want, n in zip(shape, arr.shape))):
+        want = ", ".join("*" if w is None else str(w) for w in shape)
+        raise ParseError(field, f"{field}: shape {list(arr.shape)}, want [{want}]")
+    return arr

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError, parse_json
+from .errors import (ConfigError, ContractError, ParseError, integer, numbers, one_of,
+                     parse_json, require, string)
 
 ACTOR_KINDS = ("vehicle", "pedestrian", "cyclist", "other")
 MARKINGS = ("solid", "dashed", "double", "none")
@@ -497,25 +498,6 @@ def to_world(scene: Scene, points):
 # serialization
 
 
-def _require(obj, key, path):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"{path}{key}" if path.endswith(".") or not path else key)
-    return obj[key]
-
-
-def _num_array(val, path, shape_hint=None):
-    try:
-        arr = np.asarray(val, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as e:  # overflow: an int beyond float range
-        raise ParseError(path, f"{path}: not numeric or out of range") from e
-    if shape_hint is not None and (arr.ndim != len(shape_hint) or any(
-            s is not None and arr.shape[i] != s for i, s in enumerate(shape_hint))):
-        raise ParseError(path, f"{path}: bad shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ParseError(path, f"{path}: non-finite value")
-    return arr
-
-
 def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
     """Parse scene JSON (bytes or str). Violations raise ParseError naming
     the offending field. Scene identity is not part of the file format;
@@ -524,85 +506,68 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
     if not isinstance(obj, dict):
         raise ParseError("document", "top level must be an object")
 
-    hz = _require(obj, "horizon", "")
-    h = _require(hz, "H", "horizon.")
-    t = _require(hz, "T", "horizon.")
-    if (isinstance(h, bool) or isinstance(t, bool) or not isinstance(h, int)
-            or not isinstance(t, int) or h < 2 or t < 1):
-        raise ParseError("horizon", f"bad horizon H={h!r} T={t!r}")
+    hz = require(obj, "horizon")
+    h, t = (require(hz, key, "horizon") for key in "HT")
+    h, t = integer(h, "horizon.H", 2), integer(t, "horizon.T", 1)
 
-    raw_actors = _require(obj, "actors", "")
+    raw_actors = require(obj, "actors")
     if not isinstance(raw_actors, list) or not raw_actors:
         raise ParseError("actors", "actors must be a nonempty list")
-    actors, actor_ids = [], set()
+    actors, actor_ids = [], {}
     for i, ra in enumerate(raw_actors):
-        p = f"actors[{i}]."
-        aid = str(_require(ra, "id", p))
-        if aid in actor_ids:
-            raise ParseError(p + "id", f"{p}id {aid!r} repeats an earlier actor's id")
-        kind = _require(ra, "kind", p)
-        if kind not in ACTOR_KINDS:
-            raise ParseError(p + "kind", f"unknown actor kind {kind!r}")
-        hist = _num_array(_require(ra, "history", p), p + "history", (h, 5))
-        observed = _require(ra, "observed", p)
-        if (not isinstance(observed, list) or len(observed) != h
+        p = f"actors[{i}]"
+        aid = string(require(ra, "id", p), p + ".id", actor_ids)
+        kind = one_of(require(ra, "kind", p), p + ".kind", ACTOR_KINDS)
+        hist = numbers(require(ra, "history", p), p + ".history", (h, 5))
+        observed = require(ra, "observed", p)
+        if (not isinstance(observed, list) or len(observed) != h or True not in observed
                 or not all(isinstance(b, bool) for b in observed)):
-            raise ParseError(p + "observed", f"{p}observed must be {h} booleans")
+            raise ParseError(p + ".observed", f"{p}.observed must be {h} booleans, "
+                                              f"one of them true")
         obs = np.array(observed, dtype=bool)
-        if not obs.any():
-            raise ParseError(p + "observed", f"{p}observed has no true entry")
-        fut = _require(ra, "future", p)
-        future = None if fut is None else _num_array(fut, p + "future", (t, 2))
-        focal = _require(ra, "focal", p)
+        fut = require(ra, "future", p)
+        future = None if fut is None else numbers(fut, p + ".future", (t, 2))
+        focal = require(ra, "focal", p)
         if not isinstance(focal, bool):
-            raise ParseError(p + "focal")
+            raise ParseError(p + ".focal")
         actors.append(ActorTrack(
             id=aid, kind=kind, positions=hist[:, 0:2].copy(),
             headings=wrap_angles(hist[:, 2]), velocities=hist[:, 3:5].copy(),
             observed=obs, future=future, focal=focal))
-        actor_ids.add(aid)
 
-    raw_lanes = _require(obj, "lanes", "")
+    raw_lanes = require(obj, "lanes")
     if not isinstance(raw_lanes, list):
         raise ParseError("lanes")
-    lanes = []
-    lane_ids = set()
+    lanes, lane_ids = [], {}
     for i, rl in enumerate(raw_lanes):
-        p = f"lanes[{i}]."
-        lid = str(_require(rl, "id", p))
-        if lid in lane_ids:
-            raise ParseError(p + "id", f"{p}id {lid!r} repeats an earlier lane's id")
-        pts = _num_array(_require(rl, "centerline", p), p + "centerline", (None, 2))
+        p = f"lanes[{i}]"
+        lid = string(require(rl, "id", p), p + ".id", lane_ids)
+        pts = numbers(require(rl, "centerline", p), p + ".centerline", (None, 2))
         if pts.shape[0] < 2:
-            raise ParseError(p + "centerline", f"{p}centerline needs >= 2 points")
+            raise ParseError(p + ".centerline", f"{p}.centerline needs >= 2 points")
         lanes.append(Lane(lid, pts))
-        lane_ids.add(lid)
 
-    raw_bounds = _require(obj, "boundaries", "")
+    raw_bounds = require(obj, "boundaries")
     if not isinstance(raw_bounds, list):
         raise ParseError("boundaries")
     boundaries = []
     for i, rb in enumerate(raw_bounds):
-        p = f"boundaries[{i}]."
-        pts = _num_array(_require(rb, "points", p), p + "points", (None, 2))
+        p = f"boundaries[{i}]"
+        pts = numbers(require(rb, "points", p), p + ".points", (None, 2))
         if pts.shape[0] < 2:
-            raise ParseError(p + "points", f"{p}points needs >= 2 points")
-        marking = _require(rb, "marking", p)
-        if marking not in MARKINGS:
-            raise ParseError(p + "marking", f"unknown marking {marking!r}")
-        side = _require(rb, "side", p)
-        if side not in SIDES:
-            raise ParseError(p + "side", f"unknown side {side!r}")
-        lid = str(_require(rb, "lane_id", p))
+            raise ParseError(p + ".points", f"{p}.points needs >= 2 points")
+        marking = one_of(require(rb, "marking", p), p + ".marking", MARKINGS)
+        side = one_of(require(rb, "side", p), p + ".side", SIDES)
+        lid = string(require(rb, "lane_id", p), p + ".lane_id")
         if lid not in lane_ids:
-            raise ParseError(p + "lane_id", f"{p}lane_id {lid!r} not among lanes")
+            raise ParseError(p + ".lane_id", f"{p}.lane_id {lid!r} not among lanes")
         boundaries.append(BoundaryPolyline(points=pts, marking=marking, side=side,
                                            lane_id=lid))
 
     if not any(a.focal for a in actors):
         raise ParseError("actors", "no focal actor")
     return make_scene((h, t), actors, lanes, boundaries, segment_len=segment_len,
-                      lane_width=lane_width, scene_id=str(scene_id))
+                      lane_width=lane_width, scene_id=scene_id)
 
 
 def save_scene(scene: Scene) -> bytes:

@@ -186,16 +186,23 @@ class TestMalformedInputs:
         ("targets", _set("targets", [[0.5, 1.0, 2.0]] * 6)),
         ("targets", _set("targets", [[0.5, 1.0]] * 5)),
         ("confidences", _set("confidences", [0.2] * 6)),
+        ("scene_id", _set("scene_id", None)),
+        ("actor_id", _set("actor_id", 7)),
+        ("actor_id", _set("actor_id", True)),
+        ("targets", _set("targets", [[2, True]] * 6)),
     ], ids=["conf-k1", "conf-scalar", "targets-text", "traj-text", "traj-ragged",
-            "conf-negative", "targets-k3", "targets-short", "conf-sum"])
+            "conf-negative", "targets-k3", "targets-short", "conf-sum", "null-scene-id",
+            "numeric-actor-id", "boolean-actor-id", "boolean-target"])
     def test_bad_prediction_field_is_user_error(self, data_dir, field, mutate, capsys):
         rec = _record()
         mutate(rec)
         preds = data_dir / "preds.json"
         preds.write_text(json.dumps([_record(), rec]))
+        capsys.readouterr()
         assert run("eval", "--config", str(data_dir / "run.json"),
                    "--predictions", str(preds), "--data", str(data_dir / "data")) == 1
-        assert f"predictions[1].{field}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"predictions[1].{field}" in err
 
     def test_repeated_prediction_key_is_user_error(self, data_dir, tmp_path, capsys):
         """Two records for one actor: eval scored whichever came last."""
@@ -279,6 +286,50 @@ class TestMalformedInputs:
         assert run("train", "--config", str(data_dir / "run.json"), "--data", str(data),
                    "--out", str(tmp_path / "run")) == 1
         assert "actors[1].id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("actors", 0, "id"), None, "actors[0].id"),
+        (("actors", 1, "id"), 7, "actors[1].id"),
+        (("actors", 0, "id"), True, "actors[0].id"),
+        (("lanes", 1, "id"), 1, "lanes[1].id"),
+        (("actors", 0, "history", 2, 0), True, "actors[0].history"),
+        (("lanes", 0, "centerline", 1, 0), "1e3", "lanes[0].centerline"),
+    ], ids=["null-id", "numeric-id", "boolean-id", "numeric-lane-id", "boolean-number",
+            "string-number"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mistyped_scene_field_is_user_error(self, data_dir, tmp_path, command, path,
+                                                value, field, capsys):
+        """Ids are JSON strings and numbers JSON numbers: anything else
+        exits 1 with one line naming the field."""
+        data = tmp_path / "data"
+        data.mkdir()
+        scene = json.loads((data_dir / "data" / "scene000.json").read_text())
+        node = scene
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (data / "scene000.json").write_text(json.dumps(scene))
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps([_record()]))
+        args = (["--data", str(data), "--out", str(tmp_path / "run")] if command == "train"
+                else ["--data", str(data), "--predictions", str(preds)])
+        capsys.readouterr()
+        assert run(command, "--config", str(data_dir / "run.json"), *args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+
+    @pytest.mark.parametrize("model_id", [None, 7, True, "m0"],
+                             ids=["null", "numeric", "boolean", "repeated"])
+    def test_mistyped_model_id_is_user_error(self, tmp_path, model_id, capsys):
+        (tmp_path / "p.json").write_text(json.dumps([_record()]))
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"model_id": "m0", "alpha": 1.0, "prediction_file": "p.json"},
+            {"model_id": model_id, "alpha": 2.0, "prediction_file": "p.json"}]))
+        assert run("ensemble", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "f.json")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "manifest[1].model_id" in err
 
     @pytest.mark.parametrize("doc, field", [
         ({"model": {"d": "x"}}, "model.d"),

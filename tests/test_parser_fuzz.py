@@ -1,7 +1,9 @@
 """Mutation fuzz of the prediction-file, manifest, checkpoint and scene
 parsers: whatever is done to a valid document, loading it either succeeds or
 raises ParseError. The record-by-record prediction loader also gives the
-same result as the whole-tree loader it replaced."""
+same result as a whole-tree reference loader. The scene, prediction and
+manifest readers reject a non-string id, a boolean among numbers and a
+number written as a string, naming the field."""
 
 import json
 import struct
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lanecast import diffcore as dc
-from lanecast.decoder import CONF_SUM_TOL, Forecast, _bad_shape, _numbers, load_predictions
+from lanecast.decoder import CONF_SUM_TOL, Forecast, load_predictions
 from lanecast.ensemble import load_manifest
 from lanecast.errors import ParseError, parse_json
 from lanecast.scene import SceneGenConfig, generate_synthetic, load_scene, save_scene
@@ -75,10 +77,34 @@ def parses_or_parse_error(load, blob):
         pass
 
 
+def _numbers(value, field):
+    """Nested JSON lists of finite numbers, none of them a boolean ->
+    float64 array, else ParseError(field)."""
+    def leaves(v):
+        return [x for kid in v for x in leaves(kid)] if isinstance(v, list) else [v]
+
+    bad = ParseError(field, f"{field}: must be finite, non-boolean numbers in equal-length lists")
+    if not all(type(x) in (int, float) for x in leaves(value)):
+        raise bad
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged; an int beyond float range
+        raise bad from None
+    if not np.isfinite(arr).all():
+        raise bad
+    return arr
+
+
+def _bad_shape(field, arr, want):
+    return ParseError(field, f"{field}: shape {list(arr.shape)}, want {want}")
+
+
 def reference_load_predictions(data):
-    """The whole-tree loader `load_predictions` replaced: parse the document,
-    then check every record. Kept as the reference, with the one rule added
-    since: a repeated (scene_id, actor_id) is an error at its second record."""
+    """A whole-tree loader: parse the document, then check every record.
+    Kept as the reference for `load_predictions`, which decodes record by
+    record and looks for booleans only when the document spells one. Rules
+    added since it was the loader: a repeated (scene_id, actor_id) is an
+    error at its second record; ids are strings; no number is a boolean."""
     recs = parse_json(data, "prediction file")
     if not isinstance(recs, list):
         raise ParseError("document", "prediction file must be a JSON list")
@@ -90,7 +116,7 @@ def reference_load_predictions(data):
                 raise ParseError(p + key)
         traj = _numbers(r["trajectories"], p + "trajectories")
         if traj.ndim != 3 or traj.shape[2] != 2:
-            raise _bad_shape(p + "trajectories", traj, "[K, T, 2]")
+            raise _bad_shape(p + "trajectories", traj, "[*, *, 2]")
         k = traj.shape[0]
         conf = _numbers(r["confidences"], p + "confidences")
         if conf.shape != (k,):
@@ -101,7 +127,10 @@ def reference_load_predictions(data):
         targ = _numbers(r["targets"], p + "targets")
         if targ.shape != (k, 2):
             raise _bad_shape(p + "targets", targ, f"[{k}, 2]")
-        key = (str(r["scene_id"]), str(r["actor_id"]))
+        key = (r["scene_id"], r["actor_id"])
+        for name, v in zip(("scene_id", "actor_id"), key):
+            if not isinstance(v, str):
+                raise ParseError(p + name, f"{p}{name}: must be a string, got {v!r:.60}")
         if key in seen:
             raise ParseError(p + "actor_id", f"{p}actor_id: scene {key[0]!r}, actor "
                              f"{key[1]!r} repeats predictions[{seen[key]}]")
@@ -129,6 +158,13 @@ def loads_like_the_reference(blob):
             assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
             assert x.tobytes() == y.tobytes()
     return got
+
+
+def _record_with(i, key, value):
+    """The valid predictions with record i's `key` set to `value`."""
+    recs = valid_predictions()
+    recs[i][key] = value
+    return json.dumps(recs).encode()
 
 
 VALID = json.dumps(valid_predictions()).encode()
@@ -166,18 +202,37 @@ BAD_RECORD_0 = json.dumps([{**valid_predictions()[0], "confidences": [1.0]},
     (BAD_RECORD_0[:-2] + b"}, [}]", "document"),
     (json.dumps(valid_predictions()[:1] * 2).encode(), "predictions[1].actor_id"),
     (json.dumps(valid_predictions()[:1] * 2).encode()[:-1] + b"x", "document"),
+    (_record_with(0, "scene_id", None), "predictions[0].scene_id"),
+    (_record_with(1, "actor_id", 7), "predictions[1].actor_id"),
+    (_record_with(0, "actor_id", True), "predictions[0].actor_id"),
+    (_record_with(0, "targets", [[2, True], [1, 3.0], [2, 3.0]]), "predictions[0].targets"),
+    (_record_with(0, "targets", [[2, True], [1, 3.0], [2, 3.0]]).decode(),
+     "predictions[0].targets"),
+    (_record_with(1, "confidences", [True, 0, 0]), "predictions[1].confidences"),
+    (_record_with(0, "trajectories", [[[0.5, 1.0], [1, False], [0, 3.0]]] * 3),
+     "predictions[0].trajectories"),
 ], ids=["whitespace", "str", "empty", "empty-spaced", "bom", "bom-str", "form-feed",
         "trailing-comma", "no-close", "truncated", "lone-comma", "garbage", "extra-close",
         "two-lists", "no-comma", "object", "string", "close-only", "blank", "deep",
         "big-int", "utf8", "number-record", "nan-record", "bad-record-0",
         "bad-record-0-then-truncated", "bad-record-0-then-syntax-error", "repeated-key",
-        "repeated-key-then-garbage"])
+        "repeated-key-then-garbage", "null-scene-id", "numeric-actor-id", "boolean-actor-id",
+        "boolean-target", "boolean-target-str", "boolean-confidences", "boolean-trajectory"])
 def test_streamed_loader_matches_the_reference(blob, field):
     result = loads_like_the_reference(blob)
     if field is None:
         assert isinstance(result, list)
     else:
         assert result.field == field
+
+
+def test_booleans_are_looked_for_only_where_spelled():
+    """`load_predictions` walks the numbers for booleans only when the
+    document holds `true` or `false`; inside a string they are no boolean."""
+    for word in ("true", "false"):
+        blob = _record_with(0, "scene_id", word)
+        for doc in (blob, blob.decode()):
+            assert [f.scene_id for f in loads_like_the_reference(doc)] == [word, "s1"]
 
 
 def test_valid_documents_parse(tmp_path):
@@ -219,6 +274,25 @@ def test_manifest_tree_mutation(pred_dir, data):
 def test_manifest_byte_mutation(pred_dir, data):
     blob = mutate_bytes(data, json.dumps(valid_manifest()).encode())
     parses_or_parse_error(lambda b: load_manifest(b, base_dir=pred_dir), blob)
+
+
+def _manifest_with(i, key, value):
+    doc = valid_manifest()
+    doc[i][key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_manifest_with(0, "model_id", None), "manifest[0].model_id"),
+    (_manifest_with(1, "model_id", 7), "manifest[1].model_id"),
+    (_manifest_with(0, "model_id", True), "manifest[0].model_id"),
+    (_manifest_with(1, "model_id", "m0"), "manifest[1].model_id"),
+], ids=["null-model-id", "numeric-model-id", "boolean-model-id", "repeated-model-id"])
+def test_manifest_field_rules(pred_dir, doc, field):
+    """A model id is a string, used once."""
+    with pytest.raises(ParseError) as err:
+        load_manifest(doc, base_dir=pred_dir)
+    assert err.value.field == field
 
 
 def valid_checkpoint():
@@ -272,6 +346,52 @@ def valid_scene():
 def test_valid_scene_loads():
     scene = load_scene(json.dumps(valid_scene()))
     assert scene.lane_graph.n_nodes == 12 and len(scene.boundaries) == 4
+
+
+def _rename_lane(doc, lane_id, ref):
+    """Lane 0 renamed to `lane_id`, its boundaries pointing at it by `ref`."""
+    old = doc["lanes"][0]["id"]
+    doc["lanes"][0]["id"] = lane_id
+    for b in doc["boundaries"]:
+        if b["lane_id"] == old:
+            b["lane_id"] = ref
+
+
+def _set_at(*path):
+    """A mutation setting doc[path[0]]...[path[-2]] to path[-1]."""
+    def mutate(doc):
+        *keys, last, value = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_set_at("actors", 0, "id", None), "actors[0].id"),
+    (_set_at("actors", 1, "id", 7), "actors[1].id"),
+    (_set_at("actors", 0, "id", True), "actors[0].id"),
+    (lambda doc: _rename_lane(doc, None, None), "lanes[0].id"),
+    (lambda doc: _rename_lane(doc, 7, 7), "lanes[0].id"),
+    (lambda doc: _rename_lane(doc, "True", True), "boundaries[0].lane_id"),
+    (lambda doc: _rename_lane(doc, "None", None), "boundaries[0].lane_id"),
+    (_set_at("actors", 0, "history", 0, 3, True), "actors[0].history"),
+    (_set_at("actors", 1, "future", 0, [2, True]), "actors[1].future"),
+    (_set_at("lanes", 1, "centerline", 0, 0, "1e3"), "lanes[1].centerline"),
+    (_set_at("boundaries", 2, "points", 1, 1, "1e3"), "boundaries[2].points"),
+    (_set_at("horizon", "H", True), "horizon.H"),
+    (_set_at("horizon", "T", 2.0), "horizon.T"),
+], ids=["null-actor-id", "numeric-actor-id", "boolean-actor-id", "null-lane-id",
+        "numeric-lane-id", "boolean-lane-ref", "null-lane-ref", "boolean-history",
+        "boolean-future", "string-centerline", "string-points", "boolean-h", "float-t"])
+def test_scene_field_rules(mutate, field):
+    """Ids are strings, numbers are JSON numbers and never booleans; the
+    horizon names the count at fault."""
+    doc = valid_scene()
+    mutate(doc)
+    with pytest.raises(ParseError) as err:
+        load_scene(json.dumps(doc))
+    assert err.value.field == field
 
 
 @given(data=st.data())

@@ -4,8 +4,10 @@ and leaves the confidences alone, and the order of the non-focal actors, the
 lanes and the boundaries in a scene file does not change any focal forecast.
 
 The scenes have straight lanes, the generator's default. On a curved arc a
-boundary node can sit exactly midway between two lane nodes; the last test
-checks that such a near-tie matches the same node in a shifted frame."""
+boundary node can sit exactly midway between two lane nodes; a test checks
+that such a near-tie matches the same node in a shifted frame. The last test
+moves scenes of concentric curved lanes and checks that the lane graph,
+built from nearest nodes across lanes, keeps every edge."""
 
 import json
 from dataclasses import replace
@@ -105,3 +107,21 @@ def test_a_shift_moves_forecasts_on_a_curved_arc_too():
     for aid, f in before.items():
         np.testing.assert_allclose(after[aid].trajectories, f.trajectories + [0.0, 0.5],
                                    rtol=0, atol=TOL)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), n_lanes=st.integers(2, 4),
+       kappa=st.floats(0.002, 0.05) | st.floats(-0.05, -0.002),
+       segment_len=st.sampled_from([1.0, 1.5, 2.0, 3.0]), theta=st.floats(-np.pi, np.pi),
+       shift=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)))
+def test_a_rigid_motion_keeps_the_lane_graph_of_concentric_arcs(seed, n_lanes, kappa,
+                                                                segment_len, theta, shift):
+    gen = replace(GEN, n_lanes=n_lanes, curvature_range=(kappa, kappa), segment_len=segment_len)
+    obj = _scene_json(seed, gen)
+    moved, _ = _moved(obj, theta, np.asarray(shift))
+    before, after = (load_scene(json.dumps(o), segment_len=segment_len).lane_graph
+                     for o in (obj, moved))
+    assert before.adjacency.keys() == after.adjacency.keys()
+    for kind, edges in before.adjacency.items():
+        np.testing.assert_array_equal(after.adjacency[kind], edges, err_msg=kind)
+    assert len(before.adjacency["left"]) > 0
