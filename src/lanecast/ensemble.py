@@ -18,6 +18,7 @@ from .errors import (ContractError, EnsembleError, ParseError, numbers, parse_js
 from .scene import actor_rng_seed
 
 KMEANS_MAX_ITERS = 100
+_BLOCK = 32  # actors clustered at once; bounds the stacked [N, M, T, 2] pool
 
 
 @dataclass
@@ -36,148 +37,147 @@ def model_factors(alphas):
 
 def ensemble_weights(alphas, confidences):
     """Per-trajectory weights: W[j, i] = conf_j[i] * factor_j, flattened
-    model-major. `confidences` is a list of per-model [K] arrays."""
-    factors = model_factors(alphas)
-    return np.concatenate([np.asarray(c, dtype=np.float64) * f
-                           for c, f in zip(confidences, factors)])
+    model-major; `confidences` lists per-model [K] arrays, actor after actor."""
+    factors = np.tile(model_factors(alphas), len(confidences) // len(alphas))
+    return np.concatenate(confidences, dtype=np.float64) * np.repeat(
+        factors, [len(c) for c in confidences])
 
 
 def weighted_kmeans(points, weights, k=6, seed=0):
-    """Weighted k-means++ and Lloyd iterations.
+    """Weighted k-means++ seeding: the first center drawn in proportion to
+    weight, later ones to weight times squared distance to the nearest center.
+    Then Lloyd until assignments repeat or for 100 iterations: nearest center
+    (ties: lowest index), weighted centroids, an emptied cluster restarted at
+    the point of largest weighted distance. Returns (assignments [M], centers
+    [k, 2], objective history, empty [k]); M < k points: one cluster each."""
+    x, w = (np.asarray(a, dtype=np.float64)[None] for a in (points, weights))
+    assign, centers, objective, iters, empty = _kmeans(x, w, k, [seed])
+    return assign[0], centers[0], objective[0, :iters[0]].tolist(), empty[0]
 
-    Seeding: first center drawn with probability proportional to weight,
-    later centers proportional to weight times squared distance to the
-    nearest chosen center. Lloyd alternates nearest-center assignment
-    (ties: lowest index) and weighted centroid updates; an emptied cluster
-    is reseeded at the point with the largest weighted distance to its
-    center. Stops when assignments stabilize or after 100 iterations.
 
-    Returns (assignments [M], centers [k, 2], objective history, empty mask).
-    With M < k, each point becomes its own cluster and the remainder are
-    flagged empty.
-    """
-    x = np.asarray(points, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    m = x.shape[0]
-    if m == 0 or x.ndim != 2:
-        raise ContractError(f"weighted_kmeans: bad points shape {x.shape}")
-    if w.shape != (m,) or (w < 0).any() or w.sum() <= 0:
-        raise ContractError("weighted_kmeans: weights must be >= 0, not all zero")
-
+def _kmeans(x, w, k, seeds):
+    """`weighted_kmeans` on N pools at once, x [N, M, 2] and w [N, M]; pool i
+    draws from `default_rng(seeds[i])` and stops on its own, as if alone.
+    Returns assignments, centers, objective [N, 100], iterations [N], empty."""
+    if x.shape[2:] != (2,) or w.shape != x.shape[:2] or not (
+            np.isfinite(w).all() and (w >= 0).all() and (w.sum(axis=1) > 0).all()):
+        raise ContractError(f"weighted_kmeans: points {x.shape[1:]} need [M, 2] and as many "
+                            "weights, finite, >= 0 and not all zero")
+    (n, m), rows = w.shape, np.arange(len(w))
     if m < k:
-        centers = np.zeros((k, 2))
-        centers[:m] = x
-        return np.arange(m), centers, [0.0], np.arange(k) >= m
-
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, 2))
-    centers[0] = x[rng.choice(m, p=w / w.sum())]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        score = w * d2
-        total = score.sum()
-        if total > 0:
-            idx = rng.choice(m, p=score / total)
-        else:
-            # all mass on chosen points (duplicates); lowest unchosen index
-            idx = int(np.argmax(d2 == d2.max()))
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
-
-    assignments = np.full(m, -1, dtype=np.int64)
-    objective = []
-    for _ in range(KMEANS_MAX_ITERS):
-        dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)  # [M, k]
-        new_assign = np.argmin(dists, axis=1)  # ties: lowest index
-        objective.append(float((w * dists[np.arange(m), new_assign]).sum()))
-        if np.array_equal(new_assign, assignments):
+        return (np.tile(np.arange(m), (n, 1)), np.pad(x, ((0, 0), (0, k - m), (0, 0))),
+                np.zeros((n, 1)), np.ones(n, dtype=np.int64), np.tile(np.arange(k) >= m, (n, 1)))
+    # Generator.choice(m, p=p) is searchsorted(cumsum(p) / cdf[-1], u, "right")
+    uniforms = np.stack([np.random.default_rng(s).random(k) for s in seeds])
+    drawn, centers, d2 = np.zeros_like(rows), np.empty((n, k, 2)), np.full((n, m), np.inf)
+    for c in range(k):
+        score = w if c == 0 else w * d2
+        total = score.sum(axis=1)
+        draw = total > 0  # else all mass is on chosen points: lowest unchosen index
+        cdf = np.cumsum(score / np.where(draw, total, 1.0)[:, None], axis=1)
+        cdf /= np.where(draw, cdf[:, -1], 1.0)[:, None]
+        pick = np.where(draw, (cdf <= uniforms[rows, drawn, None]).sum(axis=1),
+                        (d2 == d2.max(axis=1, keepdims=True)).argmax(axis=1))
+        drawn += draw
+        centers[:, c] = x[rows, pick]
+        d2 = np.minimum(d2, ((x - centers[:, c, None]) ** 2).sum(axis=2))
+    assign, iters, live = np.full((n, m), -1), np.zeros_like(rows), rows
+    objective = np.zeros((n, KMEANS_MAX_ITERS))
+    for it in range(KMEANS_MAX_ITERS):
+        xl, wl = x[live], w[live]
+        dists = ((xl[:, :, None] - centers[live][:, None]) ** 2).sum(axis=3)  # [L, M, k]
+        new, wd = dists.argmin(axis=2), wl * dists.min(axis=2)  # ties: lowest index
+        objective[live, it] = wd.sum(axis=1)
+        iters[live] += 1
+        moved = (new != assign[live]).any(axis=1)
+        live, xl, wl, new, wd = live[moved], xl[moved], wl[moved], new[moved], wd[moved]
+        if not live.size:
             break
-        assignments = new_assign
-        for c in range(k):
-            members = np.flatnonzero(assignments == c)
-            if members.size == 0:
-                wd = w * dists[np.arange(m), assignments]
-                far = int(np.argmax(wd))
-                centers[c] = x[far]
-                continue
-            mw = w[members]
-            tot = mw.sum()
-            if tot > 0:
-                centers[c] = (mw[:, None] * x[members]).sum(axis=0) / tot
-            else:
-                centers[c] = x[members].mean(axis=0)
+        assign[live] = new
+        far = xl[np.arange(live.size), wd.argmax(axis=1), None]  # reseeds emptied clusters
+        seg = (np.arange(live.size)[:, None] * k + new).ravel()
+        means, _, count = _segment_means(xl.reshape(-1, 2), wl.ravel(), seg, live.size * k)
+        centers[live] = np.where(count.reshape(-1, k, 1) == 0, far, means.reshape(-1, k, 2))
+    return assign, centers, objective, iters, ~(assign[:, :, None] == np.arange(k)).any(axis=1)
 
-    empty = np.array([not np.any(assignments == c) for c in range(k)])
-    return assignments, centers, objective, empty
+
+def _segment_means(values, w, seg, n_seg):
+    """Weighted means of the rows of `values` [P, D] per segment, weight totals
+    and counts, summed as numpy sums one pool's members: rows in order (as
+    bincount adds), totals pairwise. A zero-weight segment: the plain mean."""
+    tot, count = _pool_sums(w, seg, n_seg)
+    scale = np.where(tot[seg] > 0, w, 1.0)
+    sums = np.stack([np.bincount(seg, v * scale, n_seg) for v in values.T], axis=1)
+    return sums / np.where(tot > 0, tot, np.maximum(count, 1))[:, None], tot, count
+
+
+def _pool_sums(values, seg, n_seg):
+    """`values[seg == s].sum()` per segment s, bit for bit, and the counts: numpy
+    adds under 8 numbers in order, as bincount does, more pairwise, row by row."""
+    count, out = np.bincount(seg, minlength=n_seg), np.bincount(seg, values, n_seg)
+    start, ordered = np.cumsum(count) - count, values[np.argsort(seg, kind="stable")]
+    for size in np.unique(count[count >= 8]):
+        at = np.flatnonzero(count == size)
+        out[at] = ordered[start[at, None] + np.arange(size)].sum(axis=1)
+    return out, count
+
+
+def _fuse_block(trajs, confs, alphas, k, seeds):
+    """Fuse N = len(seeds) pools of one shape, given as each actor's sub-model
+    [K, T, 2] and [K] arrays in turn. Returns trajectories [N, k, T, 2] and
+    confidences [N, k] best first and empties last, kept counts, assignments."""
+    n, rows = len(seeds), np.arange(len(seeds))
+    if len({t.shape[1] for t in trajs}) > 1:
+        raise EnsembleError("sub-models disagree on trajectory length")
+    if [len(c) for c in confs] != [len(t) for t in trajs]:
+        raise ContractError("one confidence per trajectory")
+    w = ensemble_weights(alphas, confs).reshape(n, -1)
+    x = np.concatenate([t[:, -1] for t in trajs], dtype=np.float64).reshape(n, -1, 2)
+    assign, _, _, _, empty = _kmeans(x, w, k, seeds)
+    pool = np.concatenate(trajs, dtype=np.float64)  # only now, apart from k-means scratch
+    seg = (rows[:, None] * k + assign).ravel()
+    fused, tot, _ = _segment_means(pool.reshape(len(seg), -1), w.ravel(), seg, n * k)
+    kept = k - empty.sum(axis=1)
+    total = _pool_sums(tot[~empty.ravel()], np.repeat(rows, kept), n)[0][:, None]
+    conf = np.where(total > 0, tot.reshape(n, k), 1.0) / np.where(total > 0, total, kept[:, None])
+    order = (rows[:, None], np.argsort(np.where(empty, np.inf, -conf), axis=1, kind="stable"))
+    return fused.reshape(n, k, *pool.shape[1:])[order], conf[order], kept, assign
 
 
 def fuse_actor(trajectories, confidences, alphas, k=6, seed=0):
-    """Pool N sub-models' modes for one actor and cluster them.
-
-    trajectories: list of [K, T, 2]; confidences: list of [K]. Returns
-    (trajs [k', T, 2], confs [k'], assignments [M]) with clusters ordered by
-    descending confidence (k' < k only when the pool is smaller than k).
-    """
-    n = len(trajectories)
-    if n == 0:
+    """Pool N sub-models' modes for one actor and cluster them, as `fuse`
+    does. Returns (trajs [k', T, 2], confs [k'], assignments [M]), clusters
+    by descending confidence; k' < k only for clusters left empty."""
+    if len(trajectories) == 0:
         raise EnsembleError("no sub-models to fuse")
-    t_len = trajectories[0].shape[1]
-    for tr in trajectories:
-        if tr.shape[1] != t_len:
-            raise EnsembleError("sub-models disagree on trajectory length")
-    pool = np.concatenate([np.asarray(t, dtype=np.float64) for t in trajectories])  # [M,T,2]
-    weights = ensemble_weights(alphas, confidences)
-    targets = pool[:, -1, :]
-    assignments, _, _, empty = weighted_kmeans(targets, weights, k=k, seed=seed)
-
-    out_trajs, out_confs = [], []
-    for c in range(k):
-        if empty[c]:
-            continue
-        members = np.flatnonzero(assignments == c)
-        mw = weights[members]
-        tot = mw.sum()
-        if tot > 0:
-            traj = (mw[:, None, None] * pool[members]).sum(axis=0) / tot
-        else:
-            traj = pool[members].mean(axis=0)
-        out_trajs.append(traj)
-        out_confs.append(tot)
-    confs = np.asarray(out_confs)
-    total = confs.sum()
-    confs = np.full(len(confs), 1.0 / len(confs)) if total <= 0 else confs / total
-    order = np.argsort(-confs, kind="stable")
-    return ([out_trajs[i] for i in order], confs[order], assignments)
+    trajs, confs, kept, assign = _fuse_block(
+        [np.asarray(t) for t in trajectories], confidences, alphas, k, [seed])
+    return list(trajs[0, :kept[0]]), confs[0, :kept[0]], assign[0]
 
 
 def fuse(submodels, seed=0, k=6):
-    """Ensemble every actor covered by the sub-models.
-
-    All models must cover every actor; a gap raises EnsembleError naming
-    (model_id, actor_id). Per-actor clustering seeds derive from the actor
-    key so results are independent of iteration order.
-    """
+    """Ensemble every actor, `_BLOCK` actors of one pool shape at a time, each
+    seeded from its key. A gap in coverage raises EnsembleError naming the
+    first (model_id, scene_id, actor_id) and the count."""
     if not submodels:
         raise EnsembleError("empty sub-model list")
-    keys = sorted({key for sm in submodels for key in sm.forecasts})
-    missing = [(sm.model_id, key) for sm in submodels for key in keys
-               if key not in sm.forecasts]
-    if missing:
-        raise EnsembleError(f"sub-model predictions missing: {missing}")
-
-    alphas = [sm.alpha for sm in submodels]
-    out = []
-    for key in keys:
-        scene_id, actor_id = key
-        trajs = [sm.forecasts[key].trajectories for sm in submodels]
-        confs = [sm.forecasts[key].confidences for sm in submodels]
-        aseed = actor_rng_seed(scene_id, actor_id, seed)
-        fused_trajs, fused_confs, _ = fuse_actor(trajs, confs, alphas, k=k, seed=aseed)
-        traj_arr = np.stack(fused_trajs)
-        out.append(Forecast(scene_id=scene_id, actor_id=actor_id,
-                            targets=traj_arr[:, -1, :].copy(),
-                            trajectories=traj_arr,
-                            confidences=np.asarray(fused_confs)))
+    keys, groups = sorted(set().union(*(sm.forecasts for sm in submodels))), {}  # by shape
+    if n_gaps := sum(len(keys) - len(sm.forecasts) for sm in submodels):
+        sm = next(sm for sm in submodels if len(sm.forecasts) < len(keys))
+        gap = min(set(keys).difference(sm.forecasts))
+        raise EnsembleError("sub-model {!r} has no prediction for scene {!r} actor {!r} "
+                            "({} missing in all)".format(sm.model_id, *gap, n_gaps))
+    for i, key in enumerate(keys):
+        shapes = [sm.forecasts[key].trajectories.shape for sm in submodels]
+        groups.setdefault((sum(s[0] for s in shapes), *{s[1] for s in shapes}), []).append(i)
+    alphas, out = [sm.alpha for sm in submodels], [None] * len(keys)
+    for block in (g[b:b + _BLOCK] for g in groups.values() for b in range(0, len(g), _BLOCK)):
+        fcs = [sm.forecasts[keys[i]] for i in block for sm in submodels]
+        trajs, confs, kept, _ = _fuse_block(
+            [fc.trajectories for fc in fcs], [fc.confidences for fc in fcs], alphas, k,
+            [actor_rng_seed(*keys[i], seed) for i in block])
+        for i, tr, tg, cf, kp in zip(block, trajs, trajs[:, :, -1].copy(), confs, kept):
+            out[i] = Forecast(*keys[i], targets=tg[:kp], trajectories=tr[:kp], confidences=cf[:kp])
     return out
 
 

@@ -530,6 +530,9 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
         focal = require(ra, "focal", p)
         if not isinstance(focal, bool):
             raise ParseError(p + ".focal")
+        if focal and not observed[-1]:
+            raise ParseError(p + ".observed", f"{p}.observed: a focal actor must be "
+                                              f"observed at the last history step")
         actors.append(ActorTrack(
             id=aid, kind=kind, positions=hist[:, 0:2].copy(),
             headings=wrap_angles(hist[:, 2]), velocities=hist[:, 3:5].copy(),

@@ -318,7 +318,24 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err
 
-    @pytest.mark.parametrize("model_id", [None, 7, True, "m0"],
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unobserved_focal_actor_is_user_error(self, data_dir, tmp_path, command, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        scene = json.loads((data_dir / "data" / "scene000.json").read_text())
+        assert scene["actors"][0]["focal"]
+        scene["actors"][0]["observed"][-1] = False
+        (data / "scene000.json").write_text(json.dumps(scene))
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps([_record()]))
+        args = (["--data", str(data), "--out", str(tmp_path / "run")] if command == "train"
+                else ["--data", str(data), "--predictions", str(preds)])
+        capsys.readouterr()
+        assert run(command, "--config", str(data_dir / "run.json"), *args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "actors[0].observed" in err
+
+    @pytest.mark.parametrize("model_id",[None, 7, True, "m0"],
                              ids=["null", "numeric", "boolean", "repeated"])
     def test_mistyped_model_id_is_user_error(self, tmp_path, model_id, capsys):
         (tmp_path / "p.json").write_text(json.dumps([_record()]))

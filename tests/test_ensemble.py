@@ -189,6 +189,19 @@ class TestFuse:
             fuse(subs)
         assert "m1" in str(e.value)
 
+    def test_a_thousand_actor_gap_is_one_short_line(self):
+        rng = np.random.default_rng(6)
+        subs, keys = self._submodels(rng, n_models=3, n_actors=1001)
+        for key in keys[1:]:
+            del subs[2].forecasts[key]
+        del subs[1].forecasts[keys[7]]
+        with pytest.raises(EnsembleError) as e:
+            fuse(subs)
+        msg = str(e.value)
+        assert len(msg) < 200 and "\n" not in msg
+        # the first gap is the first model's lowest missing key
+        assert "'m1'" in msg and "'s7'" in msg and "'a7'" in msg and "1001 missing" in msg
+
     def test_insertion_order_irrelevant(self):
         rng = np.random.default_rng(7)
         subs, keys = self._submodels(rng)

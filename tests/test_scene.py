@@ -262,6 +262,18 @@ class TestSceneIO:
             sc.load_scene(json.dumps(obj))
         assert "lane_id" in str(e.value)
 
+    def test_focal_actor_unobserved_at_the_last_step_rejected(self):
+        scene = sc.generate_synthetic(sc.SceneGenConfig(n_actors=3), 0)
+        obj = json.loads(sc.save_scene(scene))
+        obj["actors"][1]["focal"] = True
+        obj["actors"][1]["observed"][-1] = False
+        with pytest.raises(ParseError) as e:
+            sc.load_scene(json.dumps(obj))
+        assert e.value.field == "actors[1].observed"
+        # a context actor may still drop out at the last step
+        obj["actors"][1]["focal"] = False
+        assert not sc.load_scene(json.dumps(obj)).actors[1].observed[-1]
+
 
 class TestNormalize:
     def _scene(self, seed=13):
