@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, predict, eval, ensemble, grad-check, lr-table.
-Exit codes: 0 success, 1 user error, 2 gradient verification failure,
-3 internal error or aborted training. User errors print one line, never a trace.
+Exit codes: 0 success, 1 user error (a bad or missing argument too), 2 gradient
+verification failure, 3 internal error or aborted training. User errors print
+one line, never a trace.
 """
 
 from __future__ import annotations
@@ -152,10 +153,24 @@ def cmd_lr_table(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints one line and exits 1, as other user errors do;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
+def _seed(text):
+    """A non-negative int, the seeds numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="lanecast",
-                                description="Forecast actor trajectories on "
-                                            "vectorized lane maps.")
+    p = _Parser(prog="lanecast",
+                description="Forecast actor trajectories on vectorized lane maps.")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate synthetic scene files")
@@ -190,7 +205,7 @@ def build_parser():
     en.set_defaults(func=cmd_ensemble)
 
     gc = sub.add_parser("grad-check", help="verify gradients block by block")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=_seed, default=0)
     gc.set_defaults(func=cmd_grad_check)
 
     lt = sub.add_parser("lr-table", help="print the learning-rate schedule")

@@ -143,7 +143,7 @@ def forecast(scene, store, cfg, stage=S2):
     out = []
     for actor in scene.focal_actors():
         ns = normalize(scene, actor.id)
-        idx = next(i for i, a in enumerate(ns.actors) if a.id == actor.id)
+        idx = ns.actor_index(actor.id)
         targets, traj, logits = run_pipeline(ns, store, cfg, stage)
         conf = dc.softmax(logits, axis=1).data[idx]
         out.append(Forecast(

@@ -190,14 +190,10 @@ def boundary_nodes(boundaries):
     Returns (centers [B,2], directions [B,2], marking one-hot [B,4],
     matched lane-node index [B], -1 where unmatched).
     """
-    sizes = [b.node_centers.shape[0] for b in boundaries]
-    centers = np.concatenate([np.zeros((0, 2))] + [b.node_centers for b in boundaries])
-    directions = np.concatenate([np.zeros((0, 2))] + [b.node_directions for b in boundaries])
-    kinds = np.repeat([MARKINGS.index(b.marking) for b in boundaries], sizes).astype(np.int64)
-    full = [len(b.matched_lane_nodes) == m for b, m in zip(boundaries, sizes)]
-    matched = np.full(len(centers), -1, dtype=np.int64)
-    matched[np.repeat(full, sizes).astype(bool)] = [
-        j for b, f in zip(boundaries, full) if f for j in b.matched_lane_nodes]
+    parts = [(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    parts += [(b.node_centers, b.node_directions, b.matched_lane_nodes,
+               np.full(len(b.node_centers), MARKINGS.index(b.marking))) for b in boundaries]
+    centers, directions, matched, kinds = map(np.concatenate, zip(*parts))
     return centers, directions, np.eye(len(MARKINGS))[kinds], matched
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .decoder import S1, S2, init_model, run_pipeline
-from .errors import ContractError, TrainingError
+from .errors import ContractError, ParseError, TrainingError
 from .losses import total_loss
 from .metrics import min_fde
 from .scene import normalize
@@ -149,7 +149,7 @@ def _view_loss(scene, actor_id, store, cfg, stage):
     # train-time minFDE(K) for the focal actor, in its agent frame; over all
     # K modes it reads no confidences
     fde = None
-    focal_idx = next(i for i, a in enumerate(ns.actors) if a.id == actor_id)
+    focal_idx = ns.actor_index(actor_id)
     if gt[focal_idx] is not None:
         modes = np.asarray(traj.data[focal_idx], dtype=np.float64)
         fde, _ = min_fde(modes, None, np.asarray(gt[focal_idx], dtype=np.float64),
@@ -165,6 +165,7 @@ def train(scenes, run_cfg, log_path=None):
     and every reduction order are seeded or fixed. Returns (store, log
     records, optimizer). A non-finite loss raises TrainingError naming the
     epoch, scene id and actor id; numpy's warnings are off while training.
+    Scenes of more than one future horizon raise ParseError("horizon.T").
 
     Each view's tape is walked as soon as its loss is known, adding onto the
     batch's gradient sums, so a step's peak is one view's tape, not the
@@ -177,6 +178,10 @@ def train(scenes, run_cfg, log_path=None):
     store = dc.ParamStore(dtype)
     rng = np.random.default_rng(run_cfg.seed)
     t_future = scenes[0].horizon[1]
+    odd = next((s for s in scenes if s.horizon[1] != t_future), None)
+    if odd is not None:  # the completion head has one horizon
+        raise ParseError("horizon.T", f"horizon.T: scene {odd.scene_id!r} has T={odd.horizon[1]} "
+                         f"but scene {scenes[0].scene_id!r} has T={t_future}")
     init_model(store, run_cfg.model, t_future, rng)
 
     sched = make_schedule(tc)

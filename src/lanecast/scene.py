@@ -10,7 +10,7 @@ read from each polyline's length before resampling. Nearest-node searches
 run as all-pairs distance arrays in fixed-size row blocks.
 
 All geometry is float64. Scenes are treated as immutable after construction;
-`normalize` returns a new scene.
+`normalize` returns a view that shares the arrays a rotation leaves alone.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ class BoundaryPolyline:
     marking: str
     side: str
     lane_id: str
-    # derived at scene build time:
+    # derived at scene build time; matches are int64, -1 where the lane has no nodes:
     node_centers: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     node_directions: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-    matched_lane_nodes: list[int] = field(default_factory=list)
+    matched_lane_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
 
 @dataclass
@@ -125,11 +125,14 @@ class Scene:
     world_trans: np.ndarray = field(default_factory=lambda: np.zeros(2))
     scene_id: str = "scene"
 
-    def actor(self, actor_id):
-        for a in self.actors:
+    def actor_index(self, actor_id):
+        for i, a in enumerate(self.actors):
             if a.id == actor_id:
-                return a
+                return i
         raise ContractError(f"no actor with id {actor_id!r}")
+
+    def actor(self, actor_id):
+        return self.actors[self.actor_index(actor_id)]
 
     def focal_actors(self):
         return [a for a in self.actors if a.focal]
@@ -307,18 +310,19 @@ def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
 
 def _match_boundaries(boundaries, graph, segment_len):
     """Resample each boundary and match its nodes to the parent lane's nodes
-    by one blocked argmin over that lane's range. Boundary nodes take what the
-    lanes left of MAX_SCENE_NODES; the first past it is a ParseError."""
+    by one blocked argmin over that lane's range (-1 if it has no nodes).
+    Boundary nodes take what the lanes left of MAX_SCENE_NODES; the first
+    past it is a ParseError."""
     budget = MAX_SCENE_NODES - graph.n_nodes
     for i, b in enumerate(boundaries):
         b.node_centers, b.node_directions, _ = resample_polyline(
             b.points, segment_len, budget, f"boundaries[{i}].points")
         budget -= len(b.node_centers)
         lo, hi = graph.lane_ranges.get(b.lane_id, (0, 0))
-        near = [np.zeros((0, 1), dtype=np.int64)] + [
-            lo + _nearest(b.node_centers[r:r + _BLOCK_ROWS], graph.centers[lo:hi], [0])[1]
-            for r in range(0, len(b.node_centers) if hi > lo else 0, _BLOCK_ROWS)]
-        b.matched_lane_nodes = np.concatenate(near)[:, 0].tolist()
+        b.matched_lane_nodes = np.full(len(b.node_centers), -1, dtype=np.int64)
+        for r in range(0, len(b.node_centers) if hi > lo else 0, _BLOCK_ROWS):
+            near = _nearest(b.node_centers[r:r + _BLOCK_ROWS], graph.centers[lo:hi], [0])[1]
+            b.matched_lane_nodes[r:r + _BLOCK_ROWS] = lo + near[:, 0]
 
 
 def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3.5,
@@ -445,7 +449,8 @@ def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
 def normalize(scene: Scene, actor_id: str) -> Scene:
     """Rigid transform into the agent frame of `actor_id`: its last observed
     position moves to the origin, its heading there to +x. A pure isometry;
-    applying it twice equals applying it once."""
+    applying it twice equals applying it once. Only coordinates move: the
+    view shares `observed`, lengths, adjacency, lane ranges and matches."""
     actor = scene.actor(actor_id)
     if not actor.observed[-1]:
         raise ContractError(f"actor {actor_id} unobserved at last history step")
@@ -460,33 +465,19 @@ def normalize(scene: Scene, actor_id: str) -> Scene:
     def tv(vecs):  # rotate vectors
         return np.asarray(vecs) @ rot.T
 
-    actors = [replace(
-        a,
-        positions=tp(a.positions),
-        headings=wrap_angles(a.headings - psi),
-        velocities=tv(a.velocities),
-        observed=a.observed.copy(),
-        future=None if a.future is None else tp(a.future),
-    ) for a in scene.actors]
-
-    lanes = [Lane(l.id, tp(l.centerline)) for l in scene.lanes]
-    boundaries = [replace(
-        b, points=tp(b.points), node_centers=tp(b.node_centers),
-        node_directions=tv(b.node_directions),
-        matched_lane_nodes=list(b.matched_lane_nodes),
-    ) for b in scene.boundaries]
+    actors = [replace(a, positions=tp(a.positions), headings=wrap_angles(a.headings - psi),
+                      velocities=tv(a.velocities),
+                      future=None if a.future is None else tp(a.future))
+              for a in scene.actors]
+    lanes = [replace(l, centerline=tp(l.centerline)) for l in scene.lanes]
+    boundaries = [replace(b, points=tp(b.points), node_centers=tp(b.node_centers),
+                          node_directions=tv(b.node_directions)) for b in scene.boundaries]
     g = scene.lane_graph
-    graph = LaneGraph(tp(g.centers), tv(g.directions), g.lengths.copy(),
-                      {k: v.copy() for k, v in g.adjacency.items()},
-                      dict(g.lane_ranges))
-
     # compose so x_world still recoverable: x_w = R_old (rot^T x_new + origin) + t_old
-    world_rot = scene.world_rot @ rot.T
-    world_trans = scene.world_rot @ origin + scene.world_trans
-    return Scene(horizon=scene.horizon, actors=actors, lanes=lanes,
-                 boundaries=boundaries, lane_graph=graph,
-                 frame=f"agent:{actor_id}", world_rot=world_rot,
-                 world_trans=world_trans, scene_id=scene.scene_id)
+    return replace(scene, actors=actors, lanes=lanes, boundaries=boundaries,
+                   lane_graph=replace(g, centers=tp(g.centers), directions=tv(g.directions)),
+                   frame=f"agent:{actor_id}", world_rot=scene.world_rot @ rot.T,
+                   world_trans=scene.world_rot @ origin + scene.world_trans)
 
 
 def to_world(scene: Scene, points):

@@ -12,6 +12,7 @@ from lanecast import diffcore as dc
 from lanecast.cli import main
 from lanecast.config import ModelConfig
 from lanecast.decoder import init_model, load_predictions
+from lanecast.scene import SceneGenConfig, generate_synthetic, save_scene
 
 TINY = {
     "seed": 11,
@@ -152,6 +153,48 @@ class TestErrorPaths:
     def test_missing_manifest_is_user_error(self, tmp_path):
         assert run("ensemble", "--manifest", str(tmp_path / "no.json"),
                    "--out", str(tmp_path / "f.json")) == 1
+
+    def test_mixed_future_horizons_are_user_error(self, tmp_path, cfg_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, t in (("long", 8), ("short", 6)):
+            gen = SceneGenConfig(**{**TINY["data"]["gen"], "t": t})
+            (data / f"{name}.json").write_bytes(save_scene(generate_synthetic(gen, 1)))
+        assert run("train", "--config", cfg_path, "--data", str(data),
+                   "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon.T") and len(err.splitlines()) == 1
+        assert "'long'" in err and "T=8" in err and "'short'" in err and "T=6" in err
+
+
+class TestUsageErrors:
+    """A bad or missing argument is a user error: one line, exit 1. Exit
+    code 2 belongs to a failed gradient check."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as e:
+            run(*argv)
+        assert e.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_grad_check_seed_names_the_flag(self, seed, capsys):
+        assert "--seed" in self.usage_error(capsys, "grad-check", "--seed", seed)
+
+    def test_train_without_arguments(self, capsys):
+        assert "--config" in self.usage_error(capsys, "train")
+
+    def test_no_subcommand(self, capsys):
+        self.usage_error(capsys)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run("grad-check", "--help")
+        assert e.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
 
 def _record(k=6, t=8):

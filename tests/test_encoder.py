@@ -191,7 +191,7 @@ class TestBoundaryEncoder:
 
     def test_arrays_equal_the_per_polyline_loop(self):
         """Against the per-polyline loop it replaced, with one polyline that
-        has no matches and one whose match list is short."""
+        has no matches."""
         def per_polyline(boundaries):
             centers, directions = [np.zeros((0, 2))], [np.zeros((0, 2))]
             marks, matched = [np.zeros((0, len(sc.MARKINGS)))], [np.zeros(0, dtype=np.int64)]
@@ -209,8 +209,7 @@ class TestBoundaryEncoder:
             return tuple(map(np.concatenate, (centers, directions, marks, matched)))
 
         boundaries = sc.generate_synthetic(sc.SceneGenConfig(n_lanes=3), 2).boundaries
-        boundaries[1].matched_lane_nodes = []
-        boundaries[4].matched_lane_nodes = boundaries[4].matched_lane_nodes[:-1]
+        boundaries[1].matched_lane_nodes = np.full(len(boundaries[1].node_centers), -1)
         for subset in (boundaries, boundaries[1:2], []):
             got, want = encoder.boundary_nodes(subset), per_polyline(subset)
             for g, w in zip(got, want):

@@ -1,9 +1,11 @@
 """Scene model: angle wrapping, lane graph construction, synthetic
 generation, JSON round trips, and agent-centric normalization."""
 
+import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanecast import scene as sc
+from lanecast.config import DataConfig, ModelConfig, RunConfig, TrainConfig
+from lanecast.decoder import forecast
+from lanecast.optim import train
 from lanecast.errors import ConfigError, ContractError, ParseError
 
 
@@ -317,6 +322,171 @@ class TestNormalize:
     def test_unknown_actor_raises(self):
         with pytest.raises(ContractError):
             sc.normalize(self._scene(), "ghost")
+
+
+def copying_normalize(scene, actor_id):
+    """The `normalize` that copied every array of the scene, kept as the
+    reference for the view that moves coordinates only."""
+    actor = scene.actor(actor_id)
+    origin = actor.positions[-1].astype(np.float64)
+    psi = float(actor.headings[-1])
+    c, s = math.cos(psi), math.sin(psi)
+    rot = np.array([[c, s], [-s, c]])  # world -> agent
+
+    def tp(pts):  # transform points
+        return (np.asarray(pts) - origin) @ rot.T
+
+    def tv(vecs):  # rotate vectors
+        return np.asarray(vecs) @ rot.T
+
+    actors = [replace(
+        a,
+        positions=tp(a.positions),
+        headings=sc.wrap_angles(a.headings - psi),
+        velocities=tv(a.velocities),
+        observed=a.observed.copy(),
+        future=None if a.future is None else tp(a.future),
+    ) for a in scene.actors]
+
+    lanes = [sc.Lane(l.id, tp(l.centerline)) for l in scene.lanes]
+    boundaries = [replace(
+        b, points=tp(b.points), node_centers=tp(b.node_centers),
+        node_directions=tv(b.node_directions),
+        matched_lane_nodes=b.matched_lane_nodes.copy(),
+    ) for b in scene.boundaries]
+    g = scene.lane_graph
+    graph = sc.LaneGraph(tp(g.centers), tv(g.directions), g.lengths.copy(),
+                         {k: v.copy() for k, v in g.adjacency.items()},
+                         dict(g.lane_ranges))
+
+    world_rot = scene.world_rot @ rot.T
+    world_trans = scene.world_rot @ origin + scene.world_trans
+    return sc.Scene(horizon=scene.horizon, actors=actors, lanes=lanes,
+                    boundaries=boundaries, lane_graph=graph,
+                    frame=f"agent:{actor_id}", world_rot=world_rot,
+                    world_trans=world_trans, scene_id=scene.scene_id)
+
+
+COORDINATES = {"actor": ("positions", "headings", "velocities", "future"),
+               "lane": ("centerline",), "boundary": ("points", "node_centers", "node_directions"),
+               "graph": ("centers", "directions")}
+
+
+def scene_arrays(scene):
+    """(name, array) for every array of a scene, coordinates or not."""
+    g = scene.lane_graph
+    out = [("world_rot", scene.world_rot), ("world_trans", scene.world_trans),
+           ("graph.centers", g.centers), ("graph.directions", g.directions),
+           ("graph.lengths", g.lengths)]
+    out += [(f"graph.adjacency.{k}", v) for k, v in g.adjacency.items()]
+    for i, a in enumerate(scene.actors):
+        out += [(f"actors[{i}].{n}", getattr(a, n)) for n in (*COORDINATES["actor"], "observed")
+                if getattr(a, n) is not None]
+    out += [(f"lanes[{i}].centerline", l.centerline) for i, l in enumerate(scene.lanes)]
+    for i, b in enumerate(scene.boundaries):
+        out += [(f"boundaries[{i}].{n}", getattr(b, n))
+                for n in (*COORDINATES["boundary"], "matched_lane_nodes")]
+    return out
+
+
+def coordinate_arrays(scene):
+    g = scene.lane_graph
+    out = [getattr(g, n) for n in COORDINATES["graph"]]
+    out += [getattr(a, n) for a in scene.actors for n in COORDINATES["actor"]
+            if getattr(a, n) is not None]
+    out += [l.centerline for l in scene.lanes]
+    out += [getattr(b, n) for b in scene.boundaries for n in COORDINATES["boundary"]]
+    return out
+
+
+def scene_with_degenerate_lane():
+    """A loaded scene with one lane of coincident points: no lane nodes, so
+    its boundary's nodes match -1."""
+    gen = sc.SceneGenConfig(n_actors=3, noise_sigma=0.1, curvature_range=(0.0, 0.02))
+    obj = json.loads(sc.save_scene(sc.generate_synthetic(gen, 4)))
+    obj["lanes"].append({"id": "stub", "centerline": [[5.0, 9.0], [5.0, 9.0]]})
+    obj["boundaries"].append({"points": [[0.0, 11.0], [20.0, 11.0]], "marking": "solid",
+                              "side": "left", "lane_id": "stub"})
+    return sc.load_scene(json.dumps(obj), scene_id="degenerate")
+
+
+def view_scenes():
+    yield sc.generate_synthetic(sc.SceneGenConfig(n_lanes=3, n_actors=4), 1)
+    yield sc.generate_synthetic(sc.SceneGenConfig(n_actors=3, curvature_range=(0.01, 0.03)), 2)
+    yield sc.generate_synthetic(sc.SceneGenConfig(n_actors=3, noise_sigma=0.3), 3)
+    yield scene_with_degenerate_lane()
+
+
+class TestViewSharing:
+    def assert_same_view(self, got, want):
+        assert (got.frame, got.horizon, got.scene_id) == (want.frame, want.horizon, want.scene_id)
+        assert got.lane_graph.lane_ranges == want.lane_graph.lane_ranges
+        assert [(a.id, a.kind, a.focal) for a in got.actors] == \
+               [(a.id, a.kind, a.focal) for a in want.actors]
+        assert [l.id for l in got.lanes] == [l.id for l in want.lanes]
+        assert [(b.marking, b.side, b.lane_id) for b in got.boundaries] == \
+               [(b.marking, b.side, b.lane_id) for b in want.boundaries]
+        got_arrays, want_arrays = scene_arrays(got), scene_arrays(want)
+        assert [n for n, _ in got_arrays] == [n for n, _ in want_arrays]
+        for (name, g), (_, w) in zip(got_arrays, want_arrays):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+    def test_view_equals_the_copying_normalize_bit_for_bit(self):
+        for scene in view_scenes():
+            for a in scene.actors:
+                view = sc.normalize(scene, a.id)
+                self.assert_same_view(view, copying_normalize(scene, a.id))
+                self.assert_same_view(sc.normalize(view, a.id),
+                                      copying_normalize(copying_normalize(scene, a.id), a.id))
+
+    def test_view_shares_frame_free_arrays_and_no_coordinates(self):
+        for scene in view_scenes():
+            view = sc.normalize(scene, scene.actors[-1].id)
+            g, vg = scene.lane_graph, view.lane_graph
+            assert vg.lengths is g.lengths and vg.lane_ranges is g.lane_ranges
+            assert all(vg.adjacency[k] is v for k, v in g.adjacency.items())
+            assert all(v.observed is a.observed for v, a in zip(view.actors, scene.actors))
+            assert all(v.matched_lane_nodes is b.matched_lane_nodes
+                       for v, b in zip(view.boundaries, scene.boundaries))
+            originals = coordinate_arrays(scene)
+            for moved in coordinate_arrays(view):
+                assert not any(np.shares_memory(moved, o) for o in originals)
+
+    def test_train_and_forecast_leave_the_scenes_unchanged(self):
+        def digest(scenes):
+            h = hashlib.sha256()
+            for scene in scenes:
+                h.update(repr(sorted(scene.lane_graph.lane_ranges.items())).encode())
+                for name, x in scene_arrays(scene):
+                    h.update(f"{name} {x.dtype} {x.shape}".encode() + x.tobytes())
+            return h.hexdigest()
+
+        gen = sc.SceneGenConfig(n_lanes=2, lane_length=50.0, n_actors=2, h=6, t=4)
+        cfg = RunConfig(seed=3, data=DataConfig(n_scenes=3, gen=gen),
+                        model=ModelConfig(d=8, l_graph=1),
+                        train=TrainConfig(batch_size=2, total_epochs=8))
+        scenes = [sc.generate_synthetic(gen, i, scene_id=f"s{i}") for i in range(3)]
+        before = digest(scenes)
+        store, records, _, _ = train(scenes, cfg)
+        assert records[-1]["stage"] == "S2"
+        assert digest(scenes) == before
+        for scene in scenes:
+            forecast(scene, store, cfg.model)
+        assert digest(scenes) == before
+
+    def test_matches_are_int64_one_per_node(self):
+        scenes = [sc.generate_synthetic(sc.SceneGenConfig(n_lanes=n), n) for n in (1, 2, 3)]
+        checked = 0
+        for scene in [*scenes, scene_with_degenerate_lane()]:
+            ranges = scene.lane_graph.lane_ranges
+            for b in scene.boundaries:
+                m = b.matched_lane_nodes
+                assert m.dtype == np.int64 and m.shape == (len(b.node_centers),)
+                assert len(m) > 0
+                assert (m == -1).all() == (b.lane_id not in ranges)
+                checked += b.lane_id not in ranges
+        assert checked == 1  # the degenerate lane's boundary
 
 
 class TestBoundaries:
