@@ -11,7 +11,8 @@ order and frees the graph as it goes, so it walks a graph once.
 Features sit on the last axis ([N, D] rows, [A, H, D] sequences). `add`,
 `sub` and `mul` broadcast one way: the second operand broadcasts to the
 first operand's shape under numpy's rules, and that is the result's shape.
-Anything else is a ShapeError.
+Anything else is a ShapeError. `gather` backward and `scatter_add` sum
+repeated indices through one flat np.add.at, in index order.
 
 An operand that is not a Tensor is a constant: an op with several operands
 casts it to the dtype of its tensor operands (with none, the first operand's
@@ -20,6 +21,8 @@ dtypes are a ContractError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -330,7 +333,23 @@ def l2_norm_rows(a):
 # indexed ops
 
 
+def _index_add(out, idx, vals, axis=0):
+    """out[..., idx[e], ...] += vals[..., e, ...] along `axis`: one np.add.at on
+    flat 1-d arrays, numpy's fast indexed loop, summing each element in index
+    order as the row form does. `out` must be C-contiguous, or the sum is lost."""
+    post = math.prod(out.shape[axis + 1:])
+    # int32 halves the transient index wherever every flat position fits in it
+    itype = np.int32 if out.size < 2**31 else np.int64
+    flat = idx.astype(itype)[:, None] * post + np.arange(post, dtype=itype)
+    if axis:  # one block of out.shape[axis] * post elements per leading index
+        lead = np.arange(math.prod(out.shape[:axis]), dtype=itype)[:, None, None]
+        flat = lead * (out.shape[axis] * post) + flat
+    np.add.at(out.reshape(-1), flat.ravel(), vals.reshape(-1))
+
+
 def gather(a, indices, axis=0):
+    """The slices `indices` of `a` along `axis`. Backward sums repeated
+    indices through one flat np.add.at, in index order."""
     a = _as_tensor(a)
     axis = _check_axis(axis, a.ndim)
     idx = np.asarray(indices, dtype=np.int64)
@@ -340,8 +359,8 @@ def gather(a, indices, axis=0):
         raise ContractError(f"gather: index out of range for axis size {a.shape[axis]}")
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (slice(None),) * axis + (idx,), g)
+        ga = np.zeros(a.shape, a.dtype)
+        _index_add(ga, idx, g, axis)
         return ga
 
     return _make(np.take(a.data, idx, axis=axis), "gather", (a, vjp))
@@ -350,7 +369,8 @@ def gather(a, indices, axis=0):
 def scatter_add(a, indices, size):
     """Sum the rows of `a` into a zero tensor of `size` rows.
 
-    Adjoint of gather along axis 0: rows sharing an index accumulate.
+    Adjoint of gather along axis 0: rows sharing an index sum through one
+    flat np.add.at, in index order.
     """
     a = _as_tensor(a)
     _check_axis(0, a.ndim)
@@ -361,7 +381,7 @@ def scatter_add(a, indices, size):
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ContractError(f"scatter_add: index out of range for size {size}")
     out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
-    np.add.at(out, idx, a.data)
+    _index_add(out, idx, a.data)
     return _make(out, "scatter_add", (a, lambda g: np.take(g, idx, axis=0)))
 
 

@@ -39,7 +39,7 @@ _BLOCK_ROWS = 256  # rows per all-pairs distance block: memory ~ N * _BLOCK_ROWS
 # actor's time steps; these cap their sizes per scene
 MAX_POLYLINE_POINTS = 2048  # lane_length / sample_step
 MAX_TIME_STEPS = 1000       # h + t
-MAX_ACTORS = 256
+MAX_ACTORS = 256            # generated and loaded scenes alike
 
 
 def wrap_angles(arr):
@@ -504,6 +504,8 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
     raw_actors = require(obj, "actors")
     if not isinstance(raw_actors, list) or not raw_actors:
         raise ParseError("actors", "actors must be a nonempty list")
+    if len(raw_actors) > MAX_ACTORS:
+        raise ParseError("actors", f"actors: more than MAX_ACTORS={MAX_ACTORS}")
     actors, actor_ids = [], {}
     for i, ra in enumerate(raw_actors):
         p = f"actors[{i}]"

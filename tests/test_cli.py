@@ -12,7 +12,7 @@ from lanecast import diffcore as dc
 from lanecast.cli import main
 from lanecast.config import ModelConfig
 from lanecast.decoder import init_model, load_predictions
-from lanecast.scene import SceneGenConfig, generate_synthetic, save_scene
+from lanecast.scene import MAX_ACTORS, SceneGenConfig, generate_synthetic, save_scene
 
 TINY = {
     "seed": 11,
@@ -416,6 +416,50 @@ class TestMalformedInputs:
         cfg.write_text(json.dumps({"data": {"n_scenes": 1, "gen": gen}}))
         assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 1
         assert field in capsys.readouterr().err
+
+
+class TestActorCap:
+    """A scene file holds at most MAX_ACTORS actors, as a generated scene
+    does; one more is a user error naming `actors` in every command that
+    reads scenes."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("actor-cap")
+        cfg = root / "run.json"
+        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"], "total_epochs": 2}}))
+        assert run("gen-data", "--config", str(cfg), "--out", str(root / "gen")) == 0
+        scene = json.loads((root / "gen" / "scene000.json").read_text())
+        context = next(a for a in scene["actors"] if not a["focal"])
+        for n in (MAX_ACTORS, MAX_ACTORS + 1):
+            extra = [{**context, "id": f"c{i}"} for i in range(n - len(scene["actors"]))]
+            (root / str(n)).mkdir()
+            (root / str(n) / "scene000.json").write_text(
+                json.dumps({**scene, "actors": scene["actors"] + extra}))
+        store = dc.ParamStore(np.float32)
+        init_model(store, ModelConfig(d=16, l_graph=1), TINY["data"]["gen"]["t"],
+                   np.random.default_rng(0))
+        store.save(root / "checkpoint.bin", meta={"stage": "S2"})
+        return root
+
+    def _commands(self, root, data, tmp_path):
+        cfg, preds = str(root / "run.json"), str(tmp_path / "p.json")
+        return [("train", "--config", cfg, "--data", data, "--out", str(tmp_path / "run")),
+                ("predict", "--config", cfg, "--checkpoint", str(root / "checkpoint.bin"),
+                 "--data", data, "--out", preds),
+                ("eval", "--config", cfg, "--predictions", preds, "--data", data)]
+
+    def test_max_actors_load(self, root, tmp_path, capsys):
+        for argv in self._commands(root, str(root / str(MAX_ACTORS)), tmp_path):
+            assert run(*argv) == 0, argv[0]
+        assert "error" not in capsys.readouterr().err
+
+    def test_one_actor_more_is_user_error(self, root, tmp_path, capsys):
+        (tmp_path / "p.json").write_text("[]")
+        for argv in self._commands(root, str(root / str(MAX_ACTORS + 1)), tmp_path):
+            assert run(*argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: actors") and err.count("\n") == 1, err
 
 
 class TestCheckpointMismatch:

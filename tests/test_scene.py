@@ -279,6 +279,16 @@ class TestSceneIO:
         obj["actors"][1]["focal"] = False
         assert not sc.load_scene(json.dumps(obj)).actors[1].observed[-1]
 
+    def test_actor_count_capped_at_max_actors(self):
+        gen = sc.SceneGenConfig(n_lanes=2, n_actors=sc.MAX_ACTORS, h=4, t=3)
+        obj = json.loads(sc.save_scene(sc.generate_synthetic(gen, 0)))
+        assert len(sc.load_scene(json.dumps(obj)).actors) == sc.MAX_ACTORS
+        obj["actors"].append({**obj["actors"][-1], "id": "one-more"})
+        with pytest.raises(ParseError) as e:
+            sc.load_scene(json.dumps(obj))
+        assert e.value.field == "actors"
+        assert f"MAX_ACTORS={sc.MAX_ACTORS}" in str(e.value)
+
 
 class TestNormalize:
     def _scene(self, seed=13):
