@@ -139,12 +139,15 @@ def run_pipeline(norm_scene, store, cfg, stage=S2):
 
 def forecast(scene, store, cfg, stage=S2):
     """Per focal actor: normalize to its frame, run the pipeline, map the
-    outputs back to the world frame. Returns a list of Forecast."""
+    outputs back to the world frame. Returns a list of Forecast.
+
+    The pipeline runs on the store's constants, so it records no tape."""
+    params = store.constants()
     out = []
     for actor in scene.focal_actors():
         ns = normalize(scene, actor.id)
         idx = ns.actor_index(actor.id)
-        targets, traj, logits = run_pipeline(ns, store, cfg, stage)
+        targets, traj, logits = run_pipeline(ns, params, cfg, stage)
         conf = dc.softmax(logits, axis=1).data[idx]
         out.append(Forecast(
             scene_id=scene.scene_id,
@@ -153,7 +156,6 @@ def forecast(scene, store, cfg, stage=S2):
             trajectories=to_world(ns, traj.data[idx].astype(np.float64)),
             confidences=conf.astype(np.float64),
         ))
-        del targets, traj, logits  # this actor's tape goes before the next one's forward
     return out
 
 

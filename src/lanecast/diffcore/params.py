@@ -54,6 +54,12 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
+    def constants(self):
+        """name -> a constant Tensor on the parameter's own array. Ops record
+        no tape edge into a constant, so a forward pass over this view holds
+        no tape; an in-place write to a parameter's array shows through it."""
+        return {name: Tensor(t.data) for name, t in self._params.items()}
+
     def save(self, path, meta=None):
         entries = [{"name": n, "shape": list(t.shape), "dtype": str(t.dtype)}
                    for n, t in self._params.items()]

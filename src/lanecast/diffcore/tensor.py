@@ -206,8 +206,8 @@ def relu(a):
 def sigmoid(a):
     a = _as_tensor(a)
     # stable in both tails
-    s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(a.dtype)
     return _make(s, "sigmoid", (a, lambda g: g * s * (1.0 - s)))
 

@@ -77,6 +77,18 @@ class TestElementwise:
         assert np.all(np.isfinite(y.data))
         assert y.data[0] == 0.0 and y.data[1] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bytes_equal_the_three_exp_form(self, dtype):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(0, 5, 200), rng.uniform(-800, 800, 200),
+                            [0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 104.0, -104.0, 750.0, -750.0],
+                            ]).astype(dtype)
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(dtype)
+            got = dc.sigmoid(dc.Tensor(x)).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_mul_sub_grads(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(4, 3))

@@ -88,6 +88,12 @@ class TestHandCases:
         v, m = metrics.min_fde(traj, [1 / 6] * 6, gt, 6)
         assert v == 5.0 and m == 0
 
+    def test_one_step_modes_score_against_the_last_truth_step(self):
+        # train-time minFDE in stage one: targets only, no confidences read
+        gt = [[0.0, 0.0], [1.0, 1.0], [4.0, 5.0]]
+        traj = [[[1.0, 1.0]], [[4.0, 1.0]]]
+        assert metrics.min_fde(traj, None, gt, 2) == (4.0, 1)
+
     def test_top_confidence_tie_takes_lowest(self):
         gt = [[0.0, 0.0]]
         traj = [[[1.0, 0.0]], [[9.0, 0.0]], [[0.0, 0.0]]]

@@ -1,7 +1,7 @@
 """Training walks each view's tape as soon as its loss is known, and
-`forecast` keeps one focal actor's tape alive at a time: the per-view walks
-give the one walk's gradients bit for bit, and the peak memory of a train
-step or a forecast call does not grow with the views it covers."""
+`forecast` records no tape: the per-view walks give the one walk's
+gradients bit for bit, and the peak memory of a train step or a forecast
+call does not grow with the views it covers."""
 
 import gc
 import tracemalloc
@@ -12,8 +12,8 @@ import pytest
 from lanecast import diffcore as dc
 from lanecast import optim
 from lanecast.config import DataConfig, ModelConfig, RunConfig, TrainConfig
-from lanecast.decoder import S1, S2, forecast, init_model
-from lanecast.scene import SceneGenConfig, generate_synthetic
+from lanecast.decoder import S1, S2, forecast, init_model, run_pipeline
+from lanecast.scene import SceneGenConfig, generate_synthetic, normalize
 
 GEN = SceneGenConfig(n_lanes=4, n_actors=4, lane_length=80.0, h=8, t=10)
 
@@ -125,5 +125,11 @@ def test_a_forecasts_peak_does_not_grow_with_the_focal_actors():
         out = []
         peaks[n_focal] = _traced_peak(lambda: out.extend(forecast(scene, store, cfg)))
         assert len(out) == n_focal
-    assert peaks[1] > 500_000
+        if n_focal == 1:
+            # the same view's forward with its tape kept: what forecast no longer holds
+            view = normalize(scene, scene.focal_actors()[0].id)
+            kept = []
+            taped = _traced_peak(lambda: kept.append(run_pipeline(view, store, cfg)))
+            assert kept[0][1]._edges
+    assert peaks[1] <= 0.3 * taped, (peaks, taped)
     assert peaks[4] <= 1.3 * peaks[1], peaks
