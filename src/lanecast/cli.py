@@ -27,7 +27,7 @@ from .scene import generate_synthetic, load_scene, save_scene
 from .verify import TOLERANCE, run_all
 
 _USER_ERRORS = (ConfigError, ParseError, EvaluationError, EnsembleError,
-                ContractError, FileNotFoundError, NotADirectoryError)
+                ContractError, OSError)
 
 
 def _read_config(path) -> RunConfig:

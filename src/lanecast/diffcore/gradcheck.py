@@ -52,7 +52,7 @@ def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
     loss = fn(store)
     if loss.shape != ():
         raise ContractError(f"grad_check: fn must return a scalar, got shape {loss.shape}")
-    analytic = backward(loss, dict(store.items()))
+    analytic = backward(loss, store)
 
     params = store.constants()
     worst = 0.0

@@ -1,10 +1,12 @@
 """NAdam, the warm-restart cosine schedule, and the two-stage training loop.
 
-The schedule restarts at epochs {6, 18, 42} with period lengths doubling
-6 -> 12 -> 24 -> 48 (summing to 90), then holds the minimum rate. Stage two
-starts at the first restart. Before that the completion head is not on the
-tape, so its gradients are exact zeros and NAdam leaves it bit-exactly at
-its initial values (see `NAdam`); no parameter is ever frozen by name.
+NAdam owns the parameters' memory: each is a view of its one flat buffer,
+which every step writes in place. The schedule restarts at epochs {6, 18, 42}
+with period lengths doubling 6 -> 12 -> 24 -> 48 (summing to 90), then holds
+the minimum rate. Stage two starts at the first restart. Before that the
+completion head is not on the tape, so its gradients are exact zeros and NAdam
+leaves it bit-exactly at its initial values (see `NAdam`); no parameter is
+ever frozen by name.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ def _mu(t):
 class NAdam:
     """Adam with Nesterov momentum and the 0.96-power momentum schedule.
 
-    One update over flat moment arrays covering every parameter of the
-    store, in `store.names()` order. A parameter whose gradient is exactly
-    zero does not move: from zero moments, `g = 0` keeps `m = v = 0` and
-    subtracts `lr * 0 / (0 + EPS) = 0`. Its moments are therefore still zero
-    at its first nonzero gradient, as if it had joined the optimizer then.
+    Owns one flat buffer of the store's parameters, in `store.names()` order,
+    and rebinds each `.data` to its reshaped view: a step writes the buffer in
+    place. Use one optimizer per store; a second `NAdam(store)` takes the
+    arrays over, and rebinding a `.data` later detaches that parameter. A
+    parameter whose gradient is exactly zero does not move: from zero moments,
+    `g = 0` keeps `m = v = 0` and subtracts `lr * 0 / (0 + EPS) = 0`, so its
+    moments are still zero at its first nonzero gradient, as if it joined then.
     """
 
     def __init__(self, store):
@@ -47,51 +51,47 @@ class NAdam:
         self.active = store.names()
         self.t = 0
         self.mu_prod = 1.0
-        ends = np.cumsum([0] + [store[n].size for n in self.active])
-        self._slots = [(n, slice(lo, hi)) for n, lo, hi in zip(self.active, ends, ends[1:])]
-        self._m = np.zeros(ends[-1], dtype=store.dtype)
-        self._v = np.zeros_like(self._m)
-        self._tmp = np.zeros_like(self._m)
+        params = [store[n] for n in self.active]
+        # both concatenations start from an empty array: np.concatenate needs one
+        self._p = np.concatenate([np.empty(0, store.dtype)] + [p.data.ravel() for p in params])
+        for p, view in zip(params, np.split(self._p, np.cumsum([p.size for p in params])[:-1])):
+            p.data = view.reshape(p.shape)
+        self._m, self._v, self._tmp = (np.zeros_like(self._p) for _ in range(3))
 
     def step(self, grads, lr):
         if lr <= 0:
             raise ContractError(f"lr must be positive, got {lr}")
-        # the gradient goes into the array that becomes the new parameters
-        new = np.empty_like(self._m)
-        for name, sl in self._slots:
-            p = self.store[name]
+        flat = [np.empty(0, self._p.dtype)]
+        for name in self.active:
             if name not in grads:
                 raise ContractError(f"no gradient for param {name}")
-            g = np.asarray(grads[name], dtype=p.dtype)
+            g, p = np.asarray(grads[name]), self.store[name]
             if g.shape != p.shape:
                 raise ContractError(f"grad shape {g.shape} != param {name} {p.shape}")
-            new[sl] = g.ravel()
+            flat.append(g.ravel())
+        g = np.concatenate(flat).astype(self._p.dtype, copy=False)  # float64 rounds once
         self.t += 1
-        t = self.t
-        mu_t, mu_next = _mu(t), _mu(t + 1)
+        mu_t, mu_next = _mu(self.t), _mu(self.t + 1)
         self.mu_prod *= mu_t
         mu_prod_next = self.mu_prod * mu_next
-        bias_v = 1.0 - BETA2 ** t
+        bias_v = 1.0 - BETA2 ** self.t
         # The classic per-tensor formula, in place over the flat arrays:
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   step = c_m*m + c_g*g;  p -= lr*step / (sqrt(v/bias_v) + EPS)
         # Every op rounds as in that form; IEEE + and * commute exactly, so
         # swapping operands (c_g*g first, g*(1-b1)) keeps the bits.
-        g, m, v, tmp = new, self._m, self._v, self._tmp
+        m, v, tmp = self._m, self._v, self._tmp
         m *= BETA1
         m += np.multiply(g, 1.0 - BETA1, out=tmp)
         v *= BETA2
         np.multiply(g, 1.0 - BETA2, out=tmp)
         v += np.multiply(tmp, g, out=tmp)
-        step = np.multiply(g, (1.0 - mu_t) / (1.0 - self.mu_prod), out=new)
+        step = np.multiply(g, (1.0 - mu_t) / (1.0 - self.mu_prod), out=g)
         step += np.multiply(m, mu_next / (1.0 - mu_prod_next), out=tmp)
         step *= lr
         np.sqrt(np.divide(v, bias_v, out=tmp), out=tmp)
         step /= np.add(tmp, EPS, out=tmp)
-        for name, sl in self._slots:
-            p = self.store[name]
-            np.subtract(p.data.ravel(), step[sl], out=step[sl])
-            p.data = step[sl].reshape(p.shape)
+        self._p -= step
 
 
 @dataclass
@@ -211,8 +211,7 @@ def train(scenes, run_cfg, log_path=None):
                             f"non-finite loss at epoch {epoch}, view (scene "
                             f"{scenes[si].scene_id!r}, actor {aid!r}), components {bd}")
                     # walk this view's tape before the next view's forward
-                    grads = dc.backward(dc.scale(loss, 1.0 / len(batch)),
-                                        dict(store.items()), into=grad_sums)
+                    grads = dc.backward(dc.scale(loss, 1.0 / len(batch)), store, into=grad_sums)
                     for key in sums:
                         sums[key] += getattr(bd, key)
                     if fde is not None:

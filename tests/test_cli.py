@@ -167,6 +167,40 @@ class TestErrorPaths:
         assert "'long'" in err and "T=8" in err and "'short'" in err and "T=6" in err
 
 
+class TestUnusablePaths:
+    """A path the CLI cannot read or write is a user error: exit 1 and one
+    `error:` line on stderr that names the path, with no traceback."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["gen-data", "--out", "{file}"], "file"),
+        (["train", "--data", "{data}", "--out", "{file}"], "file"),
+        (["predict", "--checkpoint", "{ckpt}", "--data", "{data}", "--out", "{dir}"], "dir"),
+        (["eval", "--predictions", "{preds}", "--data", "{data}", "--json-out", "{dir}"], "dir"),
+        (["predict", "--checkpoint", "{dir}", "--data", "{data}", "--out", "{preds}"], "dir"),
+        (["eval", "--predictions", "{dir}", "--data", "{data}"], "dir"),
+    ], ids=["gen-data-out-file", "train-out-file", "predict-out-dir", "eval-json-out-dir",
+            "predict-checkpoint-dir", "eval-predictions-dir"])
+    def test_exits_1_naming_the_path(self, tmp_path, cfg_path, capsys, argv, bad):
+        paths = {"file": tmp_path / "taken", "dir": tmp_path / "a_dir",
+                 "data": tmp_path / "data", "ckpt": tmp_path / "checkpoint.bin",
+                 "preds": tmp_path / "preds.json"}
+        paths["file"].write_text("")
+        paths["dir"].mkdir()
+        assert run("gen-data", "--config", cfg_path, "--out", str(paths["data"])) == 0
+        store = dc.ParamStore(np.float32)
+        init_model(store, ModelConfig(d=16, l_graph=1), TINY["data"]["gen"]["t"],
+                   np.random.default_rng(0))
+        store.save(paths["ckpt"], meta={"stage": "S2"})
+        assert run("predict", "--config", cfg_path, "--checkpoint", str(paths["ckpt"]),
+                   "--data", str(paths["data"]), "--out", str(paths["preds"])) == 0
+        capsys.readouterr()
+        argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in argv]
+        assert run(argv[0], "--config", cfg_path, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(paths[bad]) in err and "Traceback" not in err
+
+
 class TestUsageErrors:
     """A bad or missing argument is a user error: one line, exit 1. Exit
     code 2 belongs to a failed gradient check."""

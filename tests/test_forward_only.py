@@ -11,11 +11,12 @@ import pytest
 
 from lanecast import diffcore as dc
 from lanecast import verify
-from lanecast.config import ModelConfig
+from lanecast.config import ModelConfig, RunConfig, TrainConfig
 from lanecast.decoder import (S1, S2, Forecast, forecast, init_model, run_pipeline,
                               save_predictions)
 from lanecast.diffcore import tensor
 from lanecast.losses import total_loss
+from lanecast.optim import train
 from lanecast.scene import (MAX_ACTORS, SceneGenConfig, generate_synthetic, load_scene,
                             normalize, save_scene, to_world)
 
@@ -139,3 +140,22 @@ def test_forecast_peak_at_max_actors_stays_under_a_ceiling():
     assert len(out) == 1
     # 92 MB measured; a taped pass held 197 MB
     assert peak <= 120e6, peak
+
+
+def test_train_step_peak_at_max_actors_stays_under_a_ceiling():
+    # `train` still records one view's tape, so its peak is the taped pass's
+    # plus the walk; this holds it while a pair budget at load is open
+    scene = packed_scene()
+    cfg = RunConfig(model=ModelConfig(), train=TrainConfig(batch_size=1, total_epochs=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, records, opt, _ = train([scene], cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1 and opt.t == 1
+    # 217 MB measured
+    assert peak <= 240e6, peak

@@ -1,8 +1,9 @@
 """Optimizer and schedule: step-by-step oracle for the Nesterov-momentum
 Adam variant, bit-identity of the flat update with the per-tensor active-set
-update it replaced, restart schedule values, and the two-stage training
-loop."""
+update it replaced, the flat parameter buffer the optimizer owns, restart
+schedule values, and the two-stage training loop."""
 
+import inspect
 import math
 import warnings
 
@@ -139,6 +140,84 @@ class TestNAdam:
         store.add("a", np.zeros(2))
         with pytest.raises(ContractError, match="param a"):
             optim.NAdam(store).step({"a": np.zeros(3)}, lr=1e-3)
+
+
+def assert_views_of_the_buffer(store, opt, arrays=None):
+    """Every parameter's array is a view of the optimizer's one buffer and,
+    with `arrays`, still the very object it was before."""
+    for i, name in enumerate(store.names()):
+        data = store[name].data
+        assert np.shares_memory(data, opt._p), name
+        if arrays is not None:
+            assert data is arrays[i], name
+
+
+def small_store(dtype, seed=4):
+    rng = np.random.default_rng(seed)
+    store = dc.ParamStore(dtype)
+    for name, shape in (("w", (5, 3)), ("b", (3,)), ("s", ())):
+        store.add(name, rng.normal(size=shape))
+    return store
+
+
+class TestFlatBuffer:
+    """NAdam owns one flat buffer: each parameter is a reshaped view of it,
+    and a step writes the buffer in place instead of rebinding `.data`."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_stay_the_same_views_across_steps(self, dtype):
+        store = small_store(dtype)
+        before = {n: store[n].data.copy() for n in store.names()}
+        opt = optim.NAdam(store)
+        arrays = [store[n].data for n in store.names()]
+        assert_views_of_the_buffer(store, opt, arrays)
+        for n in store.names():
+            np.testing.assert_array_equal(store[n].data, before[n])
+            assert store[n].data.dtype == dtype
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            opt.step({n: rng.normal(size=store[n].shape).astype(dtype)
+                      for n in store.names()}, lr=1e-2)
+            assert_views_of_the_buffer(store, opt, arrays)
+        assert all((store[n].data != before[n]).all() for n in store.names())
+
+    def test_trained_store_is_a_view_of_its_optimizer(self):
+        cfg = tiny_run_cfg(epochs=2)
+        store, _, opt, _ = optim.train(scenes_for(cfg), cfg)
+        assert_views_of_the_buffer(store, opt)
+        np.testing.assert_array_equal(
+            np.concatenate([store[n].data.ravel() for n in store.names()]), opt._p)
+
+    def test_empty_store_steps(self):
+        store = dc.ParamStore(np.float32)
+        opt = optim.NAdam(store)
+        opt.step({}, lr=1e-3)
+        assert opt._p.shape == (0,) and opt._p.dtype == np.float32
+        assert opt.t == 1
+
+    def test_float64_gradients_round_once_on_a_float32_store(self):
+        wide, narrow = small_store(np.float32), small_store(np.float32)
+        opt_wide, opt_narrow = optim.NAdam(wide), optim.NAdam(narrow)
+        arrays = [wide[n].data for n in wide.names()]
+        rng = np.random.default_rng(6)
+        for step in range(4):
+            grads = {n: rng.normal(size=wide[n].shape) for n in wide.names()}
+            opt_wide.step(grads, lr=1e-2)
+            opt_narrow.step({n: g.astype(np.float32) for n, g in grads.items()}, lr=1e-2)
+            assert opt_wide._p.tobytes() == opt_narrow._p.tobytes()
+            assert_views_of_the_buffer(wide, opt_wide, arrays)
+        for n in wide.names():
+            assert wide[n].data.dtype == np.float32
+            assert wide[n].data.tobytes() == narrow[n].data.tobytes()
+
+    def test_active_names_and_step_signature(self):
+        store = small_store(np.float64)
+        opt = optim.NAdam(store)
+        assert opt.active == store.names()
+        assert list(inspect.signature(optim.NAdam.step).parameters) == ["self", "grads", "lr"]
+        arrays = [store[n].data for n in store.names()]
+        opt.step({n: np.ones(store[n].shape) for n in store.names()}, lr=1e-3)
+        assert_views_of_the_buffer(store, opt, arrays)
 
 
 class TestLrSchedule:
