@@ -9,11 +9,16 @@ one line, never a trace.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, set before numpy loads BLAS: per-thread partial sums change bytes
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+
+import numpy as np  # noqa: E402 - after the thread pins
 
 from . import diffcore as dc
 from .config import RunConfig, config_hash, load_config
@@ -94,7 +99,17 @@ def _check_checkpoint(store, cfg, t):
                                    f"expected {e}, found {f}; retrain with this config")
 
 
+def _out_path(path):
+    """An output path, checked before the work: not a directory, and in one."""
+    p = Path(path)
+    if p.is_dir() or not p.parent.is_dir():
+        why = "it is a directory" if p.is_dir() else f"no directory {p.parent}"
+        raise OSError(f"cannot write {p}: {why}")
+    return p
+
+
 def cmd_predict(args):
+    out = _out_path(args.out)
     cfg = _read_config(args.config)
     store = dc.ParamStore.load(args.checkpoint)
     scenes = _load_scenes(args.data, cfg)
@@ -102,20 +117,21 @@ def cmd_predict(args):
         _check_checkpoint(store, cfg, t)
     stage = one_of(store.meta.get("stage", S2), "stage", (S1, S2))
     forecasts = [f for scene in scenes for f in forecast(scene, store, cfg.model, stage)]
-    Path(args.out).write_bytes(save_predictions(forecasts))
+    out.write_bytes(save_predictions(forecasts))
     print(f"wrote {len(forecasts)} forecasts to {args.out}")
     return 0
 
 
 def cmd_eval(args):
+    json_out = args.json_out and _out_path(args.json_out)
     cfg = _read_config(args.config)
     scenes = _load_scenes(args.data, cfg)
     preds = load_predictions(Path(args.predictions).read_bytes())
     report = evaluate(preds, gt_map(scenes))
     report.meta["config_hash"] = config_hash(cfg)
     print(report.to_table())
-    if args.json_out:
-        Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
+    if json_out:
+        json_out.write_text(report.to_json(), encoding="utf-8")
     return 0
 
 
@@ -168,48 +184,33 @@ def _seed(text):
     return int(text)
 
 
+# subcommand -> (help, function, required options); optional options follow below
+_COMMANDS = {
+    "gen-data": ("generate synthetic scene files", cmd_gen_data, ("config", "out")),
+    "train": ("train on a scene directory", cmd_train, ("config", "data", "out")),
+    "predict": ("forecast with a trained checkpoint", cmd_predict,
+                ("config", "checkpoint", "data", "out")),
+    "eval": ("score predictions against ground truth", cmd_eval,
+             ("config", "predictions", "data")),
+    "ensemble": ("fuse sub-model predictions", cmd_ensemble, ("manifest", "out")),
+    "grad-check": ("verify gradients block by block", cmd_grad_check, ()),
+    "lr-table": ("print the learning-rate schedule", cmd_lr_table, ()),
+}
+
+
 def build_parser():
     p = _Parser(prog="lanecast",
                 description="Forecast actor trajectories on vectorized lane maps.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-data", help="generate synthetic scene files")
-    g.add_argument("--config", required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen_data)
-
-    t = sub.add_parser("train", help="train on a scene directory")
-    t.add_argument("--config", required=True)
-    t.add_argument("--data", required=True)
-    t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
-
-    pr = sub.add_parser("predict", help="forecast with a trained checkpoint")
-    pr.add_argument("--config", required=True)
-    pr.add_argument("--checkpoint", required=True)
-    pr.add_argument("--data", required=True)
-    pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_predict)
-
-    ev = sub.add_parser("eval", help="score predictions against ground truth")
-    ev.add_argument("--config", required=True)
-    ev.add_argument("--predictions", required=True)
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--json-out", default=None)
-    ev.set_defaults(func=cmd_eval)
-
-    en = sub.add_parser("ensemble", help="fuse sub-model predictions")
-    en.add_argument("--manifest", required=True)
-    en.add_argument("--out", required=True)
-    en.add_argument("--seed", type=int, default=0)
-    en.set_defaults(func=cmd_ensemble)
-
-    gc = sub.add_parser("grad-check", help="verify gradients block by block")
-    gc.add_argument("--seed", type=_seed, default=0)
-    gc.set_defaults(func=cmd_grad_check)
-
-    lt = sub.add_parser("lr-table", help="print the learning-rate schedule")
-    lt.set_defaults(func=cmd_lr_table)
+    cmds = {}
+    for name, (text, func, required) in _COMMANDS.items():
+        cmds[name] = sub.add_parser(name, help=text)
+        for opt in required:
+            cmds[name].add_argument(f"--{opt}", required=True)
+        cmds[name].set_defaults(func=func)
+    cmds["eval"].add_argument("--json-out", default=None)
+    cmds["ensemble"].add_argument("--seed", type=int, default=0)
+    cmds["grad-check"].add_argument("--seed", type=_seed, default=0)
     return p
 
 

@@ -36,13 +36,9 @@ class ModelConfig:
             raise ConfigError(f"model.l_graph must be >= 1, got {self.l_graph}")
         if self.k_modes < 1:
             raise ConfigError(f"model.k_modes must be >= 1, got {self.k_modes}")
-        for name in ("tau_lane", "tau_boundary", "tau_actor"):
+        for name in ("tau_lane", "tau_boundary", "tau_actor", "input_scale", "output_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"model.{name} must be positive")
-        if self.input_scale <= 0:
-            raise ConfigError("model.input_scale must be positive")
-        if self.output_scale <= 0:
-            raise ConfigError("model.output_scale must be positive")
 
 
 @dataclass

@@ -126,7 +126,7 @@ def run_pipeline(norm_scene, store, cfg, stage=S2):
         raise ContractError(f"unknown stage {stage!r}")
     actor_f, actor_pos = encode_actors(norm_scene, store, cfg)
     lane_f = encode_lane_nodes(norm_scene.lane_graph, store, cfg)
-    bound_f, bound_pos, matched = encode_boundaries(norm_scene.boundaries, store, cfg)
+    bound_f, bound_pos, matched = encode_boundaries(norm_scene, store, cfg)
     fused = fuse_scene(actor_f, actor_pos, lane_f, norm_scene.lane_graph.centers,
                        bound_f, bound_pos, matched, store, cfg)
     targets, logits, pairs = predict_targets(fused, store, cfg)
@@ -137,11 +137,13 @@ def run_pipeline(norm_scene, store, cfg, stage=S2):
     return targets, traj, logits
 
 
+@np.errstate(all="ignore")
 def forecast(scene, store, cfg, stage=S2):
     """Per focal actor: normalize to its frame, run the pipeline, map the
     outputs back to the world frame. Returns a list of Forecast.
 
-    The pipeline runs on the store's constants, so it records no tape."""
+    The pipeline runs on the store's constants, so it records no tape.
+    numpy's warnings are off, as in training (extreme scenes stay quiet)."""
     params = store.constants()
     out = []
     for actor in scene.focal_actors():

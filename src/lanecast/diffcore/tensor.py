@@ -437,8 +437,9 @@ def conv1d(x, w, b=None, stride=1, padding=0):
 
 
 def _topological_order(root):
-    """The tensors reaching `root` through tape edges, inputs before the ops
-    that use them."""
+    """The op nodes reaching `root` through tape edges, inputs before the ops
+    that use them. Leaves are left out: they have no vjp to run, and the ops
+    that use them sum their gradients."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -452,10 +453,9 @@ def _topological_order(root):
         if node.op is not None and not node._edges:
             raise ContractError(f"backward: the graph through {node.op!r} was already walked")
         seen.add(id(node))
-        stack.append((node, True))
-        for p, _ in node._edges:
-            if id(p) not in seen:
-                stack.append((p, False))
+        if node._edges:
+            stack.append((node, True))
+            stack.extend((p, False) for p, _ in node._edges if id(p) not in seen)
     return order
 
 

@@ -61,7 +61,8 @@ def _upsample(x, length):
 
 
 def encode_actors(scene, store, cfg):
-    """All actors of a normalized scene -> (features [A, D], positions [A, 2]).
+    """All actors of a normalized scene -> (features [A, D], positions [A, 2]),
+    read from the scene's packed actor arrays.
 
     Unobserved steps are zero-filled on input and excluded from the final
     temporal max-pool. Positions are each actor's last observed point.
@@ -69,16 +70,14 @@ def encode_actors(scene, store, cfg):
     h = scene.horizon[0]
     if h < 4:
         raise ContractError(f"actor encoder needs H >= 4, got {h}")
-    actors = scene.actors
-    if not actors:
-        raise ContractError("scene has no actors")
-
-    obs = np.stack([act.observed for act in actors])  # [A, H]
+    obs = scene.observed  # [A, H]
+    seen = obs.any(axis=1)
+    if not seen.all():
+        raise ContractError(f"actor {scene.actors[int(np.argmin(seen))].id} has no observed steps")
     s = cfg.input_scale
-    headings = np.stack([act.headings for act in actors])
-    streams = {"coord": np.stack([act.positions for act in actors]) * s,  # each [A, H, 2]
-               "heading": np.stack([np.cos(headings), np.sin(headings)], axis=-1),
-               "vel": np.stack([act.velocities for act in actors]) * s}
+    streams = {"coord": scene.positions * s,  # each [A, H, 2]
+               "heading": np.stack([np.cos(scene.headings), np.sin(scene.headings)], axis=-1),
+               "vel": scene.velocities * s}
 
     f0 = None
     for br in _BRANCHES:
@@ -95,10 +94,8 @@ def encode_actors(scene, store, cfg):
     # mask the unobserved steps out of the max
     neg = np.where(obs, 0.0, _NEG_BIG)[:, :, None]
     pooled = dc.max(dc.add(merged, neg), axis=1)  # [A, D]
-
-    # raises ContractError for an actor with no observed step
-    positions = np.stack([act.positions[act.last_observed_index()] for act in actors])
-    return pooled, positions
+    last = h - 1 - np.argmax(obs[:, ::-1], axis=1)
+    return pooled, scene.positions[np.arange(len(obs)), last]
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +181,16 @@ def init_boundary_encoder(store, cfg, rng):
     _init_input_mlp(store, "bound", 4 + len(MARKINGS), cfg.d, rng)
 
 
-def boundary_nodes(boundaries):
-    """Flatten resampled boundary nodes across polylines.
-
-    Returns (centers [B,2], directions [B,2], marking one-hot [B,4],
-    matched lane-node index [B], -1 where unmatched).
-    """
-    parts = [(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, np.int64), np.zeros(0, np.int64))]
-    parts += [(b.node_centers, b.node_directions, b.matched_lane_nodes,
-               np.full(len(b.node_centers), MARKINGS.index(b.marking))) for b in boundaries]
-    centers, directions, matched, kinds = map(np.concatenate, zip(*parts))
-    return centers, directions, np.eye(len(MARKINGS))[kinds], matched
-
-
-def encode_boundaries(boundaries, store, cfg):
-    """Boundary polylines -> (features [B, D], positions [B, 2], matched [B]).
+def encode_boundaries(scene, store, cfg):
+    """A scene's packed boundary nodes -> (features [B, D], positions [B, 2],
+    matched [B]). Features are center, direction and marking one-hot.
 
     An empty boundary set yields a (0, D) feature matrix; downstream fusion
     treats that as "no context".
     """
-    centers, directions, marks, matched = boundary_nodes(boundaries)
-    feats = np.concatenate([centers * cfg.input_scale, directions, marks], axis=1)
-    return _input_mlp(store, "bound", feats), centers, matched
+    feats = np.concatenate([scene.node_centers * cfg.input_scale, scene.node_directions,
+                            np.eye(len(MARKINGS))[scene.node_markings]], axis=1)
+    return _input_mlp(store, "bound", feats), scene.node_centers, scene.matched_lane_nodes
 
 
 def init_encoders(store, cfg, rng):

@@ -67,12 +67,8 @@ def gt_confidence(s, s_hat):
 
 def confidence_loss(c, c_hat):
     """KL(c_hat || c) = sum c_hat (log c_hat - log c), logs floored at 1e-12
-    (which also realizes 0 log 0 = 0). Both arguments may carry gradients.
-    With [n, K] rows, returns the sum of the n KLs."""
-    if not isinstance(c, dc.Tensor):
-        c = dc.Tensor(np.asarray(c, dtype=np.float64))
-    if not isinstance(c_hat, dc.Tensor):
-        c_hat = dc.Tensor(np.asarray(c_hat, dtype=c.dtype))
+    (which also realizes 0 log 0 = 0). Both arguments are tensors and may
+    carry gradients. With [n, K] rows, returns the sum of the n KLs."""
     if c.shape != c_hat.shape:
         raise ContractError(f"confidence_loss: shapes {c.shape} vs {c_hat.shape}")
     diff = dc.sub(dc.log(c_hat, floor=LOG_FLOOR), dc.log(c, floor=LOG_FLOOR))
@@ -135,19 +131,18 @@ def trajectory_loss(traj, gt, mask, winners):
     return dc.mean(dc.smooth_l1(diff, beta=1.0)), int(kept.size)
 
 
-def total_loss(targets, traj, logits, gt_futures, last_observed):
+def total_loss(targets, traj, logits, gt_futures, has_future, last_observed):
     """Assemble the loss for one normalized scene.
 
     targets [A,K,2], traj [A,K,T',2], logits [A,K] are pipeline tensors;
     T' = 1 (stage one) scores endpoints only, T' = T adds the trajectory
-    term. gt_futures is a length-A list of [T,2] arrays or None, whose last
-    T' steps are the confidence reference; last_observed is the [A] bool
-    mask. Returns (scalar tensor, LossBreakdown).
+    term. gt_futures [A,T,2] holds the futures, whose last T' steps are the
+    confidence reference, read only where the [A] bool has_future is true;
+    last_observed is the [A] bool mask. Returns (scalar tensor, LossBreakdown).
     """
     t = traj.shape[2]
-    has_gt = np.array([g is not None for g in gt_futures], dtype=bool)
-    gt_ref = np.stack([np.asarray(g, dtype=np.float64)[-t:] if g is not None
-                       else np.zeros((t, 2)) for g in gt_futures])
+    has_gt = np.asarray(has_future, dtype=bool)
+    gt_ref = np.asarray(gt_futures, dtype=np.float64)[:, -t:]
     gt_end = gt_ref[:, -1]
 
     # one KL over the kept actors; with none kept, the empty batch sums to 0

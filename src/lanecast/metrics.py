@@ -120,9 +120,5 @@ def evaluate(forecasts, gt_by_key):
 
 def gt_map(scenes):
     """(scene_id, actor_id) -> future for every labeled focal actor."""
-    out = {}
-    for s in scenes:
-        for a in s.focal_actors():
-            if a.future is not None:
-                out[(s.scene_id, a.id)] = np.asarray(a.future, dtype=np.float64)
-    return out
+    return {(s.scene_id, a.id): np.asarray(a.future, dtype=np.float64)
+            for s in scenes for a in s.focal_actors() if a.future is not None}

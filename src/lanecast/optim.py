@@ -11,6 +11,7 @@ ever frozen by name.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -104,12 +105,8 @@ class LrSchedule:
     starts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        acc, starts = 0, []
-        for p in self.periods:
-            starts.append(acc)
-            acc += p
-        self.starts = tuple(starts)
-        self.cycle_end = acc  # constant lr_min from here on
+        bounds = (0, *itertools.accumulate(self.periods))
+        self.starts, self.cycle_end = bounds[:-1], bounds[-1]  # lr_min from cycle_end on
 
     def lr_at(self, epoch):
         if not 0 <= epoch < self.total_epochs:
@@ -143,17 +140,14 @@ def _scene_views(scenes):
 def _view_loss(scene, actor_id, store, cfg, stage):
     ns = normalize(scene, actor_id)
     targets, traj, logits = run_pipeline(ns, store, cfg.model, stage)
-    gt = [a.future for a in ns.actors]
-    last_obs = np.array([bool(a.observed[-1]) for a in ns.actors])
-    loss, bd = total_loss(targets, traj, logits, gt, last_obs)
+    loss, bd = total_loss(targets, traj, logits, ns.future, ns.has_future, ns.observed[:, -1])
     # train-time minFDE(K) for the focal actor, in its agent frame; over all
     # K modes it reads no confidences
     fde = None
-    focal_idx = ns.actor_index(actor_id)
-    if gt[focal_idx] is not None:
-        modes = np.asarray(traj.data[focal_idx], dtype=np.float64)
-        fde, _ = min_fde(modes, None, np.asarray(gt[focal_idx], dtype=np.float64),
-                         modes.shape[0])
+    i = ns.actor_index(actor_id)
+    if ns.has_future[i]:
+        modes = np.asarray(traj.data[i], dtype=np.float64)
+        fde, _ = min_fde(modes, None, ns.future[i], modes.shape[0])
     return loss, bd, fde
 
 

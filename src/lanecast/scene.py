@@ -9,8 +9,9 @@ Lane and boundary nodes of a scene count together against MAX_SCENE_NODES,
 read from each polyline's length before resampling. Nearest-node searches
 run as all-pairs distance arrays in fixed-size row blocks.
 
-All geometry is float64. Scenes are treated as immutable after construction;
-`normalize` returns a view that shares the arrays a rotation leaves alone.
+All geometry is float64, packed once per scene (see `Scene`). Scenes are
+treated as immutable after construction; `normalize` returns a view that
+shares the arrays a rotation leaves alone.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ _BLOCK_ROWS = 256  # rows per all-pairs distance block: memory ~ N * _BLOCK_ROWS
 MAX_POLYLINE_POINTS = 2048  # lane_length / sample_step
 MAX_TIME_STEPS = 1000       # h + t
 MAX_ACTORS = 256            # generated and loaded scenes alike
+# record fields that are rows (or, per boundary, row ranges) of the Scene's packed arrays
+_ACTOR_ROWS = ("positions", "headings", "velocities", "observed")  # and `future`
+_NODE_ROWS = ("node_centers", "node_directions", "matched_lane_nodes")
 
 
 def wrap_angles(arr):
@@ -65,12 +69,6 @@ class ActorTrack:
     observed: np.ndarray       # [H] bool
     future: np.ndarray | None  # [T, 2] or None
     focal: bool = False
-
-    def last_observed_index(self):
-        idx = np.flatnonzero(self.observed)
-        if idx.size == 0:
-            raise ContractError(f"actor {self.id} has no observed steps")
-        return int(idx[-1])
 
 
 @dataclass
@@ -114,11 +112,30 @@ class BoundaryPolyline:
 
 @dataclass
 class Scene:
+    """The data of a scene lives in packed arrays, which the model reads: the
+    actors' stacked on a leading actor axis, and every boundary's resampled
+    nodes flat, boundary k owning rows node_offsets[k]:node_offsets[k + 1].
+    Each actor and boundary record holds views of its rows under the same
+    names; `focal` is a plain attribute of the actor record. An in-place
+    write to a record's array shows through; rebinding a record field
+    (`actor.future = None`) detaches the record from the packed array."""
+
     horizon: tuple[int, int]  # (H, T)
     actors: list[ActorTrack]
     lanes: list[Lane]
     boundaries: list[BoundaryPolyline]
     lane_graph: LaneGraph
+    positions: np.ndarray           # [A, H, 2]
+    headings: np.ndarray            # [A, H]
+    velocities: np.ndarray          # [A, H, 2]
+    observed: np.ndarray            # [A, H] bool
+    future: np.ndarray              # [A, T, 2], read only where has_future
+    has_future: np.ndarray          # [A] bool
+    node_centers: np.ndarray        # [B, 2]
+    node_directions: np.ndarray     # [B, 2]
+    node_markings: np.ndarray       # [B] int64, index into MARKINGS
+    matched_lane_nodes: np.ndarray  # [B] int64, -1 where the lane has no nodes
+    node_offsets: np.ndarray        # [n_boundaries + 1]
     frame: str = WORLD_FRAME
     # x_world = world_rot @ x_frame + world_trans
     world_rot: np.ndarray = field(default_factory=lambda: np.eye(2))
@@ -130,9 +147,6 @@ class Scene:
             if a.id == actor_id:
                 return i
         raise ContractError(f"no actor with id {actor_id!r}")
-
-    def actor(self, actor_id):
-        return self.actors[self.actor_index(actor_id)]
 
     def focal_actors(self):
         return [a for a in self.actors if a.focal]
@@ -312,22 +326,40 @@ def _match_boundaries(boundaries, graph, segment_len):
     """Resample each boundary and match its nodes to the parent lane's nodes
     by one blocked argmin over that lane's range (-1 if it has no nodes).
     Boundary nodes take what the lanes left of MAX_SCENE_NODES; the first
-    past it is a ParseError."""
-    budget = MAX_SCENE_NODES - graph.n_nodes
+    past it is a ParseError. Returns the packed node arrays by Scene field."""
+    budget, parts = MAX_SCENE_NODES - graph.n_nodes, [(np.zeros((0, 2)), np.zeros((0, 2)))]
     for i, b in enumerate(boundaries):
-        b.node_centers, b.node_directions, _ = resample_polyline(
-            b.points, segment_len, budget, f"boundaries[{i}].points")
-        budget -= len(b.node_centers)
+        parts.append(resample_polyline(b.points, segment_len, budget,
+                                       f"boundaries[{i}].points")[:2])
+        budget -= len(parts[-1][0])
+    centers, directions = map(np.concatenate, zip(*parts))
+    sizes = [len(p[0]) for p in parts[1:]]
+    offsets = np.cumsum([0] + sizes)
+    matched = np.full(len(centers), -1, dtype=np.int64)
+    for b, start, stop in zip(boundaries, offsets[:-1], offsets[1:]):
         lo, hi = graph.lane_ranges.get(b.lane_id, (0, 0))
-        b.matched_lane_nodes = np.full(len(b.node_centers), -1, dtype=np.int64)
-        for r in range(0, len(b.node_centers) if hi > lo else 0, _BLOCK_ROWS):
-            near = _nearest(b.node_centers[r:r + _BLOCK_ROWS], graph.centers[lo:hi], [0])[1]
-            b.matched_lane_nodes[r:r + _BLOCK_ROWS] = lo + near[:, 0]
+        for r in range(start, stop if hi > lo else start, _BLOCK_ROWS):
+            near = _nearest(centers[r:min(r + _BLOCK_ROWS, stop)], graph.centers[lo:hi], [0])[1]
+            matched[r:r + len(near)] = lo + near[:, 0]
+    markings = np.repeat([MARKINGS.index(b.marking) for b in boundaries], sizes).astype(np.int64)
+    return dict(node_centers=centers, node_directions=directions, node_markings=markings,
+                matched_lane_nodes=matched, node_offsets=offsets)
+
+
+def _with_views(scene):
+    """`scene` with new records whose arrays are views of its packed rows."""
+    actors = [replace(a, **{n: getattr(scene, n)[i] for n in _ACTOR_ROWS},
+                      future=scene.future[i] if scene.has_future[i] else None)
+              for i, a in enumerate(scene.actors)]
+    o = scene.node_offsets
+    boundaries = [replace(b, **{n: getattr(scene, n)[o[k]:o[k + 1]] for n in _NODE_ROWS})
+                  for k, b in enumerate(scene.boundaries)]
+    return replace(scene, actors=actors, boundaries=boundaries)
 
 
 def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3.5,
                scene_id="scene"):
-    """Assemble a Scene: build the lane graph, match boundaries, validate."""
+    """Assemble a Scene: validate, build the lane graph, match boundaries, pack."""
     h, t = horizon
     if not any(a.focal for a in actors):
         raise ContractError("scene has no focal actor")
@@ -339,9 +371,14 @@ def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3
         if not a.observed.any():
             raise ContractError(f"actor {a.id}: no observed steps")
     graph, _ = build_lane_nodes(lanes, segment_len, lane_width)
-    _match_boundaries(boundaries, graph, segment_len)
-    return Scene(horizon=(h, t), actors=actors, lanes=lanes, boundaries=boundaries,
-                 lane_graph=graph, scene_id=scene_id)
+    return _with_views(Scene(
+        (h, t), actors, lanes, boundaries, graph,
+        *(np.array([getattr(a, n) for a in actors], dtype=np.float64) for n in _ACTOR_ROWS[:3]),
+        observed=np.array([a.observed for a in actors], dtype=bool),
+        future=np.array([np.zeros((t, 2)) if a.future is None else a.future for a in actors],
+                        dtype=np.float64),
+        has_future=np.array([a.future is not None for a in actors]),
+        **_match_boundaries(boundaries, graph, segment_len), scene_id=scene_id))
 
 
 # ---------------------------------------------------------------------------
@@ -449,35 +486,33 @@ def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
 def normalize(scene: Scene, actor_id: str) -> Scene:
     """Rigid transform into the agent frame of `actor_id`: its last observed
     position moves to the origin, its heading there to +x. A pure isometry;
-    applying it twice equals applying it once. Only coordinates move: the
-    view shares `observed`, lengths, adjacency, lane ranges and matches."""
-    actor = scene.actor(actor_id)
-    if not actor.observed[-1]:
+    applying it twice equals applying it once. Only coordinates move, an array
+    at a time: the view shares `observed`, lengths, adjacency and matches."""
+    i = scene.actor_index(actor_id)
+    if not scene.observed[i, -1]:
         raise ContractError(f"actor {actor_id} unobserved at last history step")
-    origin = actor.positions[-1].astype(np.float64)
-    psi = float(actor.headings[-1])
+    origin = scene.positions[i, -1].copy()
+    psi = float(scene.headings[i, -1])
     c, s = math.cos(psi), math.sin(psi)
     rot = np.array([[c, s], [-s, c]])  # world -> agent
 
     def tp(pts):  # transform points
-        return (np.asarray(pts) - origin) @ rot.T
+        return (pts - origin) @ rot.T
 
     def tv(vecs):  # rotate vectors
-        return np.asarray(vecs) @ rot.T
+        return vecs @ rot.T
 
-    actors = [replace(a, positions=tp(a.positions), headings=wrap_angles(a.headings - psi),
-                      velocities=tv(a.velocities),
-                      future=None if a.future is None else tp(a.future))
-              for a in scene.actors]
-    lanes = [replace(l, centerline=tp(l.centerline)) for l in scene.lanes]
-    boundaries = [replace(b, points=tp(b.points), node_centers=tp(b.node_centers),
-                          node_directions=tv(b.node_directions)) for b in scene.boundaries]
     g = scene.lane_graph
     # compose so x_world still recoverable: x_w = R_old (rot^T x_new + origin) + t_old
-    return replace(scene, actors=actors, lanes=lanes, boundaries=boundaries,
-                   lane_graph=replace(g, centers=tp(g.centers), directions=tv(g.directions)),
-                   frame=f"agent:{actor_id}", world_rot=scene.world_rot @ rot.T,
-                   world_trans=scene.world_rot @ origin + scene.world_trans)
+    return _with_views(replace(
+        scene, positions=tp(scene.positions), headings=wrap_angles(scene.headings - psi),
+        velocities=tv(scene.velocities), future=tp(scene.future),
+        node_centers=tp(scene.node_centers), node_directions=tv(scene.node_directions),
+        lanes=[replace(l, centerline=tp(l.centerline)) for l in scene.lanes],
+        boundaries=[replace(b, points=tp(b.points)) for b in scene.boundaries],
+        lane_graph=replace(g, centers=tp(g.centers), directions=tv(g.directions)),
+        frame=f"agent:{actor_id}", world_rot=scene.world_rot @ rot.T,
+        world_trans=scene.world_rot @ origin + scene.world_trans))
 
 
 def to_world(scene: Scene, points):

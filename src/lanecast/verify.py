@@ -115,7 +115,7 @@ def check_boundary_lane_fusion(seed=0, n_samples=4):
     lane_f = np.random.default_rng(seed + 1).normal(size=(n, cfg.d))
 
     def fn(s):
-        bf, _, matched = encode_boundaries(scene.boundaries, s, cfg)
+        bf, _, matched = encode_boundaries(scene, s, cfg)
         return _reduce(fuse_boundary_to_lane(dc.Tensor(lane_f), bf, matched, s))
 
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
@@ -172,10 +172,8 @@ def check_full_pipeline(seed=0, n_samples=2):
 
     def fn(s):
         targets, traj, logits = run_pipeline(scene, s, cfg, S2)
-        gt = [a.future for a in scene.actors]
-        mask = np.array([bool(a.observed[-1]) for a in scene.actors])
-        loss, _ = total_loss(targets, traj, logits, gt, mask)
-        return loss
+        return total_loss(targets, traj, logits, scene.future, scene.has_future,
+                          scene.observed[:, -1])[0]
 
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
 

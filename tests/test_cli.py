@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lanecast import cli
 from lanecast import diffcore as dc
 from lanecast.cli import main
 from lanecast.config import ModelConfig
@@ -169,7 +170,9 @@ class TestErrorPaths:
 
 class TestUnusablePaths:
     """A path the CLI cannot read or write is a user error: exit 1 and one
-    `error:` line on stderr that names the path, with no traceback."""
+    `error:` line on stderr that names the path, with no traceback. An
+    unusable output path fails before the work: nothing is forecast or
+    printed."""
 
     @pytest.mark.parametrize("argv, bad", [
         (["gen-data", "--out", "{file}"], "file"),
@@ -180,7 +183,7 @@ class TestUnusablePaths:
         (["eval", "--predictions", "{dir}", "--data", "{data}"], "dir"),
     ], ids=["gen-data-out-file", "train-out-file", "predict-out-dir", "eval-json-out-dir",
             "predict-checkpoint-dir", "eval-predictions-dir"])
-    def test_exits_1_naming_the_path(self, tmp_path, cfg_path, capsys, argv, bad):
+    def test_exits_1_naming_the_path(self, tmp_path, cfg_path, capsys, monkeypatch, argv, bad):
         paths = {"file": tmp_path / "taken", "dir": tmp_path / "a_dir",
                  "data": tmp_path / "data", "ckpt": tmp_path / "checkpoint.bin",
                  "preds": tmp_path / "preds.json"}
@@ -194,11 +197,26 @@ class TestUnusablePaths:
         assert run("predict", "--config", cfg_path, "--checkpoint", str(paths["ckpt"]),
                    "--data", str(paths["data"]), "--out", str(paths["preds"])) == 0
         capsys.readouterr()
+        forecasts = []
+        monkeypatch.setattr(cli, "forecast", lambda *a, **k: forecasts.append(a) or [])
+        argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in argv]
+        assert run(argv[0], "--config", cfg_path, *argv[1:]) == 1
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(paths[bad]) in err and "Traceback" not in err
+        assert out == "" and forecasts == []
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--checkpoint", "{none}", "--data", "{none}", "--out", "{missing}"],
+        ["eval", "--predictions", "{none}", "--data", "{none}", "--json-out", "{missing}"],
+    ], ids=["predict", "eval"])
+    def test_output_in_a_missing_directory_fails_first(self, tmp_path, cfg_path, capsys, argv):
+        """The output path is checked before the inputs, which are missing too."""
+        paths = {"none": tmp_path / "none", "missing": tmp_path / "none" / "out.json"}
         argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in argv]
         assert run(argv[0], "--config", cfg_path, *argv[1:]) == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert str(paths[bad]) in err and "Traceback" not in err
+        assert err.startswith("error: cannot write ") and str(paths["missing"]) in err
 
 
 class TestUsageErrors:
@@ -494,6 +512,31 @@ class TestActorCap:
             assert run(*argv) == 1, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("error: actors") and err.count("\n") == 1, err
+
+
+class TestExtremeScenes:
+    def test_predict_is_quiet_on_a_finite_but_extreme_scene(self, tmp_path, capsys):
+        """An acceptance-c4 scene (default generator, seed 0) whose first
+        context actor moves at 1e20 times its speed: `predict` exits 0 with
+        finite forecasts and prints no numpy warning (tier-1 turns them into
+        errors, and `main` would then exit 3)."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 0, "model": {"d": 32, "l_graph": 2}}))
+        obj = json.loads(save_scene(generate_synthetic(SceneGenConfig(), 0)))
+        for row in obj["actors"][1]["history"]:
+            row[3:5] = [row[3] * 1e20, row[4] * 1e20]
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "scene000.json").write_text(json.dumps(obj))
+        store = dc.ParamStore(np.float32)
+        init_model(store, ModelConfig(d=32, l_graph=2), 15, np.random.default_rng(0))
+        store.save(tmp_path / "checkpoint.bin", meta={"stage": "S2"})
+        preds = tmp_path / "preds.json"
+        assert run("predict", "--config", str(cfg), "--checkpoint",
+                   str(tmp_path / "checkpoint.bin"), "--data", str(tmp_path / "data"),
+                   "--out", str(preds)) == 0
+        assert capsys.readouterr().err == ""
+        (fc,) = load_predictions(preds.read_bytes())  # rejects non-finite numbers
+        assert np.isfinite(fc.trajectories).all() and np.isfinite(fc.confidences).all()
 
 
 class TestCheckpointMismatch:

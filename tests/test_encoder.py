@@ -1,6 +1,8 @@
 """Actor, lane and boundary encoders: shapes, masking semantics, and a
 dense numpy oracle for the gated graph convolution."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -181,17 +183,18 @@ class TestGatedConvOracle:
 class TestBoundaryEncoder:
     def test_feature_assembly(self):
         scene = sc.generate_synthetic(sc.SceneGenConfig(n_lanes=2), 5)
-        centers, directions, marks, matched = encoder.boundary_nodes(scene.boundaries)
-        b = centers.shape[0]
-        assert directions.shape == (b, 2)
-        assert marks.shape == (b, len(sc.MARKINGS))
-        np.testing.assert_array_equal(marks.sum(axis=1), np.ones(b))
-        assert matched.shape == (b,)
-        assert matched.min() >= 0
+        b = scene.node_centers.shape[0]
+        assert scene.node_directions.shape == (b, 2)
+        assert scene.node_markings.shape == scene.matched_lane_nodes.shape == (b,)
+        assert scene.node_offsets.tolist() == np.cumsum(
+            [0] + [len(x.node_centers) for x in scene.boundaries]).tolist()
+        assert set(scene.node_markings.tolist()) <= set(range(len(sc.MARKINGS)))
+        assert scene.matched_lane_nodes.min() >= 0
 
-    def test_arrays_equal_the_per_polyline_loop(self):
-        """Against the per-polyline loop it replaced, with one polyline that
-        has no matches."""
+    def test_packed_nodes_equal_the_per_polyline_loop(self):
+        """The packed nodes a scene and its view hand the encoder, against
+        the per-polyline concatenation they replaced, with one polyline that
+        has no matches (its lane has no nodes)."""
         def per_polyline(boundaries):
             centers, directions = [np.zeros((0, 2))], [np.zeros((0, 2))]
             marks, matched = [np.zeros((0, len(sc.MARKINGS)))], [np.zeros(0, dtype=np.int64)]
@@ -202,26 +205,36 @@ class TestBoundaryEncoder:
                 one_hot = np.zeros((m, len(sc.MARKINGS)))
                 one_hot[:, sc.MARKINGS.index(b.marking)] = 1.0
                 marks.append(one_hot)
-                if len(b.matched_lane_nodes) == m:
-                    matched.append(np.asarray(b.matched_lane_nodes, dtype=np.int64))
-                else:
-                    matched.append(np.full(m, -1, dtype=np.int64))
+                matched.append(np.asarray(b.matched_lane_nodes, dtype=np.int64))
             return tuple(map(np.concatenate, (centers, directions, marks, matched)))
 
-        boundaries = sc.generate_synthetic(sc.SceneGenConfig(n_lanes=3), 2).boundaries
-        boundaries[1].matched_lane_nodes = np.full(len(boundaries[1].node_centers), -1)
-        for subset in (boundaries, boundaries[1:2], []):
-            got, want = encoder.boundary_nodes(subset), per_polyline(subset)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                np.testing.assert_array_equal(g, w)
+        cfg = tiny_cfg()
+        store = dc.ParamStore(np.float64)
+        encoder.init_boundary_encoder(store, cfg, np.random.default_rng(6))
+        obj = json.loads(sc.save_scene(sc.generate_synthetic(sc.SceneGenConfig(n_lanes=3), 2)))
+        obj["lanes"].append({"id": "stub", "centerline": [[5.0, 9.0], [5.0, 9.0]]})
+        obj["boundaries"].insert(1, {"points": [[0.0, 11.0], [20.0, 11.0]],
+                                     "marking": "double", "side": "left", "lane_id": "stub"})
+        scene = sc.load_scene(json.dumps(obj))
+        assert (scene.boundaries[1].matched_lane_nodes == -1).all()
+        for view in (scene, sc.normalize(scene, scene.actors[0].id)):
+            centers, directions, marks, matched = per_polyline(view.boundaries)
+            for got, want in ((view.node_centers, centers), (view.node_directions, directions),
+                              (np.eye(len(sc.MARKINGS))[view.node_markings], marks),
+                              (view.matched_lane_nodes, matched)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            x, pos, m = encoder.encode_boundaries(view, store, cfg)
+            feats = np.concatenate([centers * cfg.input_scale, directions, marks], axis=1)
+            assert x.data.tobytes() == encoder._input_mlp(store, "bound", feats).data.tobytes()
+            assert pos.tobytes() == centers.tobytes() and m.tobytes() == matched.tobytes()
 
     def test_encode_shapes(self):
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_boundary_encoder(store, cfg, np.random.default_rng(6))
         scene = sc.generate_synthetic(sc.SceneGenConfig(), 7)
-        x, pos, matched = encoder.encode_boundaries(scene.boundaries, store, cfg)
+        x, pos, matched = encoder.encode_boundaries(scene, store, cfg)
         assert x.shape[1] == cfg.d
         assert x.shape[0] == pos.shape[0] == matched.shape[0]
 
@@ -229,6 +242,8 @@ class TestBoundaryEncoder:
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_boundary_encoder(store, cfg, np.random.default_rng(6))
-        x, pos, matched = encoder.encode_boundaries([], store, cfg)
+        pos = np.stack([np.arange(6.0), np.zeros(6)], axis=1)
+        scene = straight_scene([make_actor("a0", pos)])
+        x, pos, matched = encoder.encode_boundaries(scene, store, cfg)
         assert x.shape == (0, cfg.d)
         assert pos.shape == (0, 2)

@@ -69,9 +69,8 @@ def test_no_output_of_a_forward_only_pass_has_edges(stage, monkeypatch):
     def pass_on(params):
         made.clear()
         targets, traj, logits = run_pipeline(ns, params, cfg, stage)
-        gt = [a.future for a in ns.actors]
-        last_obs = np.array([bool(a.observed[-1]) for a in ns.actors])
-        return total_loss(targets, traj, logits, gt, last_obs)[0]
+        return total_loss(targets, traj, logits, ns.future, ns.has_future,
+                          ns.observed[:, -1])[0]
 
     pass_on(store)
     assert sum(bool(t._edges) for t in made) > 100  # the taped pass records its ops

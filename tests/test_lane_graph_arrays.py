@@ -152,11 +152,15 @@ def assert_same_scene(lanes, boundaries, segment_len, lane_width):
     got = sc.build_lane_nodes(lanes, segment_len, lane_width)
     want = reference_lane_nodes(lanes, segment_len, lane_width)
     assert_same_graph(got, want)
-    sc._match_boundaries(boundaries, got[0], segment_len)
-    for b, ref in zip(boundaries, reference_matches(boundaries, want[0], segment_len)):
+    nodes = sc._match_boundaries(boundaries, got[0], segment_len)
+    refs = reference_matches(boundaries, want[0], segment_len)
+    offsets, matched = nodes["node_offsets"], nodes["matched_lane_nodes"]
+    assert np.diff(offsets).tolist() == [
+        len(sc.resample_polyline(b.points, segment_len)[0]) for b in boundaries]
+    assert matched.dtype == np.int64 and matched.shape == (offsets[-1],)
+    for k, ref in enumerate(refs):
         # the reference leaves a lane without nodes unmatched; the array holds -1
-        m = b.matched_lane_nodes
-        assert m.dtype == np.int64 and m.shape == (len(b.node_centers),)
+        m = matched[offsets[k]:offsets[k + 1]]
         assert m.tobytes() == np.array(ref or [-1] * len(m), dtype=np.int64).tobytes()
     return got[0]
 

@@ -220,7 +220,7 @@ def synthetic_heads(rng, a=2, k=6, t=4, dtype=np.float64):
 
 class TestTotalLoss:
     def _gt(self, rng, a=2, t=4):
-        return [rng.normal(size=(t, 2)) for _ in range(a)]
+        return rng.normal(size=(a, t, 2))
 
     def test_s1_additivity(self):
         rng = np.random.default_rng(6)
@@ -228,7 +228,7 @@ class TestTotalLoss:
         gt = self._gt(rng)
         traj = dc.reshape(store["targets"], (2, 6, 1, 2))  # stage one's one-step trajectories
         loss, bd = losses.total_loss(store["targets"], traj, store["logits"],
-                                     gt, [True, True])
+                                     gt, [True, True], [True, True])
         assert bd.stage == "S1"
         assert abs(bd.total - (bd.conf + bd.target)) < 1e-9
         assert bd.traj == 0.0
@@ -239,7 +239,7 @@ class TestTotalLoss:
         store = synthetic_heads(rng)
         gt = self._gt(rng)
         loss, bd = losses.total_loss(store["targets"], store["traj"],
-                                     store["logits"], gt, [True, True])
+                                     store["logits"], gt, [True, True], [True, True])
         assert abs(bd.total - (bd.conf + bd.target + bd.traj)) < 1e-9
         for part in (bd.conf, bd.target, bd.traj):
             assert part >= 0.0
@@ -253,7 +253,7 @@ class TestTotalLoss:
         logits = np.full((a, k), 3.0)  # uniform confidence
         loss, bd = losses.total_loss(
             dc.Tensor(targets), dc.Tensor(traj), dc.Tensor(logits),
-            gt, [True, True])
+            gt, [True, True], [True, True])
         assert bd.target == 0.0 and bd.traj == 0.0
         # all modes identical: gt confidence is uniform and matches exactly
         np.testing.assert_allclose(bd.conf, 0.0, atol=1e-12)
@@ -273,10 +273,14 @@ class TestTotalLoss:
     def test_missing_gt_actor_excluded(self):
         rng = np.random.default_rng(11)
         store = synthetic_heads(rng)
-        gt = [rng.normal(size=(4, 2)), None]
+        gt = np.stack([rng.normal(size=(4, 2)), np.zeros((4, 2))])
         loss, bd = losses.total_loss(store["targets"], store["traj"],
-                                     store["logits"], gt, [True, True])
+                                     store["logits"], gt, [True, False], [True, True])
         assert bd.n_target == 1
+        gt[1] = 1e6  # a row without a future is not read
+        other, _ = losses.total_loss(store["targets"], store["traj"],
+                                     store["logits"], gt, [True, False], [True, True])
+        assert other.data.tobytes() == loss.data.tobytes()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -285,7 +289,7 @@ class TestTotalLoss:
 
         def fn(s):
             loss, _ = losses.total_loss(s["targets"], s["traj"], s["logits"],
-                                        gt, [True, True])
+                                        gt, [True, True], [True, True])
             return loss
 
         worst, _ = dc.grad_check(fn, store, seed=0)

@@ -299,7 +299,7 @@ class TestNormalize:
         scene = self._scene()
         aid = scene.actors[1].id
         ns = sc.normalize(scene, aid)
-        actor = ns.actor(aid)
+        actor = ns.actors[1]
         np.testing.assert_allclose(actor.positions[-1], [0.0, 0.0], atol=1e-12)
         assert actor.headings[-1] == 0.0
         assert ns.frame == f"agent:{aid}"
@@ -309,8 +309,7 @@ class TestNormalize:
         aid = scene.actors[0].id
         once = sc.normalize(scene, aid)
         twice = sc.normalize(once, aid)
-        np.testing.assert_array_equal(once.actor(aid).positions,
-                                      twice.actor(aid).positions)
+        np.testing.assert_array_equal(once.actors[0].positions, twice.actors[0].positions)
         np.testing.assert_array_equal(once.lane_graph.centers,
                                       twice.lane_graph.centers)
 
@@ -326,8 +325,8 @@ class TestNormalize:
         scene = self._scene()
         aid = scene.actors[1].id
         ns = sc.normalize(scene, aid)
-        back = sc.to_world(ns, ns.actor(aid).positions)
-        np.testing.assert_allclose(back, scene.actor(aid).positions, atol=1e-9)
+        back = sc.to_world(ns, ns.actors[1].positions)
+        np.testing.assert_allclose(back, scene.actors[1].positions, atol=1e-9)
 
     def test_unknown_actor_raises(self):
         with pytest.raises(ContractError):
@@ -337,7 +336,7 @@ class TestNormalize:
 def copying_normalize(scene, actor_id):
     """The `normalize` that copied every array of the scene, kept as the
     reference for the view that moves coordinates only."""
-    actor = scene.actor(actor_id)
+    actor = scene.actors[scene.actor_index(actor_id)]
     origin = actor.positions[-1].astype(np.float64)
     psi = float(actor.headings[-1])
     c, s = math.cos(psi), math.sin(psi)
@@ -368,18 +367,28 @@ def copying_normalize(scene, actor_id):
     graph = sc.LaneGraph(tp(g.centers), tv(g.directions), g.lengths.copy(),
                          {k: v.copy() for k, v in g.adjacency.items()},
                          dict(g.lane_ranges))
+    # the packed arrays, stacked from the records moved one by one
+    packed = {n: np.stack([getattr(a, n) for a in actors])
+              for n in ("positions", "headings", "velocities", "observed")}
+    packed.update({n: np.concatenate([np.zeros((0, 2))] + [getattr(b, n) for b in boundaries])
+                   for n in ("node_centers", "node_directions")})
+    packed.update({n: getattr(scene, n).copy() for n in FRAME_FREE[1:]})
 
     world_rot = scene.world_rot @ rot.T
     world_trans = scene.world_rot @ origin + scene.world_trans
     return sc.Scene(horizon=scene.horizon, actors=actors, lanes=lanes,
                     boundaries=boundaries, lane_graph=graph,
+                    future=np.stack([tp(f) for f in scene.future]), **packed,
                     frame=f"agent:{actor_id}", world_rot=world_rot,
                     world_trans=world_trans, scene_id=scene.scene_id)
 
 
 COORDINATES = {"actor": ("positions", "headings", "velocities", "future"),
                "lane": ("centerline",), "boundary": ("points", "node_centers", "node_directions"),
-               "graph": ("centers", "directions")}
+               "graph": ("centers", "directions"),
+               "scene": ("positions", "headings", "velocities", "future", "node_centers",
+                         "node_directions")}
+FRAME_FREE = ("observed", "has_future", "node_markings", "matched_lane_nodes", "node_offsets")
 
 
 def scene_arrays(scene):
@@ -389,6 +398,7 @@ def scene_arrays(scene):
            ("graph.centers", g.centers), ("graph.directions", g.directions),
            ("graph.lengths", g.lengths)]
     out += [(f"graph.adjacency.{k}", v) for k, v in g.adjacency.items()]
+    out += [(n, getattr(scene, n)) for n in (*COORDINATES["scene"], *FRAME_FREE)]
     for i, a in enumerate(scene.actors):
         out += [(f"actors[{i}].{n}", getattr(a, n)) for n in (*COORDINATES["actor"], "observed")
                 if getattr(a, n) is not None]
@@ -402,6 +412,7 @@ def scene_arrays(scene):
 def coordinate_arrays(scene):
     g = scene.lane_graph
     out = [getattr(g, n) for n in COORDINATES["graph"]]
+    out += [getattr(scene, n) for n in COORDINATES["scene"]]
     out += [getattr(a, n) for a in scene.actors for n in COORDINATES["actor"]
             if getattr(a, n) is not None]
     out += [l.centerline for l in scene.lanes]
@@ -456,9 +467,12 @@ class TestViewSharing:
             g, vg = scene.lane_graph, view.lane_graph
             assert vg.lengths is g.lengths and vg.lane_ranges is g.lane_ranges
             assert all(vg.adjacency[k] is v for k, v in g.adjacency.items())
-            assert all(v.observed is a.observed for v, a in zip(view.actors, scene.actors))
-            assert all(v.matched_lane_nodes is b.matched_lane_nodes
-                       for v, b in zip(view.boundaries, scene.boundaries))
+            assert all(getattr(view, n) is getattr(scene, n) for n in FRAME_FREE)
+            # the records are views of the packed arrays
+            assert all(np.shares_memory(v.observed, scene.observed) for v in view.actors)
+            assert all(np.shares_memory(v.positions, view.positions) for v in view.actors)
+            assert all(np.shares_memory(v.matched_lane_nodes, scene.matched_lane_nodes)
+                       for v in view.boundaries if v.matched_lane_nodes.size)
             originals = coordinate_arrays(scene)
             for moved in coordinate_arrays(view):
                 assert not any(np.shares_memory(moved, o) for o in originals)
@@ -497,6 +511,23 @@ class TestViewSharing:
                 assert (m == -1).all() == (b.lane_id not in ranges)
                 checked += b.lane_id not in ranges
         assert checked == 1  # the degenerate lane's boundary
+
+
+class TestPackedArrays:
+    def test_records_are_views_and_a_rebound_field_detaches(self):
+        obj = json.loads(sc.save_scene(sc.generate_synthetic(sc.SceneGenConfig(n_actors=3), 5)))
+        obj["actors"][2]["future"] = None
+        scene = sc.load_scene(json.dumps(obj))
+        assert scene.has_future.tolist() == [True, True, False]
+        assert scene.actors[2].future is None
+        for i, a in enumerate(scene.actors):
+            for n in ("positions", "headings", "velocities", "observed"):
+                assert np.shares_memory(getattr(a, n), getattr(scene, n))
+                assert getattr(a, n).tobytes() == getattr(scene, n)[i].tobytes()
+        scene.actors[1].observed[0] = False  # an in-place write shows through
+        assert not scene.observed[1, 0]
+        scene.actors[1].future = None  # rebinding detaches the record
+        assert scene.has_future[1] and scene.future[1].any()
 
 
 class TestBoundaries:

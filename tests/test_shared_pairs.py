@@ -41,7 +41,7 @@ def reference_pipeline(ns, store, cfg, stage):
     """(targets, trajectories or None in S1, logits)."""
     actor_f, actor_pos = encode_actors(ns, store, cfg)
     lane_f = encode_lane_nodes(ns.lane_graph, store, cfg)
-    bound_f, bound_pos, matched = encode_boundaries(ns.boundaries, store, cfg)
+    bound_f, bound_pos, matched = encode_boundaries(ns, store, cfg)
     fused = fuse_scene(actor_f, actor_pos, lane_f, ns.lane_graph.centers,
                        bound_f, bound_pos, matched, store, cfg)
     targets, logits, _ = decoder.predict_targets(fused, store, cfg)
@@ -76,6 +76,13 @@ def reference_loss(targets, traj, logits, gt_futures, last_observed, stage):
     if stage == decoder.S2:
         total = dc.add(total, losses.trajectory_loss(traj, gt_ref, reg_mask, winners)[0])
     return total
+
+
+def packed(gt):
+    """A list of [T, 2] futures or None -> the [A, T, 2] futures and the [A]
+    mask that total_loss takes."""
+    return (np.stack([np.zeros((T, 2)) if g is None else g for g in gt]),
+            np.array([g is not None for g in gt]))
 
 
 def reference_forecast(scene, store, cfg, stage):
@@ -137,7 +144,7 @@ def _loss_and_grads(stage, k_modes, dtype, seed, reference):
         loss = reference_loss(targets, traj, logits, gt, last_obs, stage)
     else:
         targets, traj, logits = decoder.run_pipeline(ns, store, cfg, stage)
-        loss, bd = losses.total_loss(targets, traj, logits, gt, last_obs)
+        loss, bd = losses.total_loss(targets, traj, logits, *packed(gt), last_obs)
         assert bd.stage == stage and bd.n_conf_kept > 0
     return loss.data, dc.backward(loss, dict(store.items()))
 

@@ -97,6 +97,13 @@ def reference_loss(targets, traj, logits, gt, last_obs, stage):
     return total, len(kls)
 
 
+def packed(gt):
+    """A list of [T, 2] futures or None -> the [A, T, 2] futures and the [A]
+    mask that total_loss takes."""
+    return (np.stack([np.zeros((T, 2)) if g is None else g for g in gt]),
+            np.array([g is not None for g in gt]))
+
+
 def _fixture(k_modes, seed=3):
     """Five actors: two kept by the 2 m filter, one kept but not observed
     at the last history step, one dropped by the filter, one without
@@ -131,7 +138,7 @@ def test_stacked_decoder_and_batched_loss_match_reference(stage, k_modes):
         traj = decoder.complete_trajectories(pairs, targets, store, cfg, T)
     else:
         traj = dc.reshape(targets, (*targets.shape[:2], 1, 2))
-    loss, bd = losses.total_loss(targets, traj, logits, gt, last_obs)
+    loss, bd = losses.total_loss(targets, traj, logits, *packed(gt), last_obs)
 
     r_targets, r_logits = reference_targets(af, store, cfg)
     r_traj = reference_trajectories(af, r_targets, store, cfg) if stage == decoder.S2 else None
@@ -156,7 +163,7 @@ def test_no_actor_kept_gives_zero_confidence_term():
     gt = [None if g is None else g + 500.0 for g in gt]
     targets, logits, _ = decoder.predict_targets(store["actor_f"], store, cfg)
     traj = dc.reshape(targets, (*targets.shape[:2], 1, 2))
-    loss, bd = losses.total_loss(targets, traj, logits, gt, last_obs)
+    loss, bd = losses.total_loss(targets, traj, logits, *packed(gt), last_obs)
     assert bd.n_conf_kept == 0 and bd.conf == 0.0
     assert not dc.backward(loss, {"dec.conf.l2.w": store["dec.conf.l2.w"]})["dec.conf.l2.w"].any()
 
@@ -180,8 +187,7 @@ def _ops_per_forward(k_modes, stage, monkeypatch, d=32, l_graph=2):
     make = tensor._make
     monkeypatch.setattr(tensor, "_make", lambda *a: calls.append(a[1]) or make(*a))
     targets, traj, logits = decoder.run_pipeline(ns, store, cfg, stage)
-    losses.total_loss(targets, traj, logits, [a.future for a in ns.actors],
-                      np.array([bool(a.observed[-1]) for a in ns.actors]))
+    losses.total_loss(targets, traj, logits, ns.future, ns.has_future, ns.observed[:, -1])
     monkeypatch.undo()
     return len(calls)
 

@@ -82,6 +82,28 @@ def test_pipeline_gradients_equal_the_retaining_walk_bit_for_bit(stage, dtype):
     assert (stage == S1) == (not np.any(got["dec.comp.l1.w"]))
 
 
+def test_the_order_holds_no_leaf_and_a_shared_leaf_sums_as_before():
+    """Leaves have no vjp, so the walk leaves them out of its order. A
+    parameter that several ops use still gets the bytes of the walk that
+    ordered it too (the retaining reference)."""
+    rng = np.random.default_rng(0)
+    w = dc.Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
+    x = rng.normal(size=(3, 4)).astype(np.float32)
+
+    def loss():  # w enters three matmuls
+        h = dc.matmul(dc.relu(dc.matmul(x, w)), w)
+        return dc.sum(dc.mul(dc.add(h, dc.matmul(h, w)), h))
+
+    order = tensor._topological_order(loss())
+    assert [t.op for t in order] == ["matmul", "relu", "matmul", "matmul", "add", "mul", "sum"]
+    assert dc.backward(loss(), {"w": w})["w"].tobytes() == \
+        retaining_backward(loss(), {"w": w})["w"].tobytes()
+
+    scenes, views, cfg, store = _batch(16, 2, 2, np.float32)
+    order = tensor._topological_order(_batch_loss(scenes, views, cfg, store, S2))
+    assert order and all(t.op is not None and t._edges for t in order)
+
+
 def test_the_walk_frees_the_forward_arrays_while_the_caller_holds_the_loss():
     scenes, views, cfg, store = _batch(16, 2, 2, np.float64)
     loss = _batch_loss(scenes, views, cfg, store, S2)

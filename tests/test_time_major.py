@@ -13,8 +13,6 @@ encoder gradients, and the whole pipeline's loss and every gradient in both
 stages.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -175,7 +173,7 @@ def ref_encode_actors(scene, store, cfg):
     merged = dc.relu(_ref_conv(store, "actor.merge", u0, padding=1))
     neg = np.where(obs, 0.0, -1e9)[:, None, :] * np.ones((1, cfg.d, 1))
     pooled = dc.max(ref_add(merged, neg), axis=2)
-    positions = np.stack([act.positions[act.last_observed_index()] for act in actors])
+    positions = np.stack([act.positions[np.flatnonzero(act.observed)[-1]] for act in actors])
     return pooled, positions
 
 
@@ -266,13 +264,11 @@ def _scene(seed, h):
                             curvature_range=(-0.02, 0.02))
     scene = sc.generate_synthetic(gen, seed)
     rng = np.random.default_rng([seed, 2])
-    actors = []
     for i, a in enumerate(scene.actors):
         obs = rng.random(h) < 0.6
         obs[-1] |= i == 0
         obs[rng.integers(h)] = True
-        actors.append(replace(a, observed=obs))
-    scene = replace(scene, actors=actors)
+        a.observed[:] = obs  # in place: the record is a view of scene.observed
     return sc.normalize(scene, scene.actors[0].id)
 
 
@@ -320,8 +316,8 @@ def test_actor_encoder_matches_channels_first(seed, h, parent_path):
 
 def _pipeline_run(ns, store, cfg, stage):
     targets, traj, logits = decoder.run_pipeline(ns, store, cfg, stage)
-    loss, _ = losses.total_loss(targets, traj, logits, [a.future for a in ns.actors],
-                                np.array([bool(a.observed[-1]) for a in ns.actors]))
+    loss, _ = losses.total_loss(targets, traj, logits, ns.future, ns.has_future,
+                                ns.observed[:, -1])
     return float(loss.data), dc.backward(loss, dict(store.items()))
 
 
