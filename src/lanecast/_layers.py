@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -40,3 +41,9 @@ def init_layer_norm(store, name, dim):
 
 def layer_norm(store, name, x):
     return dc.layer_norm(x, store[f"{name}.g"], store[f"{name}.b"])
+
+
+def run_steps(steps, params):
+    """Run a chain of steps, each `(params, state) -> state`, in turn from
+    state None; returns the last state."""
+    return reduce(lambda state, step: step(params, state), steps, None)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from ._layers import init_linear, linear
+from ._layers import init_linear, linear, run_steps
 from .encoder import encode_actors, encode_boundaries, encode_lane_nodes, init_encoders
 from .errors import ContractError, ParseError, iter_json_list, numbers, require, string
 from .fusion import fuse_scene, init_fusion
@@ -115,26 +115,39 @@ def init_model(store, cfg, t, rng):
     init_completion(store, cfg, rng, t)
 
 
+def pipeline_steps(norm_scene, cfg, stage=S2):
+    """`run_pipeline` as a chain of steps, each `(store, state) -> state`:
+    actors, lanes, boundaries, fusion, targets, completion. Each step calls
+    its block through this module's globals when it runs. The encoder steps
+    append their outputs to the state; the later steps replace it."""
+    if stage not in (S1, S2):
+        raise ContractError(f"unknown stage {stage!r}")
+    graph = norm_scene.lane_graph
+
+    def completion(store, state):
+        targets, logits, pairs = state
+        if stage == S1:
+            traj = dc.reshape(targets, (*targets.shape[:2], 1, 2))
+        else:
+            traj = complete_trajectories(pairs, targets, store, cfg, norm_scene.horizon[1])
+        return targets, traj, logits
+
+    return [lambda store, _: encode_actors(norm_scene, store, cfg),
+            lambda store, s: s + (encode_lane_nodes(graph, store, cfg),),
+            lambda store, s: s + encode_boundaries(norm_scene, store, cfg),
+            lambda store, s: fuse_scene(*s[:3], graph.centers, *s[3:], store, cfg),
+            lambda store, fused: predict_targets(fused, store, cfg),
+            completion]
+
+
 def run_pipeline(norm_scene, store, cfg, stage=S2):
-    """Encode + fuse + decode one normalized scene.
+    """Encode + fuse + decode one normalized scene: a run of `pipeline_steps`.
 
     Returns (targets [A,K,2], trajectories [A,K,T',2], logits [A,K]) as
     tensors, ordered like norm_scene.actors; T' is 1 in S1 (the targets as
     one-step trajectories) and T in S2.
     """
-    if stage not in (S1, S2):
-        raise ContractError(f"unknown stage {stage!r}")
-    actor_f, actor_pos = encode_actors(norm_scene, store, cfg)
-    lane_f = encode_lane_nodes(norm_scene.lane_graph, store, cfg)
-    bound_f, bound_pos, matched = encode_boundaries(norm_scene, store, cfg)
-    fused = fuse_scene(actor_f, actor_pos, lane_f, norm_scene.lane_graph.centers,
-                       bound_f, bound_pos, matched, store, cfg)
-    targets, logits, pairs = predict_targets(fused, store, cfg)
-    if stage == S1:
-        traj = dc.reshape(targets, (*targets.shape[:2], 1, 2))
-    else:
-        traj = complete_trajectories(pairs, targets, store, cfg, norm_scene.horizon[1])
-    return targets, traj, logits
+    return run_steps(pipeline_steps(norm_scene, cfg, stage), store)
 
 
 @np.errstate(all="ignore")

@@ -7,9 +7,17 @@ NaN value or derivative fails at any tolerance. A coordinate above TOLERANCE
 is measured again at eps * 100 and eps / 100 and keeps its smallest error:
 roundoff on a tiny derivative, or a ReLU kink within eps, fails at one step,
 a wrong analytic value at all three.
+
+A finite difference moves one coordinate, so a deep function mostly repeats
+the pass before it. `staged(steps)` builds it from a chain of steps that
+remember what they read: a call reruns only the steps from the first one that
+reads a changed parameter, and reuses the earlier steps' outputs as they are.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -17,6 +25,47 @@ from ..errors import ContractError
 from .tensor import backward
 
 TOLERANCE = 1e-4
+
+
+class _Reads:
+    """A params mapping that records the names read through it."""
+
+    def __init__(self, params):
+        self.params, self.names = params, []
+
+    def __getitem__(self, name):
+        self.names.append(name)
+        return self.params[name]
+
+    def __contains__(self, name):
+        return name in self.params
+
+
+def staged(steps):
+    """`fn(params)`: run `steps`, each `(params, state) -> state`, in turn
+    from state None and return the last state.
+
+    Each step keeps, from its last run, the params mapping, the names it read
+    through it, their exact bytes and its output. A call reuses that output
+    while every earlier step was reused, the mapping is the same object and
+    the bytes are unchanged, so a taped pass is reused only by a pass over
+    the same mapping."""
+    memo = [None] * len(steps)  # per step: (params, {name: bytes}, output)
+
+    def fn(params):
+        state, rerun = None, False
+        for i, step in enumerate(steps):
+            last = memo[i]
+            if rerun or last is None or last[0] is not params or any(
+                    params[n].data.tobytes() != b for n, b in last[1].items()):
+                rerun, reads = True, _Reads(params)
+                state = step(reads, state)
+                memo[i] = (params, {n: params[n].data.tobytes() for n in reads.names}, state)
+            else:
+                state = last[2]
+        return state
+
+    return fn
 
 
 def _measure(fn, params, flat, c, a, eps):
@@ -36,8 +85,9 @@ def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
     """Compare analytic gradients of `fn(store) -> scalar Tensor` to central
     finite differences.
 
-    With `n_samples`, checks a random subset of coordinates per parameter
-    (always at least one); otherwise checks every coordinate. Returns
+    `eps` must be finite and > 0. With `n_samples`, an int >= 1, checks
+    that many random coordinates per parameter (all of a smaller one);
+    otherwise checks every coordinate. Returns
     (max_rel_err, report) where report maps parameter names to their worst
     coordinate's (index, analytic, numeric, rel_err).
 
@@ -47,6 +97,11 @@ def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
     """
     if store.dtype != np.float64:
         raise ContractError(f"grad_check requires a float64 store, got {store.dtype}")
+    if not (isinstance(eps, Real) and math.isfinite(eps) and eps > 0):
+        raise ContractError(f"grad_check: eps must be finite and > 0, got {eps!r}")
+    if n_samples is not None and (isinstance(n_samples, bool) or not isinstance(
+            n_samples, Integral) or n_samples < 1):
+        raise ContractError(f"grad_check: n_samples must be None or an int >= 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
 
     loss = fn(store)
@@ -63,7 +118,7 @@ def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
         if n_samples is None or n_samples >= n:
             coords = np.arange(n)
         else:
-            coords = rng.choice(n, size=max(1, n_samples), replace=False)
+            coords = rng.choice(n, size=n_samples, replace=False)
         a_flat = analytic[name].reshape(-1)
         entry = None
         for c in coords:

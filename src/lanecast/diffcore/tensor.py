@@ -17,12 +17,14 @@ repeated indices through one flat np.add.at, in index order.
 An operand that is not a Tensor is a constant: an op with several operands
 casts it to the dtype of its tensor operands (with none, the first operand's
 dtype), as NumPy's NEP 50 casts a Python scalar. Tensor operands of two
-dtypes are a ContractError.
+dtypes are a ContractError. Tensor operands of one dtype, and a float array
+result, pass through as they are: the common op pays for no coercion.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,11 +80,21 @@ def _as_tensor(x):
 def _tensors(*operands):
     """The operands of one op as tensors of one dtype: arrays become
     constants in the dtype of the tensor operands, and None (an absent
-    bias) stays None."""
-    dtypes = {x.dtype for x in operands if isinstance(x, Tensor)}
-    if len(dtypes) > 1:
-        raise ContractError(f"mixed dtypes in op: {sorted(str(d) for d in dtypes)}")
-    dtype = dtypes.pop() if dtypes else Tensor(operands[0]).dtype
+    bias) stays None. Tensors of one dtype, the common case, come back as
+    they are."""
+    dtype, consts = None, False
+    for x in operands:
+        if isinstance(x, Tensor):
+            if dtype is None:
+                dtype = x.data.dtype
+            elif x.data.dtype != dtype:  # one float32 and one float64
+                raise ContractError(f"mixed dtypes in op: {sorted([str(dtype), str(x.dtype)])}")
+        elif x is not None:
+            consts = True
+    if not consts:
+        return operands
+    if dtype is None:
+        dtype = Tensor(operands[0]).dtype
     return [x if x is None or isinstance(x, Tensor) else Tensor(x, dtype=dtype)
             for x in operands]
 
@@ -95,13 +107,14 @@ def _check_axis(axis, ndim):
 
 def _make(data, op, *edges):
     """The output tensor of `op`; `edges` are (input, vjp) pairs, and the
-    input may be None for an absent optional operand."""
-    out = Tensor(data)
+    input may be None for an absent optional operand. A float ndarray, the
+    common case, becomes the output's data as it is."""
+    if type(data) is not np.ndarray or data.dtype not in FLOAT_DTYPES:
+        data = Tensor(data).data
+    out = Tensor.__new__(Tensor)
     edges = tuple(e for e in edges if e[0] is not None and e[0].requires_grad)
-    if edges:
-        out.requires_grad = True
-        out.op = op
-        out._edges = edges
+    out.data, out.requires_grad, out._edges = data, bool(edges), edges
+    out.op = op if edges else None
     return out
 
 
@@ -181,14 +194,14 @@ def concat(tensors, axis=0):
         raise ShapeError("concat: empty input list")
     tensors = _tensors(*tensors)
     axis = _check_axis(axis, tensors[0].ndim)
-    ends = np.cumsum([t.shape[axis] for t in tensors]).tolist()
+    bounds = list(accumulate((t.shape[axis] for t in tensors), initial=0))
     lead = (slice(None),) * axis
 
     def part(lo, hi):
         return lambda g: g[lead + (slice(lo, hi),)]
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), "concat",
-                 *((t, part(lo, hi)) for t, lo, hi in zip(tensors, [0] + ends, ends)))
+                 *((t, part(lo, hi)) for t, lo, hi in zip(tensors, bounds, bounds[1:])))
 
 
 def reshape(a, shape):
@@ -303,8 +316,9 @@ def layer_norm(a, gamma, beta, eps=1e-5):
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match axis size {n}")
 
-    xc = a.data - a.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    # add.reduce / n gives mean's bits without its Python-level wrapper
+    xc = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + eps)
     xhat = xc * inv
 
     def vjp(g):
@@ -355,7 +369,7 @@ def gather(a, indices, axis=0):
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather: indices must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
+    if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= a.shape[axis]):
         raise ContractError(f"gather: index out of range for axis size {a.shape[axis]}")
 
     def vjp(g):
@@ -378,7 +392,7 @@ def scatter_add(a, indices, size):
     if idx.shape != a.shape[:1]:
         raise ShapeError(
             f"scatter_add: indices shape {idx.shape} does not match axis size {a.shape[0]}")
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
+    if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= size):
         raise ContractError(f"scatter_add: index out of range for size {size}")
     out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
     _index_add(out, idx, a.data)
@@ -413,7 +427,10 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     n_out = (length + 2 * padding - kernel) // stride + 1
     taps = [slice(k, k + stride * (n_out - 1) + 1, stride) for k in range(kernel)]
     # cols [B, Lout, Cin*K], column c*K + k, matching w's flat layout
-    cols = np.stack([xp[:, tap] for tap in taps], axis=-1).reshape(batch, n_out, c_in * kernel)
+    cols = np.empty((batch, n_out, c_in, kernel), dtype=x.dtype)
+    for k, tap in enumerate(taps):
+        cols[..., k] = xp[:, tap]
+    cols = cols.reshape(batch, n_out, c_in * kernel)
     wf = w.data.reshape(c_out, c_in * kernel)
     y = cols @ wf.T
     if b is not None:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from ._layers import conv, init_conv, init_layer_norm, init_linear, layer_norm, linear
+from ._layers import (conv, init_conv, init_layer_norm, init_linear, layer_norm, linear,
+                      run_steps)
 from .errors import ContractError
 from .scene import ADJ_CATEGORIES, MARKINGS
 
@@ -60,9 +61,11 @@ def _upsample(x, length):
     return dc.gather(x, (np.arange(length) * x.shape[1]) // length, axis=1)
 
 
-def encode_actors(scene, store, cfg):
-    """All actors of a normalized scene -> (features [A, D], positions [A, 2]),
-    read from the scene's packed actor arrays.
+def actor_steps(scene, cfg):
+    """`encode_actors` as a chain of steps, each `(store, state) -> state`:
+    the three branch res-blocks, each added onto the running sum, then down1,
+    down2, and the pyramid and pool. The state is the pyramid so far, (f0,),
+    (f0, f1), (f0, f1, f2), and last (features, positions).
 
     Unobserved steps are zero-filled on input and excluded from the final
     temporal max-pool. Positions are each actor's last observed point.
@@ -79,23 +82,34 @@ def encode_actors(scene, store, cfg):
                "heading": np.stack([np.cos(scene.headings), np.sin(scene.headings)], axis=-1),
                "vel": scene.velocities * s}
 
-    f0 = None
-    for br in _BRANCHES:
-        out = _res_block(store, f"actor.{br}", streams[br] * obs[:, :, None])
-        f0 = out if f0 is None else dc.add(f0, out)
-    f1 = _res_block(store, "actor.down1", f0, stride=2)
-    f2 = _res_block(store, "actor.down2", f1, stride=2)
+    def branch(br):
+        def step(store, levels):
+            out = _res_block(store, f"actor.{br}", streams[br] * obs[:, :, None])
+            return (out if levels is None else dc.add(levels[0], out),)
+        return step
 
-    u2 = conv(store, "actor.lat2", f2)
-    u1 = dc.add(conv(store, "actor.lat1", f1), _upsample(u2, f1.shape[1]))
-    u0 = dc.add(conv(store, "actor.lat0", f0), _upsample(u1, h))
-    merged = dc.relu(conv(store, "actor.merge", u0, padding=1))  # [A, H, D]
+    def down(name):
+        return lambda store, fs: fs + (_res_block(store, name, fs[-1], stride=2),)
 
-    # mask the unobserved steps out of the max
-    neg = np.where(obs, 0.0, _NEG_BIG)[:, :, None]
-    pooled = dc.max(dc.add(merged, neg), axis=1)  # [A, D]
-    last = h - 1 - np.argmax(obs[:, ::-1], axis=1)
-    return pooled, scene.positions[np.arange(len(obs)), last]
+    def pool(store, levels):
+        f0, f1, f2 = levels
+        u2 = conv(store, "actor.lat2", f2)
+        u1 = dc.add(conv(store, "actor.lat1", f1), _upsample(u2, f1.shape[1]))
+        u0 = dc.add(conv(store, "actor.lat0", f0), _upsample(u1, h))
+        merged = dc.relu(conv(store, "actor.merge", u0, padding=1))  # [A, H, D]
+        # mask the unobserved steps out of the max
+        neg = np.where(obs, 0.0, _NEG_BIG)[:, :, None]
+        pooled = dc.max(dc.add(merged, neg), axis=1)  # [A, D]
+        last = h - 1 - np.argmax(obs[:, ::-1], axis=1)
+        return pooled, scene.positions[np.arange(len(obs)), last]
+
+    return [branch(br) for br in _BRANCHES] + [down("actor.down1"), down("actor.down2"), pool]
+
+
+def encode_actors(scene, store, cfg):
+    """All actors of a normalized scene -> (features [A, D], positions [A, 2]),
+    read from the scene's packed actor arrays by one run of `actor_steps`."""
+    return run_steps(actor_steps(scene, cfg), store)
 
 
 # ---------------------------------------------------------------------------

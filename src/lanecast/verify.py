@@ -2,7 +2,9 @@
 
 Each check builds a tiny float64 fixture, wraps one network block (or the
 whole pipeline loss) as a scalar function of its parameters, and compares
-analytic gradients against central finite differences. Used by the
+analytic gradients against central finite differences. The actor encoder
+and the pipeline run as `staged` chains of the model's own steps, so a
+finite difference reruns only the steps a perturbation reaches. Used by the
 `grad-check` command and the test suite.
 """
 
@@ -15,9 +17,9 @@ import numpy as np
 from . import diffcore as dc
 from .config import ModelConfig
 from .decoder import (S2, complete_trajectories, init_completion, init_decoder,
-                      init_model, predict_targets, run_pipeline)
-from .diffcore.gradcheck import TOLERANCE  # noqa: F401 - the pass bound of every check
-from .encoder import (encode_actors, encode_boundaries, encode_lane_nodes,
+                      init_model, pipeline_steps, predict_targets)
+from .diffcore.gradcheck import TOLERANCE, staged  # noqa: F401 - TOLERANCE bounds every check
+from .encoder import (actor_steps, encode_boundaries, encode_lane_nodes,
                       gated_lane_graph_conv, init_actor_encoder,
                       init_boundary_encoder, init_lane_encoder)
 from .fusion import (distance_attention, fuse_boundary_to_lane,
@@ -65,15 +67,9 @@ def _reduce(t):
 
 
 def check_actor_encoder(seed=0, n_samples=3):
-    scene = _tiny_scene()
-    cfg = _tiny_cfg()
     store = _store(seed, init_actor_encoder)
-
-    def fn(s):
-        feats, _ = encode_actors(scene, s, cfg)
-        return _reduce(feats)
-
-    return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
+    steps = actor_steps(_tiny_scene(), _tiny_cfg()) + [lambda s, out: _reduce(out[0])]
+    return dc.grad_check(staged(steps), store, n_samples=n_samples, seed=seed)
 
 
 def check_lane_encoder(seed=0, n_samples=3):
@@ -170,12 +166,12 @@ def check_full_pipeline(seed=0, n_samples=2):
     cfg = _tiny_cfg()
     store = _store(seed, lambda s, c, rng: init_model(s, c, scene.horizon[1], rng))
 
-    def fn(s):
-        targets, traj, logits = run_pipeline(scene, s, cfg, S2)
-        return total_loss(targets, traj, logits, scene.future, scene.has_future,
-                          scene.observed[:, -1])[0]
+    def loss(s, out):
+        return total_loss(*out, scene.future, scene.has_future, scene.observed[:, -1])[0]
 
-    return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
+    # the pipeline with its actor step run as the actor encoder's own steps
+    steps = actor_steps(scene, cfg) + pipeline_steps(scene, cfg, S2)[1:] + [loss]
+    return dc.grad_check(staged(steps), store, n_samples=n_samples, seed=seed)
 
 
 ALL_CHECKS = (

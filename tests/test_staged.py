@@ -1,0 +1,150 @@
+"""Staged finite differences: a `staged` chain reruns only the steps from the
+first one that reads a changed parameter, and every grad-check report keeps
+the bytes of a full rerun per evaluation."""
+
+import numpy as np
+import pytest
+
+from lanecast import diffcore as dc
+from lanecast import verify
+from lanecast._layers import run_steps
+from lanecast.decoder import S2, run_pipeline
+from lanecast.diffcore.gradcheck import staged
+from lanecast.encoder import encode_actors
+from lanecast.errors import ContractError
+from lanecast.losses import total_loss
+
+
+def _chain(calls, *names):
+    """Step i adds sum(1 / params[names[i]]) onto the state and logs i."""
+    def step(i, name):
+        def run(params, state):
+            calls.append(i)
+            return (0.0 if state is None else state) + float(np.sum(1.0 / params[name].data))
+        return run
+    return [step(i, name) for i, name in enumerate(names)]
+
+
+def _params():
+    rng = np.random.default_rng(0)
+    return {name: dc.Tensor(rng.uniform(1.0, 2.0, (2, 3))) for name in "abcd"}
+
+
+def test_a_perturbation_reruns_from_the_first_step_that_reads_it():
+    calls, params = [], _params()
+    fn = staged(_chain(calls, "a", "b", "c", "d"))
+    base = fn(params)
+    assert calls == [0, 1, 2, 3]
+    flat = params["c"].data.reshape(-1)
+    keep = flat[4]
+    flat[4] = keep + 1e-3
+    calls.clear()
+    moved = fn(params)
+    assert calls == [2, 3]
+    assert moved == run_steps(_chain([], "a", "b", "c", "d"), params) != base
+    flat[4] = keep
+    calls.clear()
+    assert fn(params) == base and calls == [2, 3]  # the restored bytes differ from the last run's
+    calls.clear()
+    assert fn(params) == base and calls == []
+
+
+def test_a_write_to_a_parameter_of_step_0_reruns_every_step():
+    calls, params = [], _params()
+    fn = staged(_chain(calls, "a", "b", "c"))
+    fn(params)
+    params["a"].data[0, 0] += 1.0
+    calls.clear()
+    fn(params)
+    assert calls == [0, 1, 2]
+
+
+def test_another_mapping_with_the_same_bytes_reruns_every_step():
+    calls, params = [], _params()
+    fn = staged(_chain(calls, "a", "b", "c"))
+    fn(params)
+    calls.clear()
+    fn(dict(params))
+    assert calls == [0, 1, 2]
+
+
+def test_negative_zero_is_a_change():
+    # 0.0 == -0.0, but 1 / x tells them apart
+    calls, params = [], {"a": dc.Tensor(np.zeros(1)), "b": dc.Tensor(np.ones(1))}
+    fn = staged(_chain(calls, "b", "a"))
+    with np.errstate(divide="ignore"):
+        assert fn(params) == np.inf
+        params["a"].data[0] = -0.0
+        calls.clear()
+        assert fn(params) == -np.inf and calls == [1]
+
+
+def _chain_of(check, monkeypatch):
+    """The function and store `check` hands to grad_check."""
+    seen = []
+    monkeypatch.setattr(dc, "grad_check",
+                        lambda fn, store, **kw: seen.append((fn, store)) or (0.0, {}))
+    check(seed=0)
+    return seen[0]
+
+
+def test_the_actor_encoder_chain_gives_encode_actors_bytes(monkeypatch):
+    fn, store = _chain_of(verify.check_actor_encoder, monkeypatch)
+    params = store.constants()
+    want = verify._reduce(encode_actors(verify._tiny_scene(), params, verify._tiny_cfg())[0])
+    assert fn(params).data.tobytes() == want.data.tobytes()
+    assert fn(store).data.tobytes() == want.data.tobytes()
+
+
+def test_the_pipeline_chain_gives_run_pipeline_bytes(monkeypatch):
+    fn, store = _chain_of(verify.check_full_pipeline, monkeypatch)
+    scene, params = verify._tiny_scene(n_actors=3), store.constants()
+    targets, traj, logits = run_pipeline(scene, params, verify._tiny_cfg(), S2)
+    want = total_loss(targets, traj, logits, scene.future, scene.has_future,
+                      scene.observed[:, -1])[0]
+    assert fn(params).data.tobytes() == want.data.tobytes()
+    params["dec.comp.l2.w"].data[0, 0] += 0.5
+    moved = fn(params)
+    assert moved.data.tobytes() != want.data.tobytes()
+    targets, traj, logits = run_pipeline(scene, params, verify._tiny_cfg(), S2)
+    assert moved.data.tobytes() == total_loss(targets, traj, logits, scene.future,
+                                              scene.has_future,
+                                              scene.observed[:, -1])[0].data.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_staged_and_full_rerun_reports_match(seed, monkeypatch):
+    got = [repr(check(seed=seed)) for _, check in verify.ALL_CHECKS]
+    monkeypatch.setattr(verify, "staged", lambda steps: lambda p: run_steps(steps, p))
+    want = [repr(check(seed=seed)) for _, check in verify.ALL_CHECKS]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# grad_check arguments
+
+
+def _store():
+    store = dc.ParamStore(np.float64)
+    store.add("w", np.arange(1.0, 4.0))
+    return store
+
+
+@pytest.mark.parametrize("eps", [0, 0.0, -1e-5, float("nan"), float("inf"), "1e-5", None])
+def test_a_bad_eps_is_a_contract_error(eps):
+    with pytest.raises(ContractError, match="eps must be finite and > 0"):
+        dc.grad_check(lambda s: dc.sum(s["w"]), _store(), eps=eps)
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.5, True, "3"])
+def test_a_bad_n_samples_is_a_contract_error(n):
+    with pytest.raises(ContractError, match="n_samples must be None or an int >= 1"):
+        dc.grad_check(lambda s: dc.sum(s["w"]), _store(), n_samples=n)
+
+
+@pytest.mark.parametrize("n, compared", [(None, 3), (1, 1), (np.int64(2), 2), (7, 3)])
+def test_good_n_samples_compare_that_many_coordinates(n, compared):
+    calls = []
+    dc.grad_check(lambda s: calls.append(1) or dc.sum(dc.mul(s["w"], s["w"])), _store(),
+                  eps=np.float64(1e-5), n_samples=n)
+    assert len(calls) == 1 + 2 * compared
