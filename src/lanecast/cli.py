@@ -136,13 +136,14 @@ def cmd_eval(args):
 
 
 def cmd_ensemble(args):
+    out = _out_path(args.out)
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise ParseError("manifest", f"manifest not found: {args.manifest}")
     subs = load_manifest(manifest_path.read_bytes(),
                          base_dir=str(manifest_path.parent))
     fused = fuse(subs, seed=args.seed)
-    Path(args.out).write_bytes(save_predictions(fused))
+    out.write_bytes(save_predictions(fused))
     print(f"fused {len(subs)} sub-models over {len(fused)} actors "
           f"into {args.out}")
     return 0

@@ -120,5 +120,5 @@ def evaluate(forecasts, gt_by_key):
 
 def gt_map(scenes):
     """(scene_id, actor_id) -> future for every labeled focal actor."""
-    return {(s.scene_id, a.id): np.asarray(a.future, dtype=np.float64)
-            for s in scenes for a in s.focal_actors() if a.future is not None}
+    return {(s.scene_id, a.id): s.future[i]
+            for s in scenes for i, a in enumerate(s.actors) if a.focal and s.has_future[i]}

@@ -11,7 +11,7 @@ run as all-pairs distance arrays in fixed-size row blocks.
 
 All geometry is float64, packed once per scene (see `Scene`). Scenes are
 treated as immutable after construction; `normalize` returns a view that
-shares the arrays a rotation leaves alone.
+shares the actor records and the arrays a rotation leaves alone.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ _BLOCK_ROWS = 256  # rows per all-pairs distance block: memory ~ N * _BLOCK_ROWS
 MAX_POLYLINE_POINTS = 2048  # lane_length / sample_step
 MAX_TIME_STEPS = 1000       # h + t
 MAX_ACTORS = 256            # generated and loaded scenes alike
-# record fields that are rows (or, per boundary, row ranges) of the Scene's packed arrays
-_ACTOR_ROWS = ("positions", "headings", "velocities", "observed")  # and `future`
+# boundary record fields that are row ranges of the Scene's packed arrays
 _NODE_ROWS = ("node_centers", "node_directions", "matched_lane_nodes")
 
 
@@ -59,15 +58,10 @@ def wrap_angles(arr):
 
 @dataclass
 class ActorTrack:
-    """One agent: H observed states and, when labeled, T future positions."""
+    """One agent's identity; its states are its row of the Scene's packed arrays."""
 
     id: str
     kind: str
-    positions: np.ndarray      # [H, 2]
-    headings: np.ndarray       # [H], radians in (-pi, pi]
-    velocities: np.ndarray     # [H, 2]
-    observed: np.ndarray       # [H] bool
-    future: np.ndarray | None  # [T, 2] or None
     focal: bool = False
 
 
@@ -113,12 +107,11 @@ class BoundaryPolyline:
 @dataclass
 class Scene:
     """The data of a scene lives in packed arrays, which the model reads: the
-    actors' stacked on a leading actor axis, and every boundary's resampled
-    nodes flat, boundary k owning rows node_offsets[k]:node_offsets[k + 1].
-    Each actor and boundary record holds views of its rows under the same
-    names; `focal` is a plain attribute of the actor record. An in-place
-    write to a record's array shows through; rebinding a record field
-    (`actor.future = None`) detaches the record from the packed array."""
+    actors' states stacked on a leading actor axis (actor i is row i), and
+    every boundary's resampled nodes flat, boundary k owning rows
+    node_offsets[k]:node_offsets[k + 1]. An actor record holds only its id,
+    kind and `focal`; a view shares the scene's actor records. Each boundary
+    record holds views of its node rows under the same names."""
 
     horizon: tuple[int, int]  # (H, T)
     actors: list[ActorTrack]
@@ -346,38 +339,40 @@ def _match_boundaries(boundaries, graph, segment_len):
                 matched_lane_nodes=matched, node_offsets=offsets)
 
 
-def _with_views(scene):
-    """`scene` with new records whose arrays are views of its packed rows."""
-    actors = [replace(a, **{n: getattr(scene, n)[i] for n in _ACTOR_ROWS},
-                      future=scene.future[i] if scene.has_future[i] else None)
-              for i, a in enumerate(scene.actors)]
+def _with_views(scene, move=None):
+    """`scene` with new boundary records: their node arrays views of its
+    packed rows and, given `move`, their points moved by it."""
     o = scene.node_offsets
-    boundaries = [replace(b, **{n: getattr(scene, n)[o[k]:o[k + 1]] for n in _NODE_ROWS})
-                  for k, b in enumerate(scene.boundaries)]
-    return replace(scene, actors=actors, boundaries=boundaries)
+    return replace(scene, boundaries=[
+        replace(b, points=b.points if move is None else move(b.points),
+                **{n: getattr(scene, n)[o[k]:o[k + 1]] for n in _NODE_ROWS})
+        for k, b in enumerate(scene.boundaries)])
 
 
-def make_scene(horizon, actors, lanes, boundaries, segment_len=2.0, lane_width=3.5,
+def make_scene(horizon, actors, tracks, lanes, boundaries, segment_len=2.0, lane_width=3.5,
                scene_id="scene"):
-    """Assemble a Scene: validate, build the lane graph, match boundaries, pack."""
+    """Assemble a Scene: validate, build the lane graph, match boundaries, pack.
+    `tracks` holds one (positions [H, 2], headings [H] in (-pi, pi], velocities
+    [H, 2], observed [H] bool, future [T, 2] or None) tuple per actor."""
     h, t = horizon
     if not any(a.focal for a in actors):
         raise ContractError("scene has no focal actor")
-    for a in actors:
-        if a.positions.shape != (h, 2):
+    for a, (pos, _, _, obs, fut) in zip(actors, tracks, strict=True):
+        if np.shape(pos) != (h, 2):
             raise ContractError(f"actor {a.id}: history length != H={h}")
-        if a.future is not None and a.future.shape != (t, 2):
+        if fut is not None and np.shape(fut) != (t, 2):
             raise ContractError(f"actor {a.id}: future length != T={t}")
-        if not a.observed.any():
+        if not np.any(obs):
             raise ContractError(f"actor {a.id}: no observed steps")
     graph, _ = build_lane_nodes(lanes, segment_len, lane_width)
+    positions, headings, velocities, observed, futures = zip(*tracks)
     return _with_views(Scene(
         (h, t), actors, lanes, boundaries, graph,
-        *(np.array([getattr(a, n) for a in actors], dtype=np.float64) for n in _ACTOR_ROWS[:3]),
-        observed=np.array([a.observed for a in actors], dtype=bool),
-        future=np.array([np.zeros((t, 2)) if a.future is None else a.future for a in actors],
+        *(np.array(x, dtype=np.float64) for x in (positions, headings, velocities)),
+        observed=np.array(observed, dtype=bool),
+        future=np.array([np.zeros((t, 2)) if f is None else f for f in futures],
                         dtype=np.float64),
-        has_future=np.array([a.future is not None for a in actors]),
+        has_future=np.array([f is not None for f in futures]),
         **_match_boundaries(boundaries, graph, segment_len), scene_id=scene_id))
 
 
@@ -434,7 +429,7 @@ def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
 
     n_steps = config.h + config.t
     steps = np.arange(n_steps)
-    actors = []
+    actors, tracks = [], []
     for ai in range(config.n_actors):
         lane_idx = int(rng.integers(config.n_lanes))
         s0 = float(rng.uniform(0.05, 0.35)) * config.lane_length
@@ -466,16 +461,12 @@ def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
         actors.append(ActorTrack(
             id=f"a{ai}",
             kind="vehicle" if ai == 0 else str(rng.choice(ACTOR_KINDS, p=[0.7, 0.1, 0.1, 0.1])),
-            positions=hist,
-            headings=ths[:config.h].copy(),
-            velocities=vel,
-            observed=np.ones(config.h, dtype=bool),
-            future=xs[config.h:].copy(),
             focal=(ai == 0),
         ))
+        tracks.append((hist, ths[:config.h], vel, np.ones(config.h, dtype=bool), xs[config.h:]))
 
     sid = scene_id if scene_id is not None else f"syn-{seed}"
-    return make_scene((config.h, config.t), actors, lanes, boundaries,
+    return make_scene((config.h, config.t), actors, tracks, lanes, boundaries,
                       segment_len=config.segment_len, lane_width=w, scene_id=sid)
 
 
@@ -487,7 +478,8 @@ def normalize(scene: Scene, actor_id: str) -> Scene:
     """Rigid transform into the agent frame of `actor_id`: its last observed
     position moves to the origin, its heading there to +x. A pure isometry;
     applying it twice equals applying it once. Only coordinates move, an array
-    at a time: the view shares `observed`, lengths, adjacency and matches."""
+    at a time: the view shares the actor records, `observed`, lengths,
+    adjacency and matches."""
     i = scene.actor_index(actor_id)
     if not scene.observed[i, -1]:
         raise ContractError(f"actor {actor_id} unobserved at last history step")
@@ -509,10 +501,9 @@ def normalize(scene: Scene, actor_id: str) -> Scene:
         velocities=tv(scene.velocities), future=tp(scene.future),
         node_centers=tp(scene.node_centers), node_directions=tv(scene.node_directions),
         lanes=[replace(l, centerline=tp(l.centerline)) for l in scene.lanes],
-        boundaries=[replace(b, points=tp(b.points)) for b in scene.boundaries],
         lane_graph=replace(g, centers=tp(g.centers), directions=tv(g.directions)),
         frame=f"agent:{actor_id}", world_rot=scene.world_rot @ rot.T,
-        world_trans=scene.world_rot @ origin + scene.world_trans))
+        world_trans=scene.world_rot @ origin + scene.world_trans), tp)
 
 
 def to_world(scene: Scene, points):
@@ -535,13 +526,16 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
     hz = require(obj, "horizon")
     h, t = (require(hz, key, "horizon") for key in "HT")
     h, t = integer(h, "horizon.H", 2), integer(t, "horizon.T", 1)
+    if h + t > MAX_TIME_STEPS:  # T alone sizes the future rows, even of null futures
+        raise ParseError("horizon.T", f"horizon.T: H + T = {h + t} steps, "
+                                      f"more than MAX_TIME_STEPS={MAX_TIME_STEPS}")
 
     raw_actors = require(obj, "actors")
     if not isinstance(raw_actors, list) or not raw_actors:
         raise ParseError("actors", "actors must be a nonempty list")
     if len(raw_actors) > MAX_ACTORS:
         raise ParseError("actors", f"actors: more than MAX_ACTORS={MAX_ACTORS}")
-    actors, actor_ids = [], {}
+    actors, tracks, actor_ids = [], [], {}
     for i, ra in enumerate(raw_actors):
         p = f"actors[{i}]"
         aid = string(require(ra, "id", p), p + ".id", actor_ids)
@@ -561,10 +555,8 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
         if focal and not observed[-1]:
             raise ParseError(p + ".observed", f"{p}.observed: a focal actor must be "
                                               f"observed at the last history step")
-        actors.append(ActorTrack(
-            id=aid, kind=kind, positions=hist[:, 0:2].copy(),
-            headings=wrap_angles(hist[:, 2]), velocities=hist[:, 3:5].copy(),
-            observed=obs, future=future, focal=focal))
+        actors.append(ActorTrack(id=aid, kind=kind, focal=focal))
+        tracks.append((hist[:, 0:2], wrap_angles(hist[:, 2]), hist[:, 3:5], obs, future))
 
     raw_lanes = require(obj, "lanes")
     if not isinstance(raw_lanes, list):
@@ -597,23 +589,25 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
 
     if not any(a.focal for a in actors):
         raise ParseError("actors", "no focal actor")
-    return make_scene((h, t), actors, lanes, boundaries, segment_len=segment_len,
+    return make_scene((h, t), actors, tracks, lanes, boundaries, segment_len=segment_len,
                       lane_width=lane_width, scene_id=scene_id)
 
 
 def save_scene(scene: Scene) -> bytes:
-    """Serialize to UTF-8 JSON with round-trip float precision."""
+    """Serialize to UTF-8 JSON with round-trip float precision. Actor states
+    come from the packed arrays."""
+    history = np.concatenate([scene.positions, scene.headings[..., None], scene.velocities],
+                             axis=2).tolist()
     obj = {
         "horizon": {"H": scene.horizon[0], "T": scene.horizon[1]},
         "actors": [{
             "id": a.id,
             "kind": a.kind,
-            "history": np.concatenate(
-                [a.positions, a.headings[:, None], a.velocities], axis=1).tolist(),
-            "observed": [bool(b) for b in a.observed],
-            "future": None if a.future is None else a.future.tolist(),
+            "history": history[i],
+            "observed": scene.observed[i].tolist(),
+            "future": scene.future[i].tolist() if scene.has_future[i] else None,
             "focal": bool(a.focal),
-        } for a in scene.actors],
+        } for i, a in enumerate(scene.actors)],
         "lanes": [{"id": l.id, "centerline": l.centerline.tolist()} for l in scene.lanes],
         "boundaries": [{
             "points": b.points.tolist(),

@@ -13,7 +13,8 @@ from lanecast import diffcore as dc
 from lanecast.cli import main
 from lanecast.config import ModelConfig
 from lanecast.decoder import init_model, load_predictions
-from lanecast.scene import MAX_ACTORS, SceneGenConfig, generate_synthetic, save_scene
+from lanecast.scene import (MAX_ACTORS, MAX_TIME_STEPS, SceneGenConfig, generate_synthetic,
+                            save_scene)
 
 TINY = {
     "seed": 11,
@@ -167,6 +168,27 @@ class TestErrorPaths:
         assert err.startswith("error: horizon.T") and len(err.splitlines()) == 1
         assert "'long'" in err and "T=8" in err and "'short'" in err and "T=6" in err
 
+    def test_future_horizon_past_the_bound_is_user_error(self, tmp_path, cfg_path, capsys):
+        """H + T past MAX_TIME_STEPS: train and predict exit 1 naming horizon.T."""
+        data = tmp_path / "data"
+        data.mkdir()
+        obj = json.loads(save_scene(generate_synthetic(SceneGenConfig(**TINY["data"]["gen"]), 1)))
+        obj["horizon"]["T"] = MAX_TIME_STEPS - obj["horizon"]["H"] + 1
+        for actor in obj["actors"]:
+            actor["future"] = None
+        (data / "scene000.json").write_text(json.dumps(obj))
+        ckpt = tmp_path / "checkpoint.bin"
+        store = dc.ParamStore(np.float32)
+        init_model(store, ModelConfig(d=16, l_graph=1), TINY["data"]["gen"]["t"],
+                   np.random.default_rng(0))
+        store.save(ckpt, meta={"stage": "S2"})
+        for argv in (["train", "--out", str(tmp_path / "run")],
+                     ["predict", "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.json")]):
+            assert run(argv[0], "--config", cfg_path, "--data", str(data), *argv[1:]) == 1
+            out, err = capsys.readouterr()
+            assert err.startswith("error: horizon.T") and len(err.splitlines()) == 1
+            assert out == ""
+
 
 class TestUnusablePaths:
     """A path the CLI cannot read or write is a user error: exit 1 and one
@@ -217,6 +239,22 @@ class TestUnusablePaths:
         assert run(argv[0], "--config", cfg_path, *argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and str(paths["missing"]) in err
+
+    @pytest.mark.parametrize("bad", ["dir", "missing"], ids=["out-dir", "out-in-a-missing-dir"])
+    def test_ensemble_out_fails_before_the_fuse(self, tmp_path, capsys, monkeypatch, bad):
+        paths = {"dir": tmp_path / "a_dir", "missing": tmp_path / "none" / "fused.json"}
+        paths["dir"].mkdir()
+        (tmp_path / "p.json").write_text(json.dumps([_record()]))
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"model_id": "m", "alpha": 1.0,
+                                         "prediction_file": "p.json"}]))
+        fused = []
+        monkeypatch.setattr(cli, "fuse", lambda *a, **k: fused.append(a) or [])
+        assert run("ensemble", "--manifest", str(manifest), "--out", str(paths[bad])) == 1
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write ")
+        assert str(paths[bad]) in err and "Traceback" not in err
+        assert out == "" and fused == []
 
 
 class TestUsageErrors:

@@ -115,8 +115,8 @@ class TestForecast:
         scene = small_scene(seed=7, n_actors=3)
         store = pipeline_store(cfg, t=scene.horizon[1], seed=7)
         a = decoder.forecast(scene, store, cfg)[0]
-        for actor in scene.actors[1:]:
-            actor.future = None
+        scene.future[:] = np.nan  # every actor's ground truth, the focal one's too
+        scene.has_future[:] = False
         b = decoder.forecast(scene, store, cfg)[0]
         np.testing.assert_array_equal(a.trajectories, b.trajectories)
         np.testing.assert_array_equal(a.confidences, b.confidences)

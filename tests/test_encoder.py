@@ -18,24 +18,24 @@ def tiny_cfg(d=8, l_graph=2):
 
 
 def make_actor(aid, positions, observed=None, h=None, velocities=None, headings=None):
+    """(record, track) of an actor without a future, as `make_scene` takes them."""
     positions = np.asarray(positions, dtype=np.float64)
     h = h or positions.shape[0]
     if velocities is None:
         velocities = np.gradient(positions, axis=0) * 10.0
     if headings is None:
         headings = np.arctan2(velocities[:, 1], velocities[:, 0])
-    return sc.ActorTrack(
-        id=aid, kind="vehicle", positions=positions, headings=headings,
-        velocities=np.asarray(velocities, dtype=np.float64),
-        observed=np.ones(h, dtype=bool) if observed is None else np.asarray(observed),
-        future=None, focal=(aid == "a0"))
+    observed = np.ones(h, dtype=bool) if observed is None else np.asarray(observed)
+    return (sc.ActorTrack(id=aid, kind="vehicle", focal=(aid == "a0")),
+            (positions, headings, np.asarray(velocities, dtype=np.float64), observed, None))
 
 
 def straight_scene(actors, h=6):
     n = 31
     lane = sc.Lane(id="L0", centerline=np.stack(
         [np.arange(n) * 1.0, np.zeros(n)], axis=1))
-    return sc.make_scene((h, 4), actors, [lane], [])
+    records, tracks = zip(*actors)
+    return sc.make_scene((h, 4), list(records), list(tracks), [lane], [])
 
 
 class TestActorEncoder:
@@ -47,8 +47,7 @@ class TestActorEncoder:
         feats, pos = encoder.encode_actors(scene, store, cfg)
         assert feats.shape == (3, cfg.d)
         assert pos.shape == (3, 2)
-        for i, a in enumerate(scene.actors):
-            np.testing.assert_array_equal(pos[i], a.positions[-1])
+        np.testing.assert_array_equal(pos, scene.positions[:, -1])
 
     def test_masked_steps_do_not_leak(self):
         cfg = tiny_cfg()
@@ -104,7 +103,7 @@ class TestActorEncoder:
         encoder.init_actor_encoder(store, cfg, np.random.default_rng(0))
         pos = np.stack([np.arange(6.0), np.zeros(6)], axis=1)
         scene = straight_scene([make_actor("a0", pos), make_actor("a1", pos + 1.0)])
-        scene.actors[1].observed[:] = False
+        scene.observed[1] = False
         with pytest.raises(ContractError, match="actor a1 has no observed steps"):
             encoder.encode_actors(scene, store, cfg)
 

@@ -55,7 +55,7 @@ def reference_generate_synthetic(config, seed):
                 side=side, lane_id=lane_id))
 
     n_steps = config.h + config.t
-    actors = []
+    actors, tracks = [], []
     for ai in range(config.n_actors):
         lane_idx = int(rng.integers(config.n_lanes))
         s0 = float(rng.uniform(0.05, 0.35)) * config.lane_length
@@ -90,11 +90,11 @@ def reference_generate_synthetic(config, seed):
         actors.append(sc.ActorTrack(
             id=f"a{ai}",
             kind="vehicle" if ai == 0 else str(rng.choice(sc.ACTOR_KINDS, p=[0.7, 0.1, 0.1, 0.1])),
-            positions=hist, headings=ths[:config.h].copy(), velocities=vel,
-            observed=np.ones(config.h, dtype=bool), future=xs[config.h:].copy(),
             focal=(ai == 0)))
+        tracks.append((hist, ths[:config.h].copy(), vel, np.ones(config.h, dtype=bool),
+                       xs[config.h:].copy()))
 
-    return sc.make_scene((config.h, config.t), actors, lanes, boundaries,
+    return sc.make_scene((config.h, config.t), actors, tracks, lanes, boundaries,
                          segment_len=config.segment_len, lane_width=w, scene_id=f"syn-{seed}")
 
 

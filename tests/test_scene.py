@@ -4,8 +4,9 @@ generation, JSON round trips, and agent-centric normalization."""
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -134,8 +135,8 @@ class TestSyntheticGeneration:
         gen = sc.SceneGenConfig(n_lanes=1, n_actors=1, noise_sigma=0.0,
                                 lane_change_prob=0.0)
         scene = sc.generate_synthetic(gen, 3)
-        future = scene.actors[0].future
-        assert future is not None and future.shape == (gen.t, 2)
+        future = scene.future[0]
+        assert scene.has_future[0] and future.shape == (gen.t, 2)
         # single straight lane at y=0: the future must ride the centerline
         np.testing.assert_allclose(future[:, 1], 0.0, atol=1e-9)
 
@@ -143,10 +144,10 @@ class TestSyntheticGeneration:
         gen = sc.SceneGenConfig(noise_sigma=0.5, lane_change_prob=0.0)
         scene = sc.generate_synthetic(gen, 21)
         lane_ys = {lane.centerline[0, 1] for lane in scene.lanes}
-        for actor in scene.actors:
+        for future, positions in zip(scene.future, scene.positions):
             # future is the clean kinematic rollout: y pinned to a lane center
-            assert any(np.allclose(actor.future[:, 1], y, atol=1e-9) for y in lane_ys)
-            hist_y = actor.positions[:, 1]
+            assert any(np.allclose(future[:, 1], y, atol=1e-9) for y in lane_ys)
+            hist_y = positions[:, 1]
             assert all(np.abs(hist_y - y).max() > 1e-6 for y in lane_ys)
 
     def test_counts_and_focal(self):
@@ -277,7 +278,7 @@ class TestSceneIO:
         assert e.value.field == "actors[1].observed"
         # a context actor may still drop out at the last step
         obj["actors"][1]["focal"] = False
-        assert not sc.load_scene(json.dumps(obj)).actors[1].observed[-1]
+        assert not sc.load_scene(json.dumps(obj)).observed[1, -1]
 
     def test_actor_count_capped_at_max_actors(self):
         gen = sc.SceneGenConfig(n_lanes=2, n_actors=sc.MAX_ACTORS, h=4, t=3)
@@ -290,6 +291,46 @@ class TestSceneIO:
         assert f"MAX_ACTORS={sc.MAX_ACTORS}" in str(e.value)
 
 
+def minimal_scene_json(h, t, n_actors=3):
+    """A small scene file of `n_actors` actors without futures, one lane and no boundaries."""
+    return json.dumps({
+        "horizon": {"H": h, "T": t},
+        "actors": [{"id": f"a{i}", "kind": "vehicle", "observed": [True] * h, "future": None,
+                    "history": [[float(k), 0.0, 0.0, 1.0, 0.0] for k in range(h)],
+                    "focal": i == 0} for i in range(n_actors)],
+        "lanes": [{"id": "L0", "centerline": [[0.0, 0.0], [10.0, 0.0]]}],
+        "boundaries": []})
+
+
+class TestHorizonBound:
+    """H + T is bounded by MAX_TIME_STEPS at load, as `SceneGenConfig.validate`
+    bounds generated scenes: T sizes the [A, T, 2] future rows even when every
+    future is null, so an unbounded T let a small file allocate without limit."""
+
+    PEAK_CEILING = 32 * 1024  # bytes; a file at the bound allocates ~100 KB of future rows
+
+    @pytest.mark.parametrize("h, t", [(2, sc.MAX_TIME_STEPS - 1), (10, sc.MAX_TIME_STEPS - 9),
+                                      (2, 1_000_000)], ids=["one-past", "one-past-h10", "huge"])
+    def test_past_the_bound_rejected_before_any_array(self, h, t):
+        data = minimal_scene_json(h, t)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as e:
+                sc.load_scene(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.value.field == "horizon.T"
+        assert f"MAX_TIME_STEPS={sc.MAX_TIME_STEPS}" in str(e.value)
+        assert peak < self.PEAK_CEILING, peak
+
+    def test_a_file_at_the_bound_loads(self):
+        t = sc.MAX_TIME_STEPS - 2
+        scene = sc.load_scene(minimal_scene_json(2, t))
+        assert scene.horizon == (2, t)
+        assert scene.future.shape == (3, t, 2) and not scene.has_future.any()
+
+
 class TestNormalize:
     def _scene(self, seed=13):
         gen = sc.SceneGenConfig(n_actors=3, noise_sigma=0.1, curvature_range=(0.0, 0.01))
@@ -299,9 +340,8 @@ class TestNormalize:
         scene = self._scene()
         aid = scene.actors[1].id
         ns = sc.normalize(scene, aid)
-        actor = ns.actors[1]
-        np.testing.assert_allclose(actor.positions[-1], [0.0, 0.0], atol=1e-12)
-        assert actor.headings[-1] == 0.0
+        np.testing.assert_allclose(ns.positions[1, -1], [0.0, 0.0], atol=1e-12)
+        assert ns.headings[1, -1] == 0.0
         assert ns.frame == f"agent:{aid}"
 
     def test_idempotent_bit_exact(self):
@@ -309,24 +349,24 @@ class TestNormalize:
         aid = scene.actors[0].id
         once = sc.normalize(scene, aid)
         twice = sc.normalize(once, aid)
-        np.testing.assert_array_equal(once.actors[0].positions, twice.actors[0].positions)
+        np.testing.assert_array_equal(once.positions[0], twice.positions[0])
         np.testing.assert_array_equal(once.lane_graph.centers,
                                       twice.lane_graph.centers)
 
     def test_rigid_isometry(self):
         scene = self._scene()
         ns = sc.normalize(scene, scene.actors[2].id)
-        for before, after in zip(scene.actors, ns.actors):
-            d0 = np.linalg.norm(np.diff(before.positions, axis=0), axis=1)
-            d1 = np.linalg.norm(np.diff(after.positions, axis=0), axis=1)
+        for before, after in zip(scene.positions, ns.positions):
+            d0 = np.linalg.norm(np.diff(before, axis=0), axis=1)
+            d1 = np.linalg.norm(np.diff(after, axis=0), axis=1)
             np.testing.assert_allclose(d0, d1, atol=1e-9)
 
     def test_to_world_inverts(self):
         scene = self._scene()
         aid = scene.actors[1].id
         ns = sc.normalize(scene, aid)
-        back = sc.to_world(ns, ns.actors[1].positions)
-        np.testing.assert_allclose(back, scene.actors[1].positions, atol=1e-9)
+        back = sc.to_world(ns, ns.positions[1])
+        np.testing.assert_allclose(back, scene.positions[1], atol=1e-9)
 
     def test_unknown_actor_raises(self):
         with pytest.raises(ContractError):
@@ -336,9 +376,9 @@ class TestNormalize:
 def copying_normalize(scene, actor_id):
     """The `normalize` that copied every array of the scene, kept as the
     reference for the view that moves coordinates only."""
-    actor = scene.actors[scene.actor_index(actor_id)]
-    origin = actor.positions[-1].astype(np.float64)
-    psi = float(actor.headings[-1])
+    i = scene.actor_index(actor_id)
+    origin = scene.positions[i, -1].astype(np.float64)
+    psi = float(scene.headings[i, -1])
     c, s = math.cos(psi), math.sin(psi)
     rot = np.array([[c, s], [-s, c]])  # world -> agent
 
@@ -348,14 +388,12 @@ def copying_normalize(scene, actor_id):
     def tv(vecs):  # rotate vectors
         return np.asarray(vecs) @ rot.T
 
-    actors = [replace(
-        a,
-        positions=tp(a.positions),
-        headings=sc.wrap_angles(a.headings - psi),
-        velocities=tv(a.velocities),
-        observed=a.observed.copy(),
-        future=None if a.future is None else tp(a.future),
-    ) for a in scene.actors]
+    # each actor's rows moved one by one
+    rows = [dict(positions=tp(scene.positions[k]),
+                 headings=sc.wrap_angles(scene.headings[k] - psi),
+                 velocities=tv(scene.velocities[k]), observed=scene.observed[k].copy(),
+                 future=tp(scene.future[k]))
+            for k in range(len(scene.actors))]
 
     lanes = [sc.Lane(l.id, tp(l.centerline)) for l in scene.lanes]
     boundaries = [replace(
@@ -367,24 +405,22 @@ def copying_normalize(scene, actor_id):
     graph = sc.LaneGraph(tp(g.centers), tv(g.directions), g.lengths.copy(),
                          {k: v.copy() for k, v in g.adjacency.items()},
                          dict(g.lane_ranges))
-    # the packed arrays, stacked from the records moved one by one
-    packed = {n: np.stack([getattr(a, n) for a in actors])
-              for n in ("positions", "headings", "velocities", "observed")}
+    # the packed arrays, stacked from the rows and records moved one by one
+    packed = {n: np.stack([r[n] for r in rows])
+              for n in ("positions", "headings", "velocities", "observed", "future")}
     packed.update({n: np.concatenate([np.zeros((0, 2))] + [getattr(b, n) for b in boundaries])
                    for n in ("node_centers", "node_directions")})
     packed.update({n: getattr(scene, n).copy() for n in FRAME_FREE[1:]})
 
     world_rot = scene.world_rot @ rot.T
     world_trans = scene.world_rot @ origin + scene.world_trans
-    return sc.Scene(horizon=scene.horizon, actors=actors, lanes=lanes,
-                    boundaries=boundaries, lane_graph=graph,
-                    future=np.stack([tp(f) for f in scene.future]), **packed,
+    return sc.Scene(horizon=scene.horizon, actors=[replace(a) for a in scene.actors],
+                    lanes=lanes, boundaries=boundaries, lane_graph=graph, **packed,
                     frame=f"agent:{actor_id}", world_rot=world_rot,
                     world_trans=world_trans, scene_id=scene.scene_id)
 
 
-COORDINATES = {"actor": ("positions", "headings", "velocities", "future"),
-               "lane": ("centerline",), "boundary": ("points", "node_centers", "node_directions"),
+COORDINATES = {"lane": ("centerline",), "boundary": ("points", "node_centers", "node_directions"),
                "graph": ("centers", "directions"),
                "scene": ("positions", "headings", "velocities", "future", "node_centers",
                          "node_directions")}
@@ -399,9 +435,6 @@ def scene_arrays(scene):
            ("graph.lengths", g.lengths)]
     out += [(f"graph.adjacency.{k}", v) for k, v in g.adjacency.items()]
     out += [(n, getattr(scene, n)) for n in (*COORDINATES["scene"], *FRAME_FREE)]
-    for i, a in enumerate(scene.actors):
-        out += [(f"actors[{i}].{n}", getattr(a, n)) for n in (*COORDINATES["actor"], "observed")
-                if getattr(a, n) is not None]
     out += [(f"lanes[{i}].centerline", l.centerline) for i, l in enumerate(scene.lanes)]
     for i, b in enumerate(scene.boundaries):
         out += [(f"boundaries[{i}].{n}", getattr(b, n))
@@ -413,8 +446,6 @@ def coordinate_arrays(scene):
     g = scene.lane_graph
     out = [getattr(g, n) for n in COORDINATES["graph"]]
     out += [getattr(scene, n) for n in COORDINATES["scene"]]
-    out += [getattr(a, n) for a in scene.actors for n in COORDINATES["actor"]
-            if getattr(a, n) is not None]
     out += [l.centerline for l in scene.lanes]
     out += [getattr(b, n) for b in scene.boundaries for n in COORDINATES["boundary"]]
     return out
@@ -468,9 +499,10 @@ class TestViewSharing:
             assert vg.lengths is g.lengths and vg.lane_ranges is g.lane_ranges
             assert all(vg.adjacency[k] is v for k, v in g.adjacency.items())
             assert all(getattr(view, n) is getattr(scene, n) for n in FRAME_FREE)
-            # the records are views of the packed arrays
-            assert all(np.shares_memory(v.observed, scene.observed) for v in view.actors)
-            assert all(np.shares_memory(v.positions, view.positions) for v in view.actors)
+            # the view shares the actor records; boundary records are views of the packed arrays
+            assert view.actors is scene.actors
+            assert all(np.shares_memory(v.node_centers, view.node_centers)
+                       for v in view.boundaries if v.node_centers.size)
             assert all(np.shares_memory(v.matched_lane_nodes, scene.matched_lane_nodes)
                        for v in view.boundaries if v.matched_lane_nodes.size)
             originals = coordinate_arrays(scene)
@@ -514,20 +546,52 @@ class TestViewSharing:
 
 
 class TestPackedArrays:
-    def test_records_are_views_and_a_rebound_field_detaches(self):
+    def _scene(self):
+        """A loaded scene whose third actor has no future."""
         obj = json.loads(sc.save_scene(sc.generate_synthetic(sc.SceneGenConfig(n_actors=3), 5)))
         obj["actors"][2]["future"] = None
-        scene = sc.load_scene(json.dumps(obj))
+        return sc.load_scene(json.dumps(obj))
+
+    def test_actor_records_hold_identity_only(self):
+        assert [f.name for f in fields(sc.ActorTrack)] == ["id", "kind", "focal"]
+
+    def test_a_view_shares_the_scene_actor_records(self, monkeypatch):
+        scene = self._scene()
+        built = []
+        init = sc.ActorTrack.__init__
+        monkeypatch.setattr(sc.ActorTrack, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        for a in scene.actors:
+            view = sc.normalize(scene, a.id)
+            assert all(v is w for v, w in zip(view.actors, scene.actors, strict=True))
+        assert built == []
+
+    def test_boundary_records_are_views_of_the_node_rows(self):
+        scene = self._scene()
+        o = scene.node_offsets
+        for k, b in enumerate(scene.boundaries):
+            for n in ("node_centers", "node_directions", "matched_lane_nodes"):
+                assert np.shares_memory(getattr(b, n), getattr(scene, n))
+                assert getattr(b, n).tobytes() == getattr(scene, n)[o[k]:o[k + 1]].tobytes()
+
+    def test_save_scene_writes_the_packed_arrays(self):
+        scene = self._scene()
         assert scene.has_future.tolist() == [True, True, False]
-        assert scene.actors[2].future is None
-        for i, a in enumerate(scene.actors):
-            for n in ("positions", "headings", "velocities", "observed"):
-                assert np.shares_memory(getattr(a, n), getattr(scene, n))
-                assert getattr(a, n).tobytes() == getattr(scene, n)[i].tobytes()
-        scene.actors[1].observed[0] = False  # an in-place write shows through
-        assert not scene.observed[1, 0]
-        scene.actors[1].future = None  # rebinding detaches the record
-        assert scene.has_future[1] and scene.future[1].any()
+        scene.positions[1, 0] = (123.5, -7.25)  # in-place writes show in the bytes
+        scene.headings[1, 0] = 0.5
+        scene.velocities[1, 0] = (3.0, 4.0)
+        scene.observed[1, 0] = False
+        scene.future[0, -1] = (9.0, 10.0)
+        obj = json.loads(sc.save_scene(scene))
+        assert obj["actors"][1]["history"][0] == [123.5, -7.25, 0.5, 3.0, 4.0]
+        assert obj["actors"][1]["observed"][0] is False
+        assert obj["actors"][0]["future"][-1] == [9.0, 10.0]
+        assert obj["actors"][2]["future"] is None
+        for i, a in enumerate(obj["actors"]):
+            hist = np.array(a["history"])
+            assert hist.tobytes() == np.concatenate(
+                [scene.positions[i], scene.headings[i, :, None], scene.velocities[i]], 1).tobytes()
+            assert a["observed"] == scene.observed[i].tolist()
 
 
 class TestBoundaries:

@@ -126,12 +126,11 @@ def _ground_truth(ns, targets, seed):
     rng = np.random.default_rng(seed)
     k = targets.shape[1]
     gt = []
-    for i, a in enumerate(ns.actors):
-        fut = np.asarray(a.future, dtype=np.float64)
+    for i, fut in enumerate(ns.future):
         if i < len(ns.actors) - 1:
             fut = fut - fut[-1] + targets[i, i % k] + rng.uniform(-0.7, 0.7, 2)
         gt.append(None if i == 1 else fut)
-    return gt, np.array([bool(a.observed[-1]) for a in ns.actors])
+    return gt, ns.observed[:, -1].copy()
 
 
 def _loss_and_grads(stage, k_modes, dtype, seed, reference):

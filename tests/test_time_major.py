@@ -151,13 +151,13 @@ def _ref_upsample(x, length):
 
 def ref_encode_actors(scene, store, cfg):
     h = scene.horizon[0]
-    actors = scene.actors
-    obs = np.stack([act.observed for act in actors])
+    actors = range(len(scene.actors))
+    obs = np.stack([scene.observed[i] for i in actors])
     s = cfg.input_scale
-    coord = np.stack([act.positions.T for act in actors]) * s
-    heading = np.stack([np.vstack([np.cos(act.headings), np.sin(act.headings)])
-                        for act in actors])
-    vel = np.stack([act.velocities.T for act in actors]) * s
+    coord = np.stack([scene.positions[i].T for i in actors]) * s
+    heading = np.stack([np.vstack([np.cos(scene.headings[i]), np.sin(scene.headings[i])])
+                        for i in actors])
+    vel = np.stack([scene.velocities[i].T for i in actors]) * s
     keep = obs[:, None, :]
     streams = {"coord": coord * keep, "heading": heading * keep, "vel": vel * keep}
 
@@ -173,7 +173,8 @@ def ref_encode_actors(scene, store, cfg):
     merged = dc.relu(_ref_conv(store, "actor.merge", u0, padding=1))
     neg = np.where(obs, 0.0, -1e9)[:, None, :] * np.ones((1, cfg.d, 1))
     pooled = dc.max(ref_add(merged, neg), axis=2)
-    positions = np.stack([act.positions[np.flatnonzero(act.observed)[-1]] for act in actors])
+    positions = np.stack([scene.positions[i, np.flatnonzero(scene.observed[i])[-1]]
+                          for i in actors])
     return pooled, positions
 
 
@@ -264,11 +265,11 @@ def _scene(seed, h):
                             curvature_range=(-0.02, 0.02))
     scene = sc.generate_synthetic(gen, seed)
     rng = np.random.default_rng([seed, 2])
-    for i, a in enumerate(scene.actors):
+    for i in range(len(scene.actors)):
         obs = rng.random(h) < 0.6
         obs[-1] |= i == 0
         obs[rng.integers(h)] = True
-        a.observed[:] = obs  # in place: the record is a view of scene.observed
+        scene.observed[i] = obs
     return sc.normalize(scene, scene.actors[0].id)
 
 
@@ -304,7 +305,7 @@ def _actor_run(ns, store, cfg):
 def test_actor_encoder_matches_channels_first(seed, h, parent_path):
     cfg = ModelConfig(d=16, l_graph=1)
     ns = _scene(seed, h)
-    assert not all(a.observed.all() for a in ns.actors)
+    assert not ns.observed.all()
     store = _store(cfg, seed, ns.horizon[1])
     feats, pos, grads = _actor_run(ns, store, cfg)
     parent_path()
