@@ -15,8 +15,9 @@ from itertools import zip_longest
 from pathlib import Path
 
 # one BLAS thread, set before numpy loads BLAS: per-thread partial sums change bytes
+BLAS_THREADS = 1
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                 "MKL_NUM_THREADS"), "1"))
+                                 "MKL_NUM_THREADS"), str(BLAS_THREADS)))
 
 import numpy as np  # noqa: E402 - after the thread pins
 
@@ -82,6 +83,9 @@ def cmd_train(args):
     print(f"trained {len(records)} epochs in {elapsed:.1f}s; "
           f"final total={last['total']:.4f} minFDE6={fde} "
           f"(config {config_hash(cfg)})")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"BLAS: {blas['name']} {blas.get('version')}, {BLAS_THREADS} thread (pinned)",
+          file=sys.stderr)
     return 0
 
 

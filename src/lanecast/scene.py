@@ -1,9 +1,9 @@
 """Vectorized scene model: actor tracks, lane graphs, boundary polylines.
 
-A scene carries raw polylines (what gets serialized) plus derived structure:
-the resampled lane-node graph with typed adjacency and, per boundary, the
-resampled boundary nodes matched to lane nodes. Derivation is deterministic,
-so a save/load round trip reproduces the derived parts too.
+A scene carries its records (what the file holds, in the world frame) plus
+derived structure: the resampled lane-node graph with typed adjacency and
+the resampled boundary nodes matched to lane nodes. Derivation is
+deterministic, so a save/load round trip reproduces the derived parts too.
 
 Lane and boundary nodes of a scene count together against MAX_SCENE_NODES,
 read from each polyline's length before resampling. Nearest-node searches
@@ -11,7 +11,7 @@ run as all-pairs distance arrays in fixed-size row blocks.
 
 All geometry is float64, packed once per scene (see `Scene`). Scenes are
 treated as immutable after construction; `normalize` returns a view that
-shares the actor records and the arrays a rotation leaves alone.
+moves the packed arrays and shares every record and the rest.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ _BLOCK_ROWS = 256  # rows per all-pairs distance block: memory ~ N * _BLOCK_ROWS
 MAX_POLYLINE_POINTS = 2048  # lane_length / sample_step
 MAX_TIME_STEPS = 1000       # h + t
 MAX_ACTORS = 256            # generated and loaded scenes alike
-# boundary record fields that are row ranges of the Scene's packed arrays
-_NODE_ROWS = ("node_centers", "node_directions", "matched_lane_nodes")
 
 
 def wrap_angles(arr):
@@ -92,26 +90,26 @@ class LaneGraph:
 
 @dataclass
 class BoundaryPolyline:
-    """A lane boundary with its marking, plus derived resampled nodes."""
+    """A lane boundary as the scene file holds it, in the world frame."""
 
     points: np.ndarray  # [P, 2]
     marking: str
     side: str
     lane_id: str
-    # derived at scene build time; matches are int64, -1 where the lane has no nodes:
+    # its rows of the world scene's node_centers, set at scene build time;
+    # kept because perfbench/inputs.py counts boundary nodes by it on loaded scenes
     node_centers: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-    node_directions: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-    matched_lane_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
 
 @dataclass
 class Scene:
     """The data of a scene lives in packed arrays, which the model reads: the
-    actors' states stacked on a leading actor axis (actor i is row i), and
-    every boundary's resampled nodes flat, boundary k owning rows
-    node_offsets[k]:node_offsets[k + 1]. An actor record holds only its id,
-    kind and `focal`; a view shares the scene's actor records. Each boundary
-    record holds views of its node rows under the same names."""
+    actors' states stacked on a leading actor axis (actor i is row i), every
+    boundary's resampled nodes flat, in boundary order, and the lane graph.
+    The records hold what the scene file holds, in the world frame: an actor
+    its id, kind and `focal`, a lane its centerline, a boundary its points
+    and marking. A view moves only the packed arrays and shares every record
+    with its scene, so only a world-frame scene can be saved."""
 
     horizon: tuple[int, int]  # (H, T)
     actors: list[ActorTrack]
@@ -128,7 +126,6 @@ class Scene:
     node_directions: np.ndarray     # [B, 2]
     node_markings: np.ndarray       # [B] int64, index into MARKINGS
     matched_lane_nodes: np.ndarray  # [B] int64, -1 where the lane has no nodes
-    node_offsets: np.ndarray        # [n_boundaries + 1]
     frame: str = WORLD_FRAME
     # x_world = world_rot @ x_frame + world_trans
     world_rot: np.ndarray = field(default_factory=lambda: np.eye(2))
@@ -319,7 +316,8 @@ def _match_boundaries(boundaries, graph, segment_len):
     """Resample each boundary and match its nodes to the parent lane's nodes
     by one blocked argmin over that lane's range (-1 if it has no nodes).
     Boundary nodes take what the lanes left of MAX_SCENE_NODES; the first
-    past it is a ParseError. Returns the packed node arrays by Scene field."""
+    past it is a ParseError. Sets each record's `node_centers` to its rows
+    and returns the packed node arrays by Scene field."""
     budget, parts = MAX_SCENE_NODES - graph.n_nodes, [(np.zeros((0, 2)), np.zeros((0, 2)))]
     for i, b in enumerate(boundaries):
         parts.append(resample_polyline(b.points, segment_len, budget,
@@ -330,23 +328,14 @@ def _match_boundaries(boundaries, graph, segment_len):
     offsets = np.cumsum([0] + sizes)
     matched = np.full(len(centers), -1, dtype=np.int64)
     for b, start, stop in zip(boundaries, offsets[:-1], offsets[1:]):
+        b.node_centers = centers[start:stop]
         lo, hi = graph.lane_ranges.get(b.lane_id, (0, 0))
         for r in range(start, stop if hi > lo else start, _BLOCK_ROWS):
             near = _nearest(centers[r:min(r + _BLOCK_ROWS, stop)], graph.centers[lo:hi], [0])[1]
             matched[r:r + len(near)] = lo + near[:, 0]
     markings = np.repeat([MARKINGS.index(b.marking) for b in boundaries], sizes).astype(np.int64)
     return dict(node_centers=centers, node_directions=directions, node_markings=markings,
-                matched_lane_nodes=matched, node_offsets=offsets)
-
-
-def _with_views(scene, move=None):
-    """`scene` with new boundary records: their node arrays views of its
-    packed rows and, given `move`, their points moved by it."""
-    o = scene.node_offsets
-    return replace(scene, boundaries=[
-        replace(b, points=b.points if move is None else move(b.points),
-                **{n: getattr(scene, n)[o[k]:o[k + 1]] for n in _NODE_ROWS})
-        for k, b in enumerate(scene.boundaries)])
+                matched_lane_nodes=matched)
 
 
 def make_scene(horizon, actors, tracks, lanes, boundaries, segment_len=2.0, lane_width=3.5,
@@ -366,14 +355,14 @@ def make_scene(horizon, actors, tracks, lanes, boundaries, segment_len=2.0, lane
             raise ContractError(f"actor {a.id}: no observed steps")
     graph, _ = build_lane_nodes(lanes, segment_len, lane_width)
     positions, headings, velocities, observed, futures = zip(*tracks)
-    return _with_views(Scene(
+    return Scene(
         (h, t), actors, lanes, boundaries, graph,
         *(np.array(x, dtype=np.float64) for x in (positions, headings, velocities)),
         observed=np.array(observed, dtype=bool),
         future=np.array([np.zeros((t, 2)) if f is None else f for f in futures],
                         dtype=np.float64),
         has_future=np.array([f is not None for f in futures]),
-        **_match_boundaries(boundaries, graph, segment_len), scene_id=scene_id))
+        **_match_boundaries(boundaries, graph, segment_len), scene_id=scene_id)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +466,9 @@ def generate_synthetic(config: SceneGenConfig, seed, scene_id=None):
 def normalize(scene: Scene, actor_id: str) -> Scene:
     """Rigid transform into the agent frame of `actor_id`: its last observed
     position moves to the origin, its heading there to +x. A pure isometry;
-    applying it twice equals applying it once. Only coordinates move, an array
-    at a time: the view shares the actor records, `observed`, lengths,
-    adjacency and matches."""
+    applying it twice equals applying it once. Only the packed arrays the
+    model reads move, an array at a time; the view shares every record (they
+    stay in the world frame), `observed`, lengths, adjacency and matches."""
     i = scene.actor_index(actor_id)
     if not scene.observed[i, -1]:
         raise ContractError(f"actor {actor_id} unobserved at last history step")
@@ -496,14 +485,13 @@ def normalize(scene: Scene, actor_id: str) -> Scene:
 
     g = scene.lane_graph
     # compose so x_world still recoverable: x_w = R_old (rot^T x_new + origin) + t_old
-    return _with_views(replace(
+    return replace(
         scene, positions=tp(scene.positions), headings=wrap_angles(scene.headings - psi),
         velocities=tv(scene.velocities), future=tp(scene.future),
         node_centers=tp(scene.node_centers), node_directions=tv(scene.node_directions),
-        lanes=[replace(l, centerline=tp(l.centerline)) for l in scene.lanes],
         lane_graph=replace(g, centers=tp(g.centers), directions=tv(g.directions)),
         frame=f"agent:{actor_id}", world_rot=scene.world_rot @ rot.T,
-        world_trans=scene.world_rot @ origin + scene.world_trans), tp)
+        world_trans=scene.world_rot @ origin + scene.world_trans)
 
 
 def to_world(scene: Scene, points):
@@ -594,8 +582,12 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
 
 
 def save_scene(scene: Scene) -> bytes:
-    """Serialize to UTF-8 JSON with round-trip float precision. Actor states
-    come from the packed arrays."""
+    """Serialize a world-frame scene to UTF-8 JSON with round-trip float
+    precision; actor states come from the packed arrays. A view's records
+    stay in the world frame while its rows move, so saving one would mix
+    frames: a ContractError."""
+    if scene.frame != WORLD_FRAME:
+        raise ContractError(f"save_scene: scene in frame {scene.frame!r}, not {WORLD_FRAME!r}")
     history = np.concatenate([scene.positions, scene.headings[..., None], scene.velocities],
                              axis=2).tolist()
     obj = {

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on tiny configurations."""
 
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -68,6 +69,19 @@ class TestPipeline:
         obj = json.loads(report.read_text())
         assert obj["actors"] == 3
         assert all(np.isfinite(v) for v in obj["metrics"].values())
+
+    def test_train_names_its_blas_setup_in_one_stderr_line(self, tmp_path, cfg_path, capsys):
+        """The BLAS library and version numpy was built with, and the one
+        thread the CLI pins whatever the caller set."""
+        data = tmp_path / "data"
+        run("gen-data", "--config", cfg_path, "--out", str(data))
+        capsys.readouterr()
+        assert run("train", "--config", cfg_path, "--data", str(data),
+                   "--out", str(tmp_path / "run")) == 0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert capsys.readouterr().err == \
+               f"BLAS: {blas['name']} {blas['version']}, 1 thread (pinned)\n"
 
     def test_predict_is_deterministic(self, tmp_path, cfg_path):
         data = tmp_path / "data"

@@ -3,6 +3,7 @@ world-frame de-normalization, and prediction file round trips."""
 
 import gc
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,31 @@ def small_scene(seed=0, n_actors=2):
     gen = sc.SceneGenConfig(n_lanes=2, lane_length=40.0, n_actors=n_actors,
                             h=6, t=4, noise_sigma=0.05)
     return sc.generate_synthetic(gen, seed)
+
+
+def in_frame(obj, view):
+    """The scene file `obj` with every coordinate moved into `view`'s frame,
+    the way `tests/test_symmetries.py` moves a file: points by
+    x_frame = world_rot^T (x_world - world_trans), velocities rotated and
+    headings turned by the frame's angle."""
+    rot, trans = view.world_rot, view.world_trans
+
+    def place(points):
+        return ((np.asarray(points) - trans) @ rot).tolist()
+
+    for actor in obj["actors"]:
+        hist = np.asarray(actor["history"])
+        hist[:, 0:2] = (hist[:, 0:2] - trans) @ rot
+        hist[:, 2] -= math.atan2(rot[1, 0], rot[0, 0])
+        hist[:, 3:5] = hist[:, 3:5] @ rot
+        actor["history"] = hist.tolist()
+        if actor["future"] is not None:
+            actor["future"] = place(actor["future"])
+    for lane in obj["lanes"]:
+        lane["centerline"] = place(lane["centerline"])
+    for bound in obj["boundaries"]:
+        bound["points"] = place(bound["points"])
+    return obj
 
 
 class TestHeads:
@@ -101,9 +127,9 @@ class TestForecast:
         scene = small_scene(seed=6)
         store = pipeline_store(cfg, t=scene.horizon[1], seed=6)
         focal = scene.focal_actors()[0]
-        # rebuild the normalized scene as its own world
-        rebuilt = sc.load_scene(sc.save_scene(sc.normalize(scene, focal.id)),
-                                scene_id=scene.scene_id)
+        # rebuild the normalized scene as its own world, from the file moved into its frame
+        obj = in_frame(json.loads(sc.save_scene(scene)), sc.normalize(scene, focal.id))
+        rebuilt = sc.load_scene(json.dumps(obj), scene_id=scene.scene_id)
         fc = decoder.forecast(rebuilt, store, cfg)[0]
         ns = sc.normalize(rebuilt, focal.id)
         idx = next(i for i, a in enumerate(ns.actors) if a.id == focal.id)

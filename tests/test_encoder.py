@@ -2,6 +2,7 @@
 dense numpy oracle for the gated graph convolution."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -185,27 +186,40 @@ class TestBoundaryEncoder:
         b = scene.node_centers.shape[0]
         assert scene.node_directions.shape == (b, 2)
         assert scene.node_markings.shape == scene.matched_lane_nodes.shape == (b,)
-        assert scene.node_offsets.tolist() == np.cumsum(
-            [0] + [len(x.node_centers) for x in scene.boundaries]).tolist()
+        # each boundary record's node_centers is its run of rows, in boundary order
+        assert np.concatenate([x.node_centers for x in scene.boundaries]).tobytes() == \
+               scene.node_centers.tobytes()
         assert set(scene.node_markings.tolist()) <= set(range(len(sc.MARKINGS)))
         assert scene.matched_lane_nodes.min() >= 0
 
     def test_packed_nodes_equal_the_per_polyline_loop(self):
         """The packed nodes a scene and its view hand the encoder, against
         the per-polyline concatenation they replaced, with one polyline that
-        has no matches (its lane has no nodes)."""
-        def per_polyline(boundaries):
+        has no matches (its lane has no nodes). Each polyline is resampled
+        from its world-frame points, matched to its lane's nodes, then moved
+        into the view's frame by `tp` and `tv`."""
+        def per_polyline(scene, tp, tv):
+            g = scene.lane_graph
             centers, directions = [np.zeros((0, 2))], [np.zeros((0, 2))]
             marks, matched = [np.zeros((0, len(sc.MARKINGS)))], [np.zeros(0, dtype=np.int64)]
-            for b in boundaries:
-                m = b.node_centers.shape[0]
-                centers.append(b.node_centers)
-                directions.append(b.node_directions)
-                one_hot = np.zeros((m, len(sc.MARKINGS)))
+            for b in scene.boundaries:
+                c, d, _ = sc.resample_polyline(b.points, 2.0)
+                centers.append(tp(c))
+                directions.append(tv(d))
+                one_hot = np.zeros((len(c), len(sc.MARKINGS)))
                 one_hot[:, sc.MARKINGS.index(b.marking)] = 1.0
                 marks.append(one_hot)
-                matched.append(np.asarray(b.matched_lane_nodes, dtype=np.int64))
+                lo, hi = g.lane_ranges.get(b.lane_id, (0, 0))
+                matched.append(lo + sc._nearest(c, g.centers[lo:hi], [0])[1][:, 0] if hi > lo
+                               else np.full(len(c), -1, dtype=np.int64))
             return tuple(map(np.concatenate, (centers, directions, marks, matched)))
+
+        def frame_of(scene, actor_id):
+            """The points and vectors maps of `normalize(scene, actor_id)`."""
+            i = scene.actor_index(actor_id)
+            origin, psi = scene.positions[i, -1].copy(), float(scene.headings[i, -1])
+            rot = np.array([[math.cos(psi), math.sin(psi)], [-math.sin(psi), math.cos(psi)]])
+            return lambda p: (p - origin) @ rot.T, lambda v: v @ rot.T
 
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
@@ -215,9 +229,12 @@ class TestBoundaryEncoder:
         obj["boundaries"].insert(1, {"points": [[0.0, 11.0], [20.0, 11.0]],
                                      "marking": "double", "side": "left", "lane_id": "stub"})
         scene = sc.load_scene(json.dumps(obj))
-        assert (scene.boundaries[1].matched_lane_nodes == -1).all()
-        for view in (scene, sc.normalize(scene, scene.actors[0].id)):
-            centers, directions, marks, matched = per_polyline(view.boundaries)
+        stub = slice(*np.cumsum([len(b.node_centers) for b in scene.boundaries[:2]]))
+        assert stub.stop > stub.start and (scene.matched_lane_nodes[stub] == -1).all()
+        aid = scene.actors[0].id
+        for view, moves in ((scene, (lambda p: p, lambda v: v)),
+                            (sc.normalize(scene, aid), frame_of(scene, aid))):
+            centers, directions, marks, matched = per_polyline(scene, *moves)
             for got, want in ((view.node_centers, centers), (view.node_directions, directions),
                               (np.eye(len(sc.MARKINGS))[view.node_markings], marks),
                               (view.matched_lane_nodes, matched)):

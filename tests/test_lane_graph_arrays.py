@@ -154,9 +154,15 @@ def assert_same_scene(lanes, boundaries, segment_len, lane_width):
     assert_same_graph(got, want)
     nodes = sc._match_boundaries(boundaries, got[0], segment_len)
     refs = reference_matches(boundaries, want[0], segment_len)
-    offsets, matched = nodes["node_offsets"], nodes["matched_lane_nodes"]
-    assert np.diff(offsets).tolist() == [
-        len(sc.resample_polyline(b.points, segment_len)[0]) for b in boundaries]
+    # the packed rows are each boundary's resampled nodes in order; its record views its run
+    parts = [sc.resample_polyline(b.points, segment_len)[:2] for b in boundaries]
+    offsets = np.cumsum([0] + [len(c) for c, _ in parts])
+    for name, k in (("node_centers", 0), ("node_directions", 1)):
+        want_rows = np.concatenate([np.zeros((0, 2))] + [p[k] for p in parts])
+        assert nodes[name].tobytes() == want_rows.tobytes(), name
+    for b, lo, hi in zip(boundaries, offsets[:-1], offsets[1:], strict=True):
+        assert b.node_centers.tobytes() == nodes["node_centers"][lo:hi].tobytes()
+    matched = nodes["matched_lane_nodes"]
     assert matched.dtype == np.int64 and matched.shape == (offsets[-1],)
     for k, ref in enumerate(refs):
         # the reference leaves a lane without nodes unmatched; the array holds -1

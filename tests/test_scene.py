@@ -373,9 +373,16 @@ class TestNormalize:
             sc.normalize(self._scene(), "ghost")
 
 
+def boundary_rows(scene):
+    """Each boundary's (start, stop) rows of the packed node arrays."""
+    o = np.cumsum([0] + [len(b.node_centers) for b in scene.boundaries])
+    return list(zip(o[:-1], o[1:]))
+
+
 def copying_normalize(scene, actor_id):
     """The `normalize` that copied every array of the scene, kept as the
-    reference for the view that moves coordinates only."""
+    reference for the view that moves the packed arrays only. Records stay
+    in the world frame, as the scene file holds them."""
     i = scene.actor_index(actor_id)
     origin = scene.positions[i, -1].astype(np.float64)
     psi = float(scene.headings[i, -1])
@@ -395,20 +402,21 @@ def copying_normalize(scene, actor_id):
                  future=tp(scene.future[k]))
             for k in range(len(scene.actors))]
 
-    lanes = [sc.Lane(l.id, tp(l.centerline)) for l in scene.lanes]
-    boundaries = [replace(
-        b, points=tp(b.points), node_centers=tp(b.node_centers),
-        node_directions=tv(b.node_directions),
-        matched_lane_nodes=b.matched_lane_nodes.copy(),
-    ) for b in scene.boundaries]
+    lanes = [sc.Lane(l.id, l.centerline.copy()) for l in scene.lanes]
+    boundaries = [replace(b, points=b.points.copy(), node_centers=b.node_centers.copy())
+                  for b in scene.boundaries]
+    # each boundary's node rows moved one by one
+    nodes = [dict(node_centers=tp(scene.node_centers[lo:hi]),
+                  node_directions=tv(scene.node_directions[lo:hi]))
+             for lo, hi in boundary_rows(scene)]
     g = scene.lane_graph
     graph = sc.LaneGraph(tp(g.centers), tv(g.directions), g.lengths.copy(),
                          {k: v.copy() for k, v in g.adjacency.items()},
                          dict(g.lane_ranges))
-    # the packed arrays, stacked from the rows and records moved one by one
+    # the packed arrays, stacked from the rows moved one by one
     packed = {n: np.stack([r[n] for r in rows])
               for n in ("positions", "headings", "velocities", "observed", "future")}
-    packed.update({n: np.concatenate([np.zeros((0, 2))] + [getattr(b, n) for b in boundaries])
+    packed.update({n: np.concatenate([np.zeros((0, 2))] + [r[n] for r in nodes])
                    for n in ("node_centers", "node_directions")})
     packed.update({n: getattr(scene, n).copy() for n in FRAME_FREE[1:]})
 
@@ -420,11 +428,10 @@ def copying_normalize(scene, actor_id):
                     world_trans=world_trans, scene_id=scene.scene_id)
 
 
-COORDINATES = {"lane": ("centerline",), "boundary": ("points", "node_centers", "node_directions"),
-               "graph": ("centers", "directions"),
+COORDINATES = {"graph": ("centers", "directions"),
                "scene": ("positions", "headings", "velocities", "future", "node_centers",
                          "node_directions")}
-FRAME_FREE = ("observed", "has_future", "node_markings", "matched_lane_nodes", "node_offsets")
+FRAME_FREE = ("observed", "has_future", "node_markings", "matched_lane_nodes")
 
 
 def scene_arrays(scene):
@@ -435,20 +442,18 @@ def scene_arrays(scene):
            ("graph.lengths", g.lengths)]
     out += [(f"graph.adjacency.{k}", v) for k, v in g.adjacency.items()]
     out += [(n, getattr(scene, n)) for n in (*COORDINATES["scene"], *FRAME_FREE)]
+    # the records' arrays, world frame in a view too
     out += [(f"lanes[{i}].centerline", l.centerline) for i, l in enumerate(scene.lanes)]
     for i, b in enumerate(scene.boundaries):
-        out += [(f"boundaries[{i}].{n}", getattr(b, n))
-                for n in (*COORDINATES["boundary"], "matched_lane_nodes")]
+        out += [(f"boundaries[{i}].{n}", getattr(b, n)) for n in ("points", "node_centers")]
     return out
 
 
 def coordinate_arrays(scene):
+    """The arrays a view moves: the packed arrays and the lane graph's geometry."""
     g = scene.lane_graph
-    out = [getattr(g, n) for n in COORDINATES["graph"]]
-    out += [getattr(scene, n) for n in COORDINATES["scene"]]
-    out += [l.centerline for l in scene.lanes]
-    out += [getattr(b, n) for b in scene.boundaries for n in COORDINATES["boundary"]]
-    return out
+    return [getattr(g, n) for n in COORDINATES["graph"]] + \
+        [getattr(scene, n) for n in COORDINATES["scene"]]
 
 
 def scene_with_degenerate_lane():
@@ -499,12 +504,9 @@ class TestViewSharing:
             assert vg.lengths is g.lengths and vg.lane_ranges is g.lane_ranges
             assert all(vg.adjacency[k] is v for k, v in g.adjacency.items())
             assert all(getattr(view, n) is getattr(scene, n) for n in FRAME_FREE)
-            # the view shares the actor records; boundary records are views of the packed arrays
+            # the view shares every record: they hold the world frame, as the file does
             assert view.actors is scene.actors
-            assert all(np.shares_memory(v.node_centers, view.node_centers)
-                       for v in view.boundaries if v.node_centers.size)
-            assert all(np.shares_memory(v.matched_lane_nodes, scene.matched_lane_nodes)
-                       for v in view.boundaries if v.matched_lane_nodes.size)
+            assert view.lanes is scene.lanes and view.boundaries is scene.boundaries
             originals = coordinate_arrays(scene)
             for moved in coordinate_arrays(view):
                 assert not any(np.shares_memory(moved, o) for o in originals)
@@ -536,9 +538,10 @@ class TestViewSharing:
         checked = 0
         for scene in [*scenes, scene_with_degenerate_lane()]:
             ranges = scene.lane_graph.lane_ranges
-            for b in scene.boundaries:
-                m = b.matched_lane_nodes
-                assert m.dtype == np.int64 and m.shape == (len(b.node_centers),)
+            assert scene.matched_lane_nodes.dtype == np.int64
+            assert scene.matched_lane_nodes.shape == (len(scene.node_centers),)
+            for b, (lo, hi) in zip(scene.boundaries, boundary_rows(scene), strict=True):
+                m = scene.matched_lane_nodes[lo:hi]
                 assert len(m) > 0
                 assert (m == -1).all() == (b.lane_id not in ranges)
                 checked += b.lane_id not in ranges
@@ -566,13 +569,34 @@ class TestPackedArrays:
             assert all(v is w for v, w in zip(view.actors, scene.actors, strict=True))
         assert built == []
 
+    def test_normalize_builds_no_lane_or_boundary_record(self, monkeypatch):
+        scene = self._scene()
+        built = []
+        for cls in (sc.Lane, sc.BoundaryPolyline):
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=cls.__init__, **k:
+                                built.append(a) or _init(self, *a, **k))
+        for a in scene.actors:
+            view = sc.normalize(sc.normalize(scene, a.id), a.id)
+            assert view.lanes is scene.lanes and view.boundaries is scene.boundaries
+        assert built == []
+
     def test_boundary_records_are_views_of_the_node_rows(self):
         scene = self._scene()
-        o = scene.node_offsets
-        for k, b in enumerate(scene.boundaries):
-            for n in ("node_centers", "node_directions", "matched_lane_nodes"):
-                assert np.shares_memory(getattr(b, n), getattr(scene, n))
-                assert getattr(b, n).tobytes() == getattr(scene, n)[o[k]:o[k + 1]].tobytes()
+        rows = boundary_rows(scene)
+        assert rows[-1][1] == len(scene.node_centers)
+        for b, (lo, hi) in zip(scene.boundaries, rows, strict=True):
+            assert np.shares_memory(b.node_centers, scene.node_centers)
+            assert b.node_centers.tobytes() == scene.node_centers[lo:hi].tobytes()
+            assert hi - lo == len(sc.resample_polyline(b.points, 2.0)[0])
+        assert [f.name for f in fields(sc.BoundaryPolyline)] == \
+               ["points", "marking", "side", "lane_id", "node_centers"]
+
+    def test_only_a_world_frame_scene_is_saved(self):
+        scene = self._scene()
+        for a in scene.actors:
+            with pytest.raises(ContractError, match=f"frame 'agent:{a.id}'"):
+                sc.save_scene(sc.normalize(scene, a.id))
+        assert sc.save_scene(scene) == sc.save_scene(sc.load_scene(sc.save_scene(scene)))
 
     def test_save_scene_writes_the_packed_arrays(self):
         scene = self._scene()
@@ -598,10 +622,10 @@ class TestBoundaries:
     def test_every_boundary_node_matched_to_parent_lane(self):
         scene = sc.generate_synthetic(sc.SceneGenConfig(n_lanes=3), 2)
         graph = scene.lane_graph
-        for b in scene.boundaries:
+        for b, (start, stop) in zip(scene.boundaries, boundary_rows(scene), strict=True):
             lo, hi = graph.lane_ranges[b.lane_id]
-            assert min(b.matched_lane_nodes) >= lo
-            assert max(b.matched_lane_nodes) < hi
+            assert min(scene.matched_lane_nodes[start:stop]) >= lo
+            assert max(scene.matched_lane_nodes[start:stop]) < hi
 
     def test_boundaries_offset_half_lane_width(self):
         gen = sc.SceneGenConfig(n_lanes=2, lane_width=3.5, curvature_range=(0.0, 0.0))
