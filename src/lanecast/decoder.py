@@ -26,12 +26,14 @@ import numpy as np
 
 from . import diffcore as dc
 from ._layers import init_linear, linear, run_steps
-from .encoder import encode_actors, encode_boundaries, encode_lane_nodes, init_encoders
+from .encoder import (check_history, encode_actors, encode_boundaries, encode_lane_nodes,
+                      init_encoders)
 from .errors import ContractError, ParseError, iter_json_list, numbers, require, string
 from .fusion import fuse_scene, init_fusion
 from .scene import normalize, to_world
 
 S1, S2 = "S1", "S2"
+MIN_T = 2  # the fewest future steps stage two completes
 
 
 @dataclass
@@ -99,8 +101,8 @@ def complete_trajectories(pairs, targets, store, cfg, t):
     Gradient flows through the targets and the pair rows into the
     first-stage heads and the target encoder.
     """
-    if t < 2:
-        raise ContractError(f"completion needs T >= 2, got {t}")
+    if t < MIN_T:
+        raise ContractError(f"completion needs T >= {MIN_T}, got {t}")
     a, k = targets.shape[0], targets.shape[1]
     body = dc.scale(_mlp(store, "dec.comp", pairs), cfg.output_scale)  # [A*K, 2(T-1)]
     full = dc.concat([body, dc.reshape(targets, (a * k, 2))], axis=1)  # [A*K, 2T]
@@ -156,14 +158,16 @@ def forecast(scene, store, cfg, stage=S2):
     outputs back to the world frame. Returns a list of Forecast.
 
     The pipeline runs on the store's constants, so it records no tape.
-    numpy's warnings are off, as in training (extreme scenes stay quiet)."""
+    numpy's warnings are off, as in training (extreme scenes stay quiet). A
+    history too short for the actor encoder is ParseError("horizon.H")."""
+    check_history(scene)
     params = store.constants()
     out = []
     for actor in scene.focal_actors():
         ns = normalize(scene, actor.id)
         idx = ns.actor_index(actor.id)
         targets, traj, logits = run_pipeline(ns, params, cfg, stage)
-        conf = dc.softmax(logits, axis=1).data[idx]
+        conf = dc.softmax(logits).data[idx]
         out.append(Forecast(
             scene_id=scene.scene_id,
             actor_id=actor.id,

@@ -1,11 +1,11 @@
 """Finite-difference validation of analytic gradients.
 
 Runs in float64 only. For each sampled coordinate the numeric derivative is
-the central difference (f(x+eps) - f(x-eps)) / (2 eps) and the reported error
-is |a - n| / max(1e-8, |a| + |n|). A non-finite error counts as inf, so a
-NaN value or derivative fails at any tolerance. A coordinate above TOLERANCE
-is measured again at eps * 100 and eps / 100 and keeps its smallest error:
-roundoff on a tiny derivative, or a ReLU kink within eps, fails at one step,
+the central difference (f(x+h) - f(x-h)) / (2 h) at h = STEP, and the reported
+error is |a - n| / max(1e-8, |a| + |n|). A non-finite error counts as inf, so
+a NaN value or derivative fails at any tolerance. A coordinate above TOLERANCE
+is measured again at STEP * 100 and STEP / 100 and keeps its smallest error:
+roundoff on a tiny derivative, or a ReLU kink within STEP, fails at one step,
 a wrong analytic value at all three.
 
 A finite difference moves one coordinate, so a deep function mostly repeats
@@ -16,15 +16,14 @@ reads a changed parameter, and reuses the earlier steps' outputs as they are.
 
 from __future__ import annotations
 
-import math
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from ..errors import ContractError
 from .tensor import backward
 
-TOLERANCE = 1e-4
+TOLERANCE, STEP = 1e-4, 1e-5  # the bound on the relative error; the finite-difference step
 
 
 class _Reads:
@@ -81,13 +80,12 @@ def _measure(fn, params, flat, c, a, eps):
     return numeric, (rel if np.isfinite(rel) else np.inf)  # NaN passes no bound
 
 
-def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
+def grad_check(fn, store, n_samples=None, seed=0):
     """Compare analytic gradients of `fn(store) -> scalar Tensor` to central
     finite differences.
 
-    `eps` must be finite and > 0. With `n_samples`, an int >= 1, checks
-    that many random coordinates per parameter (all of a smaller one);
-    otherwise checks every coordinate. Returns
+    With `n_samples`, an int >= 1, checks that many random coordinates per
+    parameter (all of a smaller one); otherwise checks every coordinate. Returns
     (max_rel_err, report) where report maps parameter names to their worst
     coordinate's (index, analytic, numeric, rel_err).
 
@@ -97,8 +95,6 @@ def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
     """
     if store.dtype != np.float64:
         raise ContractError(f"grad_check requires a float64 store, got {store.dtype}")
-    if not (isinstance(eps, Real) and math.isfinite(eps) and eps > 0):
-        raise ContractError(f"grad_check: eps must be finite and > 0, got {eps!r}")
     if n_samples is not None and (isinstance(n_samples, bool) or not isinstance(
             n_samples, Integral) or n_samples < 1):
         raise ContractError(f"grad_check: n_samples must be None or an int >= 1, got {n_samples!r}")
@@ -123,9 +119,9 @@ def grad_check(fn, store, eps=1e-5, n_samples=None, seed=0):
         entry = None
         for c in coords:
             c, a = int(c), float(a_flat[c])
-            numeric, rel = _measure(fn, params, flat, c, a, eps)
+            numeric, rel = _measure(fn, params, flat, c, a, STEP)
             if rel > TOLERANCE:
-                for step in (eps * 100, eps / 100):
+                for step in (STEP * 100, STEP / 100):
                     again = _measure(fn, params, flat, c, a, step)
                     if again[1] < rel:
                         numeric, rel = again

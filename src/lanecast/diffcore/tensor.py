@@ -8,11 +8,12 @@ that carry no gradient (constants, an absent optional bias) are dropped there,
 so their vjps never run. `backward` replays the edges in reverse topological
 order and frees the graph as it goes, so it walks a graph once.
 
-Features sit on the last axis ([N, D] rows, [A, H, D] sequences). `add`,
-`sub` and `mul` broadcast one way: the second operand broadcasts to the
-first operand's shape under numpy's rules, and that is the result's shape.
-Anything else is a ShapeError. `gather` backward and `scatter_add` sum
-repeated indices through one flat np.add.at, in index order.
+Features sit on the last axis ([N, D] rows, [A, H, D] sequences), the axis
+`softmax` and `layer_norm` work over; `sum` and `mean` reduce every axis.
+`add`, `sub` and `mul` broadcast one way: the second operand broadcasts to
+the first operand's shape under numpy's rules, and that is the result's
+shape. Anything else is a ShapeError. `gather` backward and `scatter_add`
+sum repeated indices through one flat np.add.at, in index order.
 
 An operand that is not a Tensor is a constant: an op with several operands
 casts it to the dtype of its tensor operands (with none, the first operand's
@@ -31,6 +32,7 @@ import numpy as np
 from ..errors import ContractError, ShapeError
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+LOG_FLOOR, LAYER_NORM_EPS = 1e-12, 1e-5  # `log`'s input clamp, `layer_norm`'s variance offset
 
 
 class Tensor:
@@ -225,57 +227,41 @@ def sigmoid(a):
     return _make(s, "sigmoid", (a, lambda g: g * s * (1.0 - s)))
 
 
-def log(a, floor):
-    """Natural log of the inputs clamped to `floor` > 0 first; clamped
-    entries get zero gradient."""
+def log(a):
+    """Natural log of the inputs clamped to LOG_FLOOR first; clamped entries
+    get zero gradient."""
     a = _as_tensor(a)
-    if floor <= 0:
-        raise ContractError("log: floor must be positive")
-    clamped = np.maximum(a.data, floor)
-    mask = a.data >= floor
+    clamped = np.maximum(a.data, LOG_FLOOR)
+    mask = a.data >= LOG_FLOOR
     return _make(np.log(clamped), "log", (a, lambda g: g * mask / clamped))
 
 
-def smooth_l1(a, beta=1.0):
-    """Elementwise smooth-L1: quadratic inside |x| < beta, linear outside."""
+def smooth_l1(a):
+    """Elementwise smooth-L1 at beta 1: quadratic inside |x| < 1, linear outside."""
     a = _as_tensor(a)
-    if beta <= 0:
-        raise ContractError("smooth_l1: beta must be positive")
     absa = np.abs(a.data)
-    inside = absa < beta
-    out = np.where(inside, 0.5 * a.data * a.data / beta, absa - 0.5 * beta)
+    inside = absa < 1.0
+    out = np.where(inside, 0.5 * a.data * a.data, absa - 0.5)
     return _make(out.astype(a.dtype), "smooth_l1",
-                 (a, lambda g: g * np.where(inside, a.data / beta, np.sign(a.data))))
+                 (a, lambda g: g * np.where(inside, a.data, np.sign(a.data))))
 
 
 # ---------------------------------------------------------------------------
 # reductions and normalizations
 
 
-def _sum_grad_shape(g, axis, shape):
-    out = np.empty(shape, dtype=g.dtype)
-    out[...] = g if axis is None else np.expand_dims(g, axis)
-    return out
-
-
-def sum(a, axis=None):  # noqa: A001 - mirrors the op set's name
+def sum(a):  # noqa: A001 - mirrors the op set's name
     a = _as_tensor(a)
-    if axis is not None:
-        axis = _check_axis(axis, a.ndim)
     shape = a.shape
-    return _make(a.data.sum(axis=axis), "sum", (a, lambda g: _sum_grad_shape(g, axis, shape)))
+    return _make(a.data.sum(), "sum", (a, lambda g: np.full(shape, g)))
 
 
-def mean(a, axis=None):
+def mean(a):
     a = _as_tensor(a)
-    if axis is not None:
-        axis = _check_axis(axis, a.ndim)
-    shape = a.shape
-    n = a.size if axis is None else shape[axis]
+    shape, n = a.shape, a.size
     if n == 0:
-        raise ShapeError(f"mean over empty axis of shape {shape}")
-    return _make(a.data.mean(axis=axis), "mean",
-                 (a, lambda g: _sum_grad_shape(g, axis, shape) / n))
+        raise ShapeError(f"mean over empty tensor of shape {shape}")
+    return _make(a.data.mean(), "mean", (a, lambda g: np.full(shape, g) / n))
 
 
 def max(a, axis):  # noqa: A001
@@ -293,21 +279,20 @@ def max(a, axis):  # noqa: A001
     return _make(a.data.max(axis=axis), "max", (a, vjp))
 
 
-def softmax(a, axis=-1):
+def softmax(a):
     a = _as_tensor(a)
-    axis = _check_axis(axis, a.ndim)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return s * (g - dot)
 
     return _make(s.astype(a.dtype), "softmax", (a, vjp))
 
 
-def layer_norm(a, gamma, beta, eps=1e-5):
+def layer_norm(a, gamma, beta):
     """Normalize each slice along the last (feature) axis to zero mean / unit
     variance, then apply the learned affine (gamma, beta), both [D]."""
     a, gamma, beta = _tensors(a, gamma, beta)
@@ -318,7 +303,7 @@ def layer_norm(a, gamma, beta, eps=1e-5):
 
     # add.reduce / n gives mean's bits without its Python-level wrapper
     xc = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def vjp(g):

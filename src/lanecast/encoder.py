@@ -22,9 +22,10 @@ import numpy as np
 from . import diffcore as dc
 from ._layers import (conv, init_conv, init_layer_norm, init_linear, layer_norm, linear,
                       run_steps)
-from .errors import ContractError
+from .errors import ContractError, ParseError
 from .scene import ADJ_CATEGORIES, MARKINGS
 
+MIN_H = 4  # the fewest history steps the actor encoder takes
 _BRANCHES = ("coord", "heading", "vel")
 _NEG_BIG = -1e9
 
@@ -61,6 +62,13 @@ def _upsample(x, length):
     return dc.gather(x, (np.arange(length) * x.shape[1]) // length, axis=1)
 
 
+def check_history(scene):
+    """ParseError("horizon.H") unless the actor encoder can read the scene's history."""
+    if scene.horizon[0] < MIN_H:
+        raise ParseError("horizon.H", f"horizon.H: scene {scene.scene_id!r} has "
+                         f"H={scene.horizon[0]}, the actor encoder needs H >= {MIN_H}")
+
+
 def actor_steps(scene, cfg):
     """`encode_actors` as a chain of steps, each `(store, state) -> state`:
     the three branch res-blocks, each added onto the running sum, then down1,
@@ -71,8 +79,8 @@ def actor_steps(scene, cfg):
     temporal max-pool. Positions are each actor's last observed point.
     """
     h = scene.horizon[0]
-    if h < 4:
-        raise ContractError(f"actor encoder needs H >= 4, got {h}")
+    if h < MIN_H:
+        raise ContractError(f"actor encoder needs H >= {MIN_H}, got {h}")
     obs = scene.observed  # [A, H]
     seen = obs.any(axis=1)
     if not seen.all():

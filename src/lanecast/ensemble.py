@@ -155,10 +155,11 @@ def fuse_actor(trajectories, confidences, alphas, k=6, seed=0):
     return list(trajs[0, :kept[0]]), confs[0, :kept[0]], assign[0]
 
 
+@np.errstate(all="ignore")
 def fuse(submodels, seed=0, k=6):
     """Ensemble every actor, `_BLOCK` actors of one pool shape at a time, each
-    seeded from its key. A gap in coverage raises EnsembleError naming the
-    first (model_id, scene_id, actor_id) and the count."""
+    seeded from its key, with numpy's warnings off. A gap in coverage raises
+    EnsembleError naming the first (model_id, scene_id, actor_id) and the count."""
     if not submodels:
         raise EnsembleError("empty sub-model list")
     keys, groups = sorted(set().union(*(sm.forecasts for sm in submodels))), {}  # by shape

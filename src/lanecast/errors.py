@@ -111,9 +111,9 @@ def one_of(value, field, choices):
     return value
 
 
-def numbers(value, field, shape=None, bools=True):
+def numbers(value, field, shape, bools=True):
     """Nested JSON lists of finite, non-boolean numbers (one number for shape
-    ()) -> float64 array, of `shape` if given; None in it matches any size.
+    ()) -> float64 array of `shape`; None in it matches any size.
     `bools=False` skips the walk for booleans over every number: for values
     from a document that spells neither `true` nor `false`."""
     try:
@@ -134,7 +134,7 @@ def numbers(value, field, shape=None, bools=True):
     if not ok:
         raise ParseError(field, f"{field}: must be finite, non-boolean numbers "
                                 f"in equal-length lists")
-    if shape is not None and arr.shape != shape and (arr.ndim != len(shape) or any(
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
             want not in (None, n) for want, n in zip(shape, arr.shape))):
         want = ", ".join("*" if w is None else str(w) for w in shape)
         raise ParseError(field, f"{field}: shape {list(arr.shape)}, want [{want}]")

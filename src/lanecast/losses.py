@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .decoder import S1, S2
+from .decoder import MIN_T, S1, S2
 from .errors import ContractError
 
 CONF_FILTER_METERS = 2.0
-LOG_FLOOR = 1e-12
 
 
 @dataclass
@@ -60,18 +59,18 @@ def gt_confidence(s, s_hat):
     stabilization exactly). Tensor in, tensor out; arrays work too. Batches
     like mode_displacements."""
     if isinstance(s, dc.Tensor):
-        return dc.softmax(dc.scale(mode_displacements(s, s_hat), -1.0), axis=-1)
+        return dc.softmax(dc.scale(mode_displacements(s, s_hat), -1.0))
     out = gt_confidence(dc.Tensor(np.asarray(s, dtype=np.float64)), s_hat)
     return out.data
 
 
 def confidence_loss(c, c_hat):
-    """KL(c_hat || c) = sum c_hat (log c_hat - log c), logs floored at 1e-12
-    (which also realizes 0 log 0 = 0). Both arguments are tensors and may
+    """KL(c_hat || c) = sum c_hat (log c_hat - log c), `dc.log` flooring at
+    1e-12 (which also realizes 0 log 0 = 0). Both arguments are tensors and may
     carry gradients. With [n, K] rows, returns the sum of the n KLs."""
     if c.shape != c_hat.shape:
         raise ContractError(f"confidence_loss: shapes {c.shape} vs {c_hat.shape}")
-    diff = dc.sub(dc.log(c_hat, floor=LOG_FLOOR), dc.log(c, floor=LOG_FLOOR))
+    diff = dc.sub(dc.log(c_hat), dc.log(c))
     return dc.sum(dc.mul(c_hat, diff))
 
 
@@ -108,7 +107,7 @@ def target_loss(targets, gt_endpoints, mask):
     flat = dc.reshape(targets, (a * k, 2))
     rows = dc.gather(flat, kept * k + winners[kept], axis=0)
     diff = dc.sub(rows, np.asarray(gt_endpoints)[kept])
-    return dc.mean(dc.smooth_l1(diff, beta=1.0)), int(kept.size), winners
+    return dc.mean(dc.smooth_l1(diff)), int(kept.size), winners
 
 
 def trajectory_loss(traj, gt, mask, winners):
@@ -116,8 +115,8 @@ def trajectory_loss(traj, gt, mask, winners):
     1/(N(T-1)) convention (with the per-step two-component mean folded in).
     """
     a, k, t = traj.shape[0], traj.shape[1], traj.shape[2]
-    if t < 2:
-        raise ContractError(f"trajectory loss needs T >= 2, got {t}")
+    if t < MIN_T:
+        raise ContractError(f"trajectory loss needs T >= {MIN_T}, got {t}")
     mask = np.asarray(mask, dtype=bool)
     kept = np.flatnonzero(mask)
     if kept.size == 0:
@@ -128,7 +127,7 @@ def trajectory_loss(traj, gt, mask, winners):
     rows = dc.gather(flat, idx, axis=0)
     gt_rows = np.asarray(gt, dtype=np.float64)[kept][:, : t - 1].reshape(-1, 2)
     diff = dc.sub(rows, gt_rows)
-    return dc.mean(dc.smooth_l1(diff, beta=1.0)), int(kept.size)
+    return dc.mean(dc.smooth_l1(diff)), int(kept.size)
 
 
 def total_loss(targets, traj, logits, gt_futures, has_future, last_observed):
@@ -148,7 +147,7 @@ def total_loss(targets, traj, logits, gt_futures, has_future, last_observed):
     # one KL over the kept actors; with none kept, the empty batch sums to 0
     kept = np.flatnonzero(has_gt & conf_filter(targets.data, gt_end))
     c_hat = gt_confidence(dc.gather(traj, kept, axis=0), gt_ref[kept])
-    conf = dc.gather(dc.softmax(logits, axis=1), kept, axis=0)
+    conf = dc.gather(dc.softmax(logits), kept, axis=0)
     conf_term = dc.scale(confidence_loss(conf, c_hat), 1.0 / max(kept.size, 1))
 
     reg_mask = has_gt & np.asarray(last_observed, dtype=bool)

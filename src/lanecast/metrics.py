@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, EvaluationError
+from .errors import EvaluationError
 
 MISS_METERS = 2.0
 
@@ -26,33 +26,16 @@ COLUMNS = ("brier-minFDE(6)", "minFDE(6)", "minFDE(1)", "brier-minADE(6)",
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def _distances(points, gt):
+def distances(points, gt):
     """math.hypot of each point's offset from its ground-truth point, as float64."""
     d = np.asarray(points, dtype=np.float64) - np.asarray(gt, dtype=np.float64)
     return _hypot(d[..., 0], d[..., 1]).astype(np.float64)
 
 
-def min_fde(traj, conf, gt, k_eval):
-    """Min final-point error over the evaluated modes -> (value, mode index).
-
-    k_eval=1 evaluates only the highest-confidence mode (ties: lowest index).
-    Ties on the error also resolve to the lowest index. The final points are
-    each side's last, so one-step trajectories score against a T-step truth.
-    """
-    fde = _distances(np.asarray(traj)[:, -1], np.asarray(gt)[-1])
-    k = len(fde)
-    if k < k_eval:
-        raise ContractError(f"k_eval {k_eval} exceeds mode count {k}")
-    if k_eval not in (1, k):
-        raise ContractError(f"k_eval must be 1 or {k}, got {k_eval}")
-    m = int(np.argmin(fde) if k_eval == k else np.argmax(conf))
-    return float(fde[m]), m
-
-
 def actor_metrics(traj, conf, gt):
     """All eight Table-style metrics for one actor. Ties on confidence and
     on error take the lowest mode index."""
-    table = _distances(traj, gt)  # [K, T]
+    table = distances(traj, gt)  # [K, T]
     fde, ade = table[:, -1], np.cumsum(table, axis=1)[:, -1] / table.shape[1]
     top, m_fde, m_ade = int(np.argmax(conf)), int(np.argmin(fde)), int(np.argmin(ade))
     fde6, fde1, ade6, ade1 = map(float, (fde[m_fde], fde[top], ade[m_ade], ade[top]))
@@ -88,12 +71,13 @@ class MetricReport:
         return head + "\n" + row
 
 
+@np.errstate(all="ignore")
 def evaluate(forecasts, gt_by_key):
     """Average per-actor metrics over every ground-truth actor.
 
-    forecasts: iterable of decoder.Forecast; gt_by_key: mapping
-    (scene_id, actor_id) -> [T, 2] ground truth. Every GT key must have a
-    prediction; extras on the prediction side are ignored.
+    forecasts: iterable of decoder.Forecast; gt_by_key: mapping (scene_id,
+    actor_id) -> [T, 2] ground truth. Every GT key must have a prediction;
+    extras are ignored. numpy's warnings are off (extreme input stays quiet).
     """
     pred = {(f.scene_id, f.actor_id): f for f in forecasts}
     missing = sorted(k for k in gt_by_key if k not in pred)

@@ -15,15 +15,15 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffcore as dc
-from .decoder import S1, S2, init_model, run_pipeline
+from .config import TrainConfig
+from .decoder import MIN_T, S1, S2, check_history, init_model, run_pipeline
 from .errors import ContractError, ParseError, TrainingError
 from .losses import total_loss
-from .metrics import min_fde
+from .metrics import distances
 from .scene import normalize
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -95,23 +95,19 @@ class NAdam:
         self._p -= step
 
 
-@dataclass
 class LrSchedule:
-    lr_max: float = 1e-3
-    lr_min: float = 1e-5
-    periods: tuple[int, ...] = (6, 12, 24, 48)
-    total_epochs: int = 100
+    """The warm-restart cosine schedule of a TrainConfig, the default one if none."""
 
-    starts: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, train_cfg=None):
+        tc = TrainConfig() if train_cfg is None else train_cfg
+        self.lr_max, self.lr_min, self.total_epochs = tc.lr_max, tc.lr_min, tc.total_epochs
+        self.periods = tuple(tc.periods)
         bounds = (0, *itertools.accumulate(self.periods))
         self.starts, self.cycle_end = bounds[:-1], bounds[-1]  # lr_min from cycle_end on
 
     def lr_at(self, epoch):
         if not 0 <= epoch < self.total_epochs:
-            raise ContractError(
-                f"epoch {epoch} outside [0, {self.total_epochs})")
+            raise ContractError(f"epoch {epoch} outside [0, {self.total_epochs})")
         if epoch >= self.cycle_end:
             return self.lr_min
         for start, period in zip(reversed(self.starts), reversed(self.periods)):
@@ -119,13 +115,6 @@ class LrSchedule:
                 frac = (epoch - start) / period
                 return self.lr_min + 0.5 * (self.lr_max - self.lr_min) * \
                     (1.0 + math.cos(math.pi * frac))
-        raise ContractError(f"epoch {epoch} matched no period")  # unreachable
-
-
-def make_schedule(train_cfg):
-    return LrSchedule(lr_max=train_cfg.lr_max, lr_min=train_cfg.lr_min,
-                      periods=tuple(train_cfg.periods),
-                      total_epochs=train_cfg.total_epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +130,11 @@ def _view_loss(scene, actor_id, store, cfg, stage):
     ns = normalize(scene, actor_id)
     targets, traj, logits = run_pipeline(ns, store, cfg.model, stage)
     loss, bd = total_loss(targets, traj, logits, ns.future, ns.has_future, ns.observed[:, -1])
-    # train-time minFDE(K) for the focal actor, in its agent frame; over all
-    # K modes it reads no confidences
-    fde = None
+    # train-time minFDE(K) of the focal actor in its frame, as `actor_metrics` reads it
     i = ns.actor_index(actor_id)
-    if ns.has_future[i]:
-        modes = np.asarray(traj.data[i], dtype=np.float64)
-        fde, _ = min_fde(modes, None, ns.future[i], modes.shape[0])
-    return loss, bd, fde
+    if not ns.has_future[i]:
+        return loss, bd, None
+    return loss, bd, float(distances(traj.data[i, :, -1], ns.future[i, -1]).min())
 
 
 @np.errstate(all="ignore")
@@ -159,7 +145,8 @@ def train(scenes, run_cfg, log_path=None):
     and every reduction order are seeded or fixed. Returns (store, log
     records, optimizer). A non-finite loss raises TrainingError naming the
     epoch, scene id and actor id; numpy's warnings are off while training.
-    Scenes of more than one future horizon raise ParseError("horizon.T").
+    Before epoch 0, scenes the model cannot take raise ParseError: "horizon.H"
+    for a short history, "horizon.T" for mixed T or T < 2 with stage two to run.
 
     Each view's tape is walked as soon as its loss is known, adding onto the
     batch's gradient sums, so a step's peak is one view's tape, not the
@@ -176,9 +163,13 @@ def train(scenes, run_cfg, log_path=None):
     if odd is not None:  # the completion head has one horizon
         raise ParseError("horizon.T", f"horizon.T: scene {odd.scene_id!r} has T={odd.horizon[1]} "
                          f"but scene {scenes[0].scene_id!r} has T={t_future}")
+    if t_future < MIN_T and tc.total_epochs > tc.stage2_start_epoch:
+        raise ParseError("horizon.T", f"horizon.T: T={t_future}, stage two needs T >= {MIN_T}")
+    for scene in scenes:
+        check_history(scene)
     init_model(store, run_cfg.model, t_future, rng)
 
-    sched = make_schedule(tc)
+    sched = LrSchedule(tc)
     opt = NAdam(store)
     views = _scene_views(scenes)
     order_rng = np.random.default_rng(run_cfg.seed + 1)

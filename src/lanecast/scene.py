@@ -258,7 +258,8 @@ def _sorted_edges(keys, n):
     return np.stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], n), axis=1)
 
 
-def build_lane_nodes(lanes, segment_len=2.0, lane_width=3.5):
+def build_lane_nodes(lanes, segment_len=SceneGenConfig.segment_len,
+                     lane_width=SceneGenConfig.lane_width):
     """Resample centerlines into a LaneGraph with typed adjacency.
 
     Successor edges chain consecutive nodes of one lane; predecessors mirror
@@ -338,8 +339,8 @@ def _match_boundaries(boundaries, graph, segment_len):
                 matched_lane_nodes=matched)
 
 
-def make_scene(horizon, actors, tracks, lanes, boundaries, segment_len=2.0, lane_width=3.5,
-               scene_id="scene"):
+def make_scene(horizon, actors, tracks, lanes, boundaries, segment_len=SceneGenConfig.segment_len,
+               lane_width=SceneGenConfig.lane_width, scene_id="scene"):
     """Assemble a Scene: validate, build the lane graph, match boundaries, pack.
     `tracks` holds one (positions [H, 2], headings [H] in (-pi, pi], velocities
     [H, 2], observed [H] bool, future [T, 2] or None) tuple per actor."""
@@ -503,7 +504,8 @@ def to_world(scene: Scene, points):
 # serialization
 
 
-def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
+def load_scene(data, segment_len=SceneGenConfig.segment_len,
+               lane_width=SceneGenConfig.lane_width, scene_id="scene"):
     """Parse scene JSON (bytes or str). Violations raise ParseError naming
     the offending field. Scene identity is not part of the file format;
     callers pass one (the CLI uses the file's stem)."""
@@ -577,8 +579,7 @@ def load_scene(data, segment_len=2.0, lane_width=3.5, scene_id="scene"):
 
     if not any(a.focal for a in actors):
         raise ParseError("actors", "no focal actor")
-    return make_scene((h, t), actors, tracks, lanes, boundaries, segment_len=segment_len,
-                      lane_width=lane_width, scene_id=scene_id)
+    return make_scene((h, t), actors, tracks, lanes, boundaries, segment_len, lane_width, scene_id)
 
 
 def save_scene(scene: Scene) -> bytes:

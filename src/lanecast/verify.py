@@ -29,13 +29,13 @@ from .scene import SceneGenConfig, generate_synthetic, normalize
 
 
 def _tiny_cfg():
-    return ModelConfig(d=8, l_graph=2, k_modes=6)
+    return ModelConfig(d=8, l_graph=2)
 
 
-def _tiny_scene(seed=11, n_actors=2):
+def _tiny_scene(n_actors=2):
     gen = SceneGenConfig(n_lanes=2, lane_length=30.0, n_actors=n_actors,
                         h=6, t=4, noise_sigma=0.05, lane_change_prob=0.5)
-    scene = generate_synthetic(gen, seed)
+    scene = generate_synthetic(gen, 11)
     return normalize(scene, scene.actors[0].id)
 
 
@@ -143,7 +143,7 @@ def check_decoder_stage1(seed=0, n_samples=8):
 
     def fn(s):
         targets, logits, _ = predict_targets(dc.Tensor(af), s, cfg)
-        return dc.add(_reduce(targets), _reduce(dc.softmax(logits, axis=1)))
+        return dc.add(_reduce(targets), _reduce(dc.softmax(logits)))
 
     return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
 

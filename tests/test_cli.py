@@ -203,6 +203,51 @@ class TestErrorPaths:
             assert err.startswith("error: horizon.T") and len(err.splitlines()) == 1
             assert out == ""
 
+    @pytest.mark.parametrize("gen, field", [({"h": 3}, "horizon.H"), ({"t": 1}, "horizon.T")])
+    def test_horizon_the_model_cannot_take_fails_before_epoch_0(self, tmp_path, capsys,
+                                                                 gen, field):
+        """H below the actor encoder's minimum, or T = 1 with stage-two
+        epochs to run: train exits 1 naming the field before any epoch."""
+        cfg = {**TINY, "data": {**TINY["data"], "gen": {**TINY["data"]["gen"], **gen}}}
+        cfg_path, data, out = tmp_path / "run.json", tmp_path / "data", tmp_path / "run"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen-data", "--config", str(cfg_path), "--out", str(data)) == 0
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg_path), "--data", str(data),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and len(err.splitlines()) == 1
+        log = out / "train_log.jsonl"
+        assert not log.exists() or log.read_text() == ""
+
+    def test_one_step_future_trains_when_no_epoch_reaches_stage_two(self, tmp_path):
+        cfg = {**TINY, "data": {**TINY["data"], "gen": {**TINY["data"]["gen"], "t": 1}},
+               "train": {**TINY["train"], "total_epochs": 2}}
+        cfg_path, data, out = tmp_path / "run.json", tmp_path / "data", tmp_path / "run"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen-data", "--config", str(cfg_path), "--out", str(data)) == 0
+        assert run("train", "--config", str(cfg_path), "--data", str(data),
+                   "--out", str(out)) == 0
+        log = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+        assert [rec["stage"] for rec in log] == ["S1", "S1"]
+
+    def test_predict_names_a_history_too_short_for_the_encoder(self, tmp_path, capsys):
+        cfg = {**TINY, "data": {**TINY["data"], "gen": {**TINY["data"]["gen"], "h": 3}}}
+        cfg_path, data = tmp_path / "run.json", tmp_path / "data"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen-data", "--config", str(cfg_path), "--out", str(data)) == 0
+        ckpt = tmp_path / "checkpoint.bin"
+        store = dc.ParamStore(np.float32)
+        init_model(store, ModelConfig(d=16, l_graph=1), TINY["data"]["gen"]["t"],
+                   np.random.default_rng(0))
+        store.save(ckpt, meta={"stage": "S2"})
+        capsys.readouterr()
+        assert run("predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                   "--data", str(data), "--out", str(tmp_path / "p.json")) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: horizon.H: ") and len(err.splitlines()) == 1
+        assert out == "" and not (tmp_path / "p.json").exists()
+
 
 class TestUnusablePaths:
     """A path the CLI cannot read or write is a user error: exit 1 and one

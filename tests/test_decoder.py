@@ -66,7 +66,7 @@ class TestHeads:
         assert targets.shape == (3, 6, 2)
         assert logits.shape == (3, 6)
         assert pairs.shape == (3 * 6, 2 * cfg.d)
-        conf = dc.softmax(logits, axis=1).data
+        conf = dc.softmax(logits).data
         np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(conf >= 0)
 

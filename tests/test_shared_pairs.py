@@ -68,7 +68,7 @@ def reference_loss(targets, traj, logits, gt_futures, last_observed, stage):
         modes = traj
     kept = np.flatnonzero(has_gt & losses.conf_filter(targets.data, gt_end))
     c_hat = losses.gt_confidence(dc.gather(modes, kept, axis=0), gt_ref[kept])
-    conf = dc.gather(dc.softmax(logits, axis=1), kept, axis=0)
+    conf = dc.gather(dc.softmax(logits), kept, axis=0)
     total = dc.scale(losses.confidence_loss(conf, c_hat), 1.0 / max(kept.size, 1))
     reg_mask = has_gt & np.asarray(last_observed, dtype=bool)
     target_term, _, winners = losses.target_loss(targets, gt_end, reg_mask)
@@ -97,7 +97,7 @@ def reference_forecast(scene, store, cfg, stage):
             scene_id=scene.scene_id, actor_id=actor.id,
             targets=sc.to_world(ns, g.astype(np.float64)),
             trajectories=sc.to_world(ns, s.astype(np.float64)),
-            confidences=dc.softmax(logits, axis=1).data[idx].astype(np.float64)))
+            confidences=dc.softmax(logits).data[idx].astype(np.float64)))
     return out
 
 

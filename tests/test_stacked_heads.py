@@ -63,7 +63,7 @@ def reference_loss(targets, traj, logits, gt, last_obs, stage):
     """Confidence KL actor by actor and mode by mode; the regression terms
     come from the library's target_loss and trajectory_loss."""
     a, k = logits.shape
-    conf = dc.softmax(logits, axis=1)
+    conf = dc.softmax(logits)
     modes = dc.reshape(targets, (a, k, 1, 2)) if stage == losses.S1 else traj
     steps = modes.shape[2]
     kls = []
@@ -80,10 +80,9 @@ def reference_loss(targets, traj, logits, gt, last_obs, stage):
             path = dc.reshape(dc.gather(actor, [j], axis=0), (steps, 2))
             dist = dc.l2_norm_rows(dc.sub(path, dc.Tensor(ref)))
             disp.append(dc.reshape(dc.max(dist, axis=0), (1,)))
-        c_hat = dc.softmax(dc.scale(dc.concat(disp, axis=0), -1.0), axis=0)
+        c_hat = dc.softmax(dc.scale(dc.concat(disp, axis=0), -1.0))
         row = dc.reshape(dc.gather(conf, [i], axis=0), (k,))
-        kls.append(dc.sum(dc.mul(c_hat, dc.sub(dc.log(c_hat, floor=losses.LOG_FLOOR),
-                                                 dc.log(row, floor=losses.LOG_FLOOR)))))
+        kls.append(dc.sum(dc.mul(c_hat, dc.sub(dc.log(c_hat), dc.log(row)))))
     total = dc.Tensor(np.zeros(()))
     for kl in kls:
         total = dc.add(total, dc.scale(kl, 1.0 / len(kls)))

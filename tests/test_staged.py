@@ -130,12 +130,6 @@ def _store():
     return store
 
 
-@pytest.mark.parametrize("eps", [0, 0.0, -1e-5, float("nan"), float("inf"), "1e-5", None])
-def test_a_bad_eps_is_a_contract_error(eps):
-    with pytest.raises(ContractError, match="eps must be finite and > 0"):
-        dc.grad_check(lambda s: dc.sum(s["w"]), _store(), eps=eps)
-
-
 @pytest.mark.parametrize("n", [0, -2, 1.5, True, "3"])
 def test_a_bad_n_samples_is_a_contract_error(n):
     with pytest.raises(ContractError, match="n_samples must be None or an int >= 1"):
@@ -146,5 +140,5 @@ def test_a_bad_n_samples_is_a_contract_error(n):
 def test_good_n_samples_compare_that_many_coordinates(n, compared):
     calls = []
     dc.grad_check(lambda s: calls.append(1) or dc.sum(dc.mul(s["w"], s["w"])), _store(),
-                  eps=np.float64(1e-5), n_samples=n)
+                  n_samples=n)
     assert len(calls) == 1 + 2 * compared
