@@ -106,6 +106,17 @@ class TestElementwise:
         assert g[0] == 0.0
         np.testing.assert_allclose(g[1], 2.0)
 
+    @pytest.mark.parametrize("v", [0.0, -1.0])
+    def test_log_clamps_nonpositive_input(self, v):
+        """Zero and negative inputs read as LOG_FLOOR: a finite value, no
+        gradient, and no numpy warning."""
+        x = dc.Tensor(np.array([v]), requires_grad=True)
+        with np.errstate(all="raise"):
+            y = dc.log(x)
+            g = dc.backward(dc.sum(y), [("x", x)])["x"]
+        assert y.data[0] == math.log(tensor.LOG_FLOOR)
+        assert g[0] == 0.0
+
     def test_smooth_l1_values(self):
         y = dc.smooth_l1(dc.Tensor(np.array([0.5, -2.0, 1.0])))
         np.testing.assert_allclose(y.data, [0.125, 1.5, 0.5], atol=1e-15)
@@ -231,6 +242,11 @@ class TestReductionsAndShape:
             return dc.sum(dc.mul(dc.reshape(c, (12,)), dc.reshape(c, (12,))))
 
         check_op(build, a)
+
+    def test_mean_grad(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 5))
+        check_op(lambda t: dc.mul(dc.mean(t), dc.mean(t)), x)
 
     def test_max_routes_to_lowest_index_on_ties(self):
         x = dc.Tensor(np.array([[1.0, 3.0, 3.0]]), requires_grad=True)

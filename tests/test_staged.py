@@ -9,7 +9,7 @@ from lanecast import diffcore as dc
 from lanecast import verify
 from lanecast._layers import run_steps
 from lanecast.decoder import S2, run_pipeline
-from lanecast.diffcore.gradcheck import staged
+from lanecast.diffcore.gradcheck import STEP, staged
 from lanecast.encoder import encode_actors
 from lanecast.errors import ContractError
 from lanecast.losses import total_loss
@@ -142,3 +142,21 @@ def test_good_n_samples_compare_that_many_coordinates(n, compared):
     dc.grad_check(lambda s: calls.append(1) or dc.sum(dc.mul(s["w"], s["w"])), _store(),
                   n_samples=n)
     assert len(calls) == 1 + 2 * compared
+
+
+def test_finite_differences_step_by_STEP():
+    """Each compared coordinate is read at its value plus and minus STEP; an
+    exact derivative needs no second step."""
+    seen = []
+    dc.grad_check(lambda s: seen.append(s["w"].data.copy()) or dc.sum(dc.mul(s["w"], s["w"])),
+                  _store())
+    w = np.arange(1.0, 4.0)
+    want = [w]
+    for c in range(3):
+        for sign in (1, -1):
+            moved = w.copy()
+            moved[c] += sign * STEP
+            want.append(moved)
+    assert len(seen) == len(want)
+    for got, exp in zip(seen, want):
+        np.testing.assert_array_equal(got, exp)
