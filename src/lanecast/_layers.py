@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -43,7 +42,12 @@ def layer_norm(store, name, x):
     return dc.layer_norm(x, store[f"{name}.g"], store[f"{name}.b"])
 
 
-def run_steps(steps, params):
-    """Run a chain of steps, each `(params, state) -> state`, in turn from
-    state None; returns the last state."""
-    return reduce(lambda state, step: step(params, state), steps, None)
+def run_steps(steps, params, given=()):
+    """Run a graph of steps, each `(name, fn, reads)`, in list order: `fn`
+    is called as `fn(params, *inputs)` with the outputs of the steps named in
+    `reads`, which come earlier in the list or in the mapping `given`.
+    Returns the last step's output."""
+    out = dict(given)
+    for name, fn, reads in steps:
+        out[name] = fn(params, *(out[r] for r in reads))
+    return out[name]

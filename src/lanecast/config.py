@@ -115,7 +115,8 @@ def _from_dict(tp, val, path):
         if isinstance(val, (list, tuple)) and elems[-1] is Ellipsis:
             elems = elems[:1] * len(val)
         if not isinstance(val, (list, tuple)) or len(val) != len(elems):
-            raise ConfigError(f"{path}: expected a list of {len(elems)} values, got {val!r:.40}")
+            count = "" if elems[-1] is Ellipsis else f" of {len(elems)} values"
+            raise ConfigError(f"{path}: expected a list{count}, got {val!r:.40}")
         return tuple(_from_dict(e, v, f"{path}[{i}]") for i, (e, v) in enumerate(zip(elems, val)))
     if not (isinstance(val, (int, float)) and abs(val) <= sys.float_info.max if tp is float
             else isinstance(val, tp)) or isinstance(val, bool):

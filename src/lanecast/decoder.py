@@ -118,10 +118,11 @@ def init_model(store, cfg, t, rng):
 
 
 def pipeline_steps(norm_scene, cfg, stage=S2):
-    """`run_pipeline` as a chain of steps, each `(store, state) -> state`:
-    actors, lanes, boundaries, fusion, targets, completion. Each step calls
-    its block through this module's globals when it runs. The encoder steps
-    append their outputs to the state; the later steps replace it."""
+    """`run_pipeline` as a graph of steps, each `(name, fn, reads)`:
+    "actors", "lanes", "boundaries", "fused", "targets" and "completion".
+    Each step calls its block through this module's globals when it runs,
+    and each block's own steps end in a step of the same name, so either
+    can stand in for the other."""
     if stage not in (S1, S2):
         raise ContractError(f"unknown stage {stage!r}")
     graph = norm_scene.lane_graph
@@ -134,12 +135,14 @@ def pipeline_steps(norm_scene, cfg, stage=S2):
             traj = complete_trajectories(pairs, targets, store, cfg, norm_scene.horizon[1])
         return targets, traj, logits
 
-    return [lambda store, _: encode_actors(norm_scene, store, cfg),
-            lambda store, s: s + (encode_lane_nodes(graph, store, cfg),),
-            lambda store, s: s + encode_boundaries(norm_scene, store, cfg),
-            lambda store, s: fuse_scene(*s[:3], graph.centers, *s[3:], store, cfg),
-            lambda store, fused: predict_targets(fused, store, cfg),
-            completion]
+    return [("actors", lambda store: encode_actors(norm_scene, store, cfg), ()),
+            ("lanes", lambda store: encode_lane_nodes(graph, store, cfg), ()),
+            ("boundaries", lambda store: encode_boundaries(norm_scene, store, cfg), ()),
+            ("fused", lambda store, actors, lanes, bounds: fuse_scene(
+                *actors, lanes, graph.centers, *bounds, store, cfg),
+             ("actors", "lanes", "boundaries")),
+            ("targets", lambda store, fused: predict_targets(fused, store, cfg), ("fused",)),
+            ("completion", completion, ("targets",))]
 
 
 def run_pipeline(norm_scene, store, cfg, stage=S2):

@@ -9,9 +9,10 @@ roundoff on a tiny derivative, or a ReLU kink within STEP, fails at one step,
 a wrong analytic value at all three.
 
 A finite difference moves one coordinate, so a deep function mostly repeats
-the pass before it. `staged(steps)` builds it from a chain of steps that
-remember what they read: a call reruns only the steps from the first one that
-reads a changed parameter, and reuses the earlier steps' outputs as they are.
+the pass before it. `staged(steps)` builds it from a graph of steps that
+remember what they read: a call reruns only the steps that read a changed
+parameter and the steps downstream of them, and reuses every other step's
+output as it is.
 """
 
 from __future__ import annotations
@@ -27,42 +28,44 @@ TOLERANCE, STEP = 1e-4, 1e-5  # the bound on the relative error; the finite-diff
 
 
 class _Reads:
-    """A params mapping that records the names read through it."""
+    """A params mapping that records the bytes of each parameter read through it."""
 
     def __init__(self, params):
-        self.params, self.names = params, []
+        self.params, self.bytes = params, {}
 
     def __getitem__(self, name):
-        self.names.append(name)
-        return self.params[name]
+        t = self.params[name]
+        self.bytes[name] = t.data.tobytes()
+        return t
 
     def __contains__(self, name):
         return name in self.params
 
 
 def staged(steps):
-    """`fn(params)`: run `steps`, each `(params, state) -> state`, in turn
-    from state None and return the last state.
+    """`fn(params)`: `run_steps(steps, params)` over a graph of steps, each
+    `(name, fn, reads)`, that reruns only what a change reaches.
 
     Each step keeps, from its last run, the params mapping, the names it read
     through it, their exact bytes and its output. A call reuses that output
-    while every earlier step was reused, the mapping is the same object and
-    the bytes are unchanged, so a taped pass is reused only by a pass over
-    the same mapping."""
+    while no step it reads reran, the mapping is the same object and the
+    bytes are unchanged, so a taped pass is reused only by a pass over the
+    same mapping."""
     memo = [None] * len(steps)  # per step: (params, {name: bytes}, output)
 
     def fn(params):
-        state, rerun = None, False
-        for i, step in enumerate(steps):
+        out, rerun = {}, set()
+        for i, (name, step, reads) in enumerate(steps):
             last = memo[i]
-            if rerun or last is None or last[0] is not params or any(
+            if last is None or last[0] is not params or not rerun.isdisjoint(reads) or any(
                     params[n].data.tobytes() != b for n, b in last[1].items()):
-                rerun, reads = True, _Reads(params)
-                state = step(reads, state)
-                memo[i] = (params, {n: params[n].data.tobytes() for n in reads.names}, state)
+                rerun.add(name)
+                seen = _Reads(params)
+                out[name] = step(seen, *(out[r] for r in reads))
+                memo[i] = (params, seen.bytes, out[name])
             else:
-                state = last[2]
-        return state
+                out[name] = last[2]
+        return out[name]
 
     return fn
 

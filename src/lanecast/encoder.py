@@ -70,10 +70,10 @@ def check_history(scene):
 
 
 def actor_steps(scene, cfg):
-    """`encode_actors` as a chain of steps, each `(store, state) -> state`:
-    the three branch res-blocks, each added onto the running sum, then down1,
-    down2, and the pyramid and pool. The state is the pyramid so far, (f0,),
-    (f0, f1), (f0, f1, f2), and last (features, positions).
+    """`encode_actors` as a graph of steps, each `(name, fn, reads)` as
+    `run_steps` takes them: the three branch res-blocks, each added onto the
+    sum of the ones before by a step of its own, then down1, down2, and the
+    pyramid and pool, named "actors", whose output is (features, positions).
 
     Unobserved steps are zero-filled on input and excluded from the final
     temporal max-pool. Positions are each actor's last observed point.
@@ -91,16 +91,13 @@ def actor_steps(scene, cfg):
                "vel": scene.velocities * s}
 
     def branch(br):
-        def step(store, levels):
-            out = _res_block(store, f"actor.{br}", streams[br] * obs[:, :, None])
-            return (out if levels is None else dc.add(levels[0], out),)
-        return step
+        return (f"actor.{br}",
+                lambda store: _res_block(store, f"actor.{br}", streams[br] * obs[:, :, None]), ())
 
-    def down(name):
-        return lambda store, fs: fs + (_res_block(store, name, fs[-1], stride=2),)
+    def down(name, x):
+        return name, lambda store, f: _res_block(store, name, f, stride=2), (x,)
 
-    def pool(store, levels):
-        f0, f1, f2 = levels
+    def pool(store, f0, f1, f2):
         u2 = conv(store, "actor.lat2", f2)
         u1 = dc.add(conv(store, "actor.lat1", f1), _upsample(u2, f1.shape[1]))
         u0 = dc.add(conv(store, "actor.lat0", f0), _upsample(u1, h))
@@ -111,7 +108,13 @@ def actor_steps(scene, cfg):
         last = h - 1 - np.argmax(obs[:, ::-1], axis=1)
         return pooled, scene.positions[np.arange(len(obs)), last]
 
-    return [branch(br) for br in _BRANCHES] + [down("actor.down1"), down("actor.down2"), pool]
+    def add(name, a, b):
+        return name, lambda store, x, y: dc.add(x, y), (a, b)
+
+    return [branch("coord"), branch("heading"), add("actor.sum2", "actor.coord", "actor.heading"),
+            branch("vel"), add("actor.sum3", "actor.sum2", "actor.vel"),
+            down("actor.down1", "actor.sum3"), down("actor.down2", "actor.down1"),
+            ("actors", pool, ("actor.sum3", "actor.down1", "actor.down2"))]
 
 
 def encode_actors(scene, store, cfg):
@@ -182,17 +185,27 @@ def gated_lane_graph_conv(x, graph, store, prefix):
     return dc.add(layer_norm(store, f"{prefix}.ln", dc.relu(y)), x)
 
 
-def encode_lane_nodes(graph, store, cfg):
-    """Lane graph -> per-node features [N, D]."""
+def lane_steps(graph, cfg):
+    """`encode_lane_nodes` as a graph of steps: the input MLP, then one step
+    per gated graph conv layer, each reading the one before; the last is
+    named "lanes"."""
     if graph.n_nodes == 0:
         raise ContractError("cannot encode an empty lane graph")
     s = cfg.input_scale
     feats = np.concatenate([graph.centers * s, graph.directions,
                             graph.lengths[:, None] * s], axis=1)
-    x = _input_mlp(store, "lane", feats)
-    for layer in range(cfg.l_graph):
-        x = gated_lane_graph_conv(x, graph, store, f"lane.gc{layer}")
-    return x
+    names = ["lane.in"] + [f"lane.gc{layer}" for layer in range(cfg.l_graph - 1)] + ["lanes"]
+
+    def layer(i):
+        return lambda store, x: gated_lane_graph_conv(x, graph, store, f"lane.gc{i}")
+
+    return [("lane.in", lambda store: _input_mlp(store, "lane", feats), ())] + [
+        (names[i + 1], layer(i), (names[i],)) for i in range(cfg.l_graph)]
+
+
+def encode_lane_nodes(graph, store, cfg):
+    """Lane graph -> per-node features [N, D]: one run of `lane_steps`."""
+    return run_steps(lane_steps(graph, cfg), store)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from ._layers import init_layer_norm, init_linear, layer_norm, linear
+from ._layers import init_layer_norm, init_linear, layer_norm, linear, run_steps
 from .errors import ContractError, ShapeError
 
 
@@ -99,14 +99,35 @@ def distance_attention(query_f, query_pos, ctx_f, ctx_pos, store, name, tau,
     return layer_norm(store, f"{name}.ln", out)
 
 
+def fusion_steps(lane_pos, cfg):
+    """`fuse_scene` as a graph of steps over the outputs of the steps named
+    "actors" (features, positions), "lanes" (features) and "boundaries"
+    (features, positions, matched): b2l, reading the lanes and boundaries
+    only, then l2a, b2a and a2a, the last named "fused". Each step calls its
+    block through this module's globals when it runs."""
+    def b2l(store, lane_f, bounds):
+        return fuse_boundary_to_lane(lane_f, bounds[0], bounds[2], store)
+
+    def l2a(store, actors, lane_f):
+        return distance_attention(*actors, lane_f, lane_pos, store, "fuse.l2a", cfg.tau_lane)
+
+    def b2a(store, actor_f, actors, bounds):
+        return distance_attention(actor_f, actors[1], *bounds[:2], store, "fuse.b2a",
+                                  cfg.tau_boundary)
+
+    def a2a(store, actor_f, actors):
+        return distance_attention(actor_f, actors[1], actor_f, actors[1], store, "fuse.a2a",
+                                  cfg.tau_actor, exclude_self=True)
+
+    return [("fuse.b2l", b2l, ("lanes", "boundaries")), ("fuse.l2a", l2a, ("actors", "fuse.b2l")),
+            ("fuse.b2a", b2a, ("fuse.l2a", "actors", "boundaries")),
+            ("fused", a2a, ("fuse.b2a", "actors"))]
+
+
 def fuse_scene(actor_f, actor_pos, lane_f, lane_pos, boundary_f, boundary_pos,
                matched, store, cfg):
-    """Run the four blocks in order; returns updated actor features [A, D]."""
-    lane_f = fuse_boundary_to_lane(lane_f, boundary_f, matched, store)
-    actor_f = distance_attention(actor_f, actor_pos, lane_f, lane_pos, store,
-                                 "fuse.l2a", cfg.tau_lane)
-    actor_f = distance_attention(actor_f, actor_pos, boundary_f, boundary_pos, store,
-                                 "fuse.b2a", cfg.tau_boundary)
-    actor_f = distance_attention(actor_f, actor_pos, actor_f, actor_pos, store,
-                                 "fuse.a2a", cfg.tau_actor, exclude_self=True)
-    return actor_f
+    """Run the four blocks in order, one run of `fusion_steps`; returns
+    updated actor features [A, D]."""
+    return run_steps(fusion_steps(lane_pos, cfg), store, {
+        "actors": (actor_f, actor_pos), "lanes": lane_f,
+        "boundaries": (boundary_f, boundary_pos, matched)})

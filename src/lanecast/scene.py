@@ -173,6 +173,9 @@ class SceneGenConfig:
             raise ConfigError(f"bad curvature_range {self.curvature_range}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
+        if not 0 <= self.lane_change_prob <= 1:
+            raise ConfigError(f"data.gen.lane_change_prob must lie in [0, 1], "
+                              f"got {self.lane_change_prob}")
         if self.dt <= 0 or self.sample_step <= 0 or self.segment_len <= 0:
             raise ConfigError("dt, sample_step and segment_len must be positive")
         if not self.lane_length / self.sample_step <= MAX_POLYLINE_POINTS:

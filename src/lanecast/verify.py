@@ -2,10 +2,11 @@
 
 Each check builds a tiny float64 fixture, wraps one network block (or the
 whole pipeline loss) as a scalar function of its parameters, and compares
-analytic gradients against central finite differences. The actor encoder
-and the pipeline run as `staged` chains of the model's own steps, so a
-finite difference reruns only the steps a perturbation reaches. Used by the
-`grad-check` command and the test suite.
+analytic gradients against central finite differences. The actor encoder,
+lane encoder, boundary-lane fusion, stage-two decoder and pipeline checks
+run as `staged` graphs of the model's own steps, so a finite difference
+reruns only the steps a perturbation reaches. Used by the `grad-check`
+command and the test suite.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .config import ModelConfig
 from .decoder import (S2, complete_trajectories, init_completion, init_decoder,
                       init_model, pipeline_steps, predict_targets)
 from .diffcore.gradcheck import TOLERANCE, staged  # noqa: F401 - TOLERANCE bounds every check
-from .encoder import (actor_steps, encode_boundaries, encode_lane_nodes,
-                      gated_lane_graph_conv, init_actor_encoder,
-                      init_boundary_encoder, init_lane_encoder)
-from .fusion import (distance_attention, fuse_boundary_to_lane,
-                     init_boundary_lane_fusion, init_distance_attention)
+from .encoder import (actor_steps, encode_boundaries, gated_lane_graph_conv,
+                      init_actor_encoder, init_boundary_encoder, init_lane_encoder,
+                      lane_steps)
+from .fusion import (distance_attention, fusion_steps, init_boundary_lane_fusion,
+                     init_distance_attention)
 from .losses import total_loss
 from .scene import SceneGenConfig, generate_synthetic, normalize
 
@@ -66,21 +67,21 @@ def _reduce(t):
     return dc.sum(dc.mul(flat, mix))
 
 
-def check_actor_encoder(seed=0, n_samples=3):
-    store = _store(seed, init_actor_encoder)
-    steps = actor_steps(_tiny_scene(), _tiny_cfg()) + [lambda s, out: _reduce(out[0])]
+def _check(steps, store, n_samples, seed, out=_reduce):
+    """grad_check of `out` over the last step's output, all run as one `staged` graph."""
+    steps = steps + [("check", lambda s, x: out(x), (steps[-1][0],))]
     return dc.grad_check(staged(steps), store, n_samples=n_samples, seed=seed)
 
 
+def check_actor_encoder(seed=0, n_samples=3):
+    store = _store(seed, init_actor_encoder)
+    return _check(actor_steps(_tiny_scene(), _tiny_cfg()), store, n_samples, seed,
+                  lambda actors: _reduce(actors[0]))
+
+
 def check_lane_encoder(seed=0, n_samples=3):
-    scene = _tiny_scene()
-    cfg = _tiny_cfg()
     store = _store(seed, init_lane_encoder)
-
-    def fn(s):
-        return _reduce(encode_lane_nodes(scene.lane_graph, s, cfg))
-
-    return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
+    return _check(lane_steps(_tiny_scene().lane_graph, _tiny_cfg()), store, n_samples, seed)
 
 
 def check_gated_conv(seed=0, n_samples=4):
@@ -108,13 +109,11 @@ def check_boundary_lane_fusion(seed=0, n_samples=4):
     cfg = _tiny_cfg()
     store = _store(seed, init_boundary_encoder, init_boundary_lane_fusion)
     n = scene.lane_graph.n_nodes
-    lane_f = np.random.default_rng(seed + 1).normal(size=(n, cfg.d))
-
-    def fn(s):
-        bf, _, matched = encode_boundaries(scene, s, cfg)
-        return _reduce(fuse_boundary_to_lane(dc.Tensor(lane_f), bf, matched, s))
-
-    return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
+    lane_f = dc.Tensor(np.random.default_rng(seed + 1).normal(size=(n, cfg.d)))
+    steps = [("lanes", lambda s: lane_f, ()),
+             ("boundaries", lambda s: encode_boundaries(scene, s, cfg), ()),
+             fusion_steps(scene.lane_graph.centers, cfg)[0]]
+    return _check(steps, store, n_samples, seed)
 
 
 def check_distance_attention(seed=0, n_samples=4):
@@ -151,14 +150,11 @@ def check_decoder_stage1(seed=0, n_samples=8):
 def check_decoder_stage2(seed=0, n_samples=8):
     cfg = _tiny_cfg()
     store = _store(seed, init_decoder, lambda s, c, rng: init_completion(s, c, rng, t=4))
-    af = np.random.default_rng(seed + 1).normal(size=(2, cfg.d))
-
-    def fn(s):
-        targets, _, pairs = predict_targets(dc.Tensor(af), s, cfg)
-        traj = complete_trajectories(pairs, targets, s, cfg, t=4)
-        return _reduce(traj)
-
-    return dc.grad_check(fn, store, n_samples=n_samples, seed=seed)
+    af = dc.Tensor(np.random.default_rng(seed + 1).normal(size=(2, cfg.d)))
+    steps = [("targets", lambda s: predict_targets(af, s, cfg), ()),
+             ("completion", lambda s, out: complete_trajectories(out[2], out[0], s, cfg, t=4),
+              ("targets",))]
+    return _check(steps, store, n_samples, seed)
 
 
 def check_full_pipeline(seed=0, n_samples=2):
@@ -166,12 +162,14 @@ def check_full_pipeline(seed=0, n_samples=2):
     cfg = _tiny_cfg()
     store = _store(seed, lambda s, c, rng: init_model(s, c, scene.horizon[1], rng))
 
-    def loss(s, out):
+    def loss(out):
         return total_loss(*out, scene.future, scene.has_future, scene.observed[:, -1])[0]
 
-    # the pipeline with its actor step run as the actor encoder's own steps
-    steps = actor_steps(scene, cfg) + pipeline_steps(scene, cfg, S2)[1:] + [loss]
-    return dc.grad_check(staged(steps), store, n_samples=n_samples, seed=seed)
+    # the pipeline with its actor, lane and fusion steps run as their blocks' own steps
+    blocks = {"actors": actor_steps(scene, cfg), "lanes": lane_steps(scene.lane_graph, cfg),
+              "fused": fusion_steps(scene.lane_graph.centers, cfg)}
+    steps = [fine for step in pipeline_steps(scene, cfg, S2) for fine in blocks.get(step[0], [step])]
+    return _check(steps, store, n_samples, seed, loss)
 
 
 ALL_CHECKS = (

@@ -103,3 +103,31 @@ def test_values_must_match_their_annotation(doc, field):
     with pytest.raises(ConfigError) as e:
         load_config(json.dumps(doc))
     assert field in str(e.value)
+
+
+@pytest.mark.parametrize("p", [7, -0.1, 1.0000001])
+def test_lane_change_prob_outside_unit_interval_rejected(p):
+    with pytest.raises(ConfigError) as e:
+        load_config(json.dumps({"data": {"gen": {"lane_change_prob": p}}}))
+    assert "data.gen.lane_change_prob" in str(e.value)
+
+
+@pytest.mark.parametrize("p, digest", [(0, "2fc3f994d664"), (1, "0b87f70b5df0"),
+                                       (0.0, "59b8ad2e4817"), (1.0, "e34fa1f99c21")])
+def test_lane_change_prob_bounds_load_with_their_old_hash(p, digest):
+    cfg = load_config(json.dumps({"data": {"gen": {"lane_change_prob": p}}}))
+    assert config_hash(cfg) == digest
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"train": {"periods": 6}}, "train.periods: expected a list, got 6"),
+    ({"train": {"periods": "6"}}, "train.periods: expected a list, got '6'"),
+    ({"data": {"gen": {"curvature_range": 0.5}}},
+     "data.gen.curvature_range: expected a list of 2 values, got 0.5"),
+    ({"data": {"gen": {"speed_range": [1.0]}}},
+     "data.gen.speed_range: expected a list of 2 values, got [1.0]"),
+])
+def test_tuple_field_messages_count_only_fixed_lengths(doc, message):
+    with pytest.raises(ConfigError) as e:
+        load_config(json.dumps(doc))
+    assert str(e.value) == message

@@ -1,6 +1,8 @@
-"""Staged finite differences: a `staged` chain reruns only the steps from the
-first one that reads a changed parameter, and every grad-check report keeps
-the bytes of a full rerun per evaluation."""
+"""Staged finite differences: a `staged` graph reruns only the steps that read
+a changed parameter and the steps downstream of them, and every grad-check
+report keeps the bytes of a full rerun per evaluation."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,18 +12,19 @@ from lanecast import verify
 from lanecast._layers import run_steps
 from lanecast.decoder import S2, run_pipeline
 from lanecast.diffcore.gradcheck import STEP, staged
-from lanecast.encoder import encode_actors
+from lanecast.encoder import encode_actors, encode_lane_nodes
 from lanecast.errors import ContractError
 from lanecast.losses import total_loss
 
 
 def _chain(calls, *names):
-    """Step i adds sum(1 / params[names[i]]) onto the state and logs i."""
+    """Step i adds sum(1 / params[names[i]]) onto the output of step i - 1
+    and logs i."""
     def step(i, name):
-        def run(params, state):
+        def run(params, *state):
             calls.append(i)
-            return (0.0 if state is None else state) + float(np.sum(1.0 / params[name].data))
-        return run
+            return (state[0] if state else 0.0) + float(np.sum(1.0 / params[name].data))
+        return str(i), run, (str(i - 1),) if i else ()
     return [step(i, name) for i, name in enumerate(names)]
 
 
@@ -118,6 +121,117 @@ def test_staged_and_full_rerun_reports_match(seed, monkeypatch):
     monkeypatch.setattr(verify, "staged", lambda steps: lambda p: run_steps(steps, p))
     want = [repr(check(seed=seed)) for _, check in verify.ALL_CHECKS]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the step graphs of the checks
+
+
+class _Recorder:
+    """A params mapping that adds the names read through it to `names`."""
+
+    def __init__(self, params, names):
+        self.params, self.names = params, names
+
+    def __getitem__(self, name):
+        self.names.add(name)
+        return self.params[name]
+
+    def __contains__(self, name):
+        return name in self.params
+
+
+def _graph_of(check, monkeypatch):
+    """(fn, store, steps, runs, reads) for the staged graph `check` hands to
+    grad_check: its steps as (name, reads) in order, a Counter of the runs of
+    each step by name, and the parameter names each step has read."""
+    runs, reads, graph, real = Counter(), {}, [], verify.staged
+
+    def counted(name, step):
+        def run(params, *inputs):
+            runs[name] += 1
+            return step(_Recorder(params, reads.setdefault(name, set())), *inputs)
+        return run
+
+    def staged(steps):
+        graph.extend((name, r) for name, _, r in steps)
+        return real([(name, counted(name, step), r) for name, step, r in steps])
+
+    monkeypatch.setattr(verify, "staged", staged)
+    fn, store = _chain_of(check, monkeypatch)
+    return fn, store, graph, runs, reads
+
+
+def _rerun(fn, params, name, runs):
+    """The steps, each run once, that a write to one coordinate of `name` reruns."""
+    fn(params)
+    runs.clear()
+    params[name].data.reshape(-1)[0] += 1e-3
+    fn(params)
+    assert set(runs.values()) <= {1}
+    return set(runs)
+
+
+_LANES = {"lane.in", "lane.gc0", "lanes", "boundaries", "fuse.b2l"}
+_AFTER_FUSION = {"targets", "completion", "check"}
+
+
+def test_a_lane_gc1_weight_reruns_only_gc1_and_what_follows(monkeypatch):
+    fn, store, graph, runs, _ = _graph_of(verify.check_full_pipeline, monkeypatch)
+    assert [name for name, _ in graph][8:12] == ["lane.in", "lane.gc0", "lanes", "boundaries"]
+    params = store.constants()
+    for name in [n for n in store.names() if n.startswith("lane.gc1.")]:
+        assert _rerun(fn, params, name, runs) == {
+            "lanes", "fuse.b2l", "fuse.l2a", "fuse.b2a", "fused"} | _AFTER_FUSION, name
+
+
+def test_an_actor_parameter_never_reruns_the_lane_boundary_or_b2l_steps(monkeypatch):
+    fn, store, _, runs, _ = _graph_of(verify.check_full_pipeline, monkeypatch)
+    params = store.constants()
+    actor = [n for n in store.names() if n.startswith("actor.")]
+    assert len(actor) > 50
+    for name in actor:
+        got = _rerun(fn, params, name, runs)
+        assert not got & _LANES, name
+        assert {"actors", "fuse.l2a", "fuse.b2a", "fused"} | _AFTER_FUSION <= got, name
+    assert _rerun(fn, params, "actor.vel.conv1.w", runs) == {
+        "actor.vel", "actor.sum3", "actor.down1", "actor.down2", "actors", "fuse.l2a",
+        "fuse.b2a", "fused"} | _AFTER_FUSION
+
+
+def test_a_fuse_a2a_parameter_reruns_only_a2a_and_what_follows(monkeypatch):
+    fn, store, _, runs, _ = _graph_of(verify.check_full_pipeline, monkeypatch)
+    params = store.constants()
+    for name in [n for n in store.names() if n.startswith("fuse.a2a.")]:
+        assert _rerun(fn, params, name, runs) == {"fused"} | _AFTER_FUSION, name
+
+
+@pytest.mark.parametrize("check", [verify.check_actor_encoder, verify.check_lane_encoder,
+                                   verify.check_boundary_lane_fusion,
+                                   verify.check_decoder_stage2, verify.check_full_pipeline])
+def test_a_step_whose_reads_did_not_change_is_never_rerun(check, monkeypatch):
+    """Per parameter, the steps that rerun are exactly those that read it and
+    those that read a step that reran."""
+    fn, store, graph, runs, reads = _graph_of(check, monkeypatch)
+    params = store.constants()
+    fn(params)
+    assert set(runs) == {name for name, _ in graph}
+    for param in store.names():
+        want = set()
+        for name, inputs in graph:
+            if param in reads[name] or want.intersection(inputs):
+                want.add(name)
+        assert want and _rerun(fn, params, param, runs) == want, param
+
+
+def test_the_lane_encoder_graph_gives_encode_lane_nodes_bytes(monkeypatch):
+    fn, store = _chain_of(verify.check_lane_encoder, monkeypatch)
+    params = store.constants()
+    lanes = encode_lane_nodes(verify._tiny_scene().lane_graph, params, verify._tiny_cfg())
+    assert fn(params).data.tobytes() == verify._reduce(lanes).data.tobytes()
+    params["lane.gc0.self.w"].data[0, 0] += 0.5
+    lanes = encode_lane_nodes(verify._tiny_scene().lane_graph, params, verify._tiny_cfg())
+    assert fn(params).data.tobytes() == verify._reduce(lanes).data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from lanecast import diffcore as dc
 from lanecast import verify
-from lanecast.diffcore import gradcheck
+from lanecast.diffcore import gradcheck, tensor
 
 
 @pytest.mark.parametrize("seed", [5, 8])
@@ -51,6 +51,17 @@ def test_seed_0_measures_nothing_again(monkeypatch):
         lambda s: calls.append(1) or fn(s), store, *args, **kw))
     verify.run_all(seed=0)
     assert len(calls) == 1726
+
+
+def test_run_all_at_seed_0_stays_within_its_op_budget(monkeypatch):
+    """The staged checks rerun only the steps a perturbation reaches: 87,416
+    diffcore ops at seed 0, where rerunning every step after the first one
+    that reads the perturbed parameter took 108,511."""
+    ops = []
+    real = tensor._make
+    monkeypatch.setattr(tensor, "_make", lambda *args: ops.append(1) or real(*args))
+    verify.run_all(seed=0)
+    assert len(ops) <= 90_000
 
 
 @pytest.mark.parametrize("plant", [lambda a: a * 1.01, lambda a: 0.0],
