@@ -14,8 +14,14 @@ import sys
 import typing
 from dataclasses import dataclass, field
 
+from .encoder import MIN_H
 from .errors import ConfigError, ParseError, parse_json
-from .scene import SceneGenConfig
+from .scene import MAX_TIME_STEPS, SceneGenConfig
+
+# the most parameters a model may have at the longest horizon: 134 MB per
+# float32 copy, of which training keeps five (parameters, two moments, the
+# step's scratch and the gradient)
+MAX_PARAMS = 2**25
 
 
 @dataclass
@@ -39,6 +45,22 @@ class ModelConfig:
         for name in ("tau_lane", "tau_boundary", "tau_actor", "input_scale", "output_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"model.{name} must be positive")
+        terms = self.param_counts(MAX_TIME_STEPS)
+        total = sum(terms.values())
+        if total > MAX_PARAMS:  # checked before anything is allocated
+            field = max(terms, key=terms.get)
+            raise ConfigError(f"{field}: the model would have {total} parameters at "
+                              f"T={MAX_TIME_STEPS}, more than MAX_PARAMS={MAX_PARAMS}")
+
+    def param_counts(self, t):
+        """The parameters `init_model` makes for a future of t steps, split
+        by the field each term grows with: the fixed layers and the
+        completion head with d, the graph-conv layers with l_graph, the
+        target heads with k_modes."""
+        d = self.d
+        return {"model.d": 51 * d * d + 106 * d + 2 * (t - 1) * (d + 1),
+                "model.l_graph": self.l_graph * (5 * d * d + 6 * d + 4),
+                "model.k_modes": self.k_modes * (d * d + 3 * d + 2)}
 
 
 @dataclass
@@ -91,6 +113,9 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.data.validate()
+        if self.data.gen.h < MIN_H:  # scene files stay model-free; the config is not
+            raise ConfigError(f"data.gen.h must be >= {MIN_H}, the actor encoder's "
+                              f"shortest history, got {self.data.gen.h}")
         self.model.validate()
         self.train.validate()
         return self

@@ -110,11 +110,13 @@ def complete_trajectories(pairs, targets, store, cfg, t):
 
 
 def init_model(store, cfg, t, rng):
-    """All pipeline parameters, in a fixed creation order."""
+    """All pipeline parameters, in a fixed creation order, packed into the
+    store's one buffer."""
     init_encoders(store, cfg, rng)
     init_fusion(store, cfg, rng)
     init_decoder(store, cfg, rng)
     init_completion(store, cfg, rng, t)
+    store.pack()
 
 
 def pipeline_steps(norm_scene, cfg, stage=S2):

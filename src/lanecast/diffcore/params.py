@@ -1,4 +1,4 @@
-"""Named parameter collection with bit-exact checkpoint io.
+"""Named parameter collection over one flat buffer, with bit-exact checkpoint io.
 
 Checkpoint layout: 8-byte little-endian manifest length, then the UTF-8 JSON
 manifest listing names, shapes and dtypes in order, then each array's raw
@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,13 +24,28 @@ _MAGIC = "lanecast-params-v1"
 
 
 class ParamStore:
-    """Insertion-ordered mapping of names to trainable tensors."""
+    """Insertion-ordered mapping of names to trainable tensors.
+
+    `pack()` copies every parameter into one flat buffer, `flat`, in
+    `names()` order and makes each `.data` a view of it; `init_model` and
+    `load` pack, and `add` unpacks. From then on a parameter is written in
+    place: rebinding its `.data` detaches it from the buffer.
+
+    The store also reads a tuple of names of equal shape, spaced evenly in
+    the buffer, as their stack (packing first if it must): one leaf [G, ...]
+    whose data is a strided view of `flat`, made once and kept, with no copy
+    and no tape op. Its gradient lands in its members' (see `backward`),
+    each of which lists the stack in `_stacked_as`.
+    """
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ContractError(f"ParamStore dtype must be float32/float64, got {self.dtype}")
         self._params: dict[str, Tensor] = {}
+        self._stacks: dict[tuple, Tensor] = {}
+        self._slots = None  # (into, {id(leaf): its view of into}) for the last `into`
+        self.flat = None
         self.meta: dict = {}
 
     def add(self, name, data):
@@ -37,10 +53,70 @@ class ParamStore:
             raise ContractError(f"duplicate parameter name: {name}")
         t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
+        self.flat, self._slots = None, None
+        if self._stacks:  # views of the buffer the next pack replaces
+            for p in self._params.values():
+                p._stacked_as = ()
+            self._stacks.clear()
         return t
 
+    def pack(self):
+        """Copy the parameters into one new flat buffer and make each `.data`
+        a view of it; a packed store stays as it is. Returns the store."""
+        if self.flat is None:
+            params = list(self._params.values())
+            # np.concatenate needs one array, and an empty store has none
+            self.flat = np.concatenate([np.empty(0, self.dtype)] + [t.data.ravel() for t in params])
+            for t, at in zip(params, accumulate((t.size for t in params), initial=0)):
+                t.data = self.flat[at:at + t.size].reshape(t.shape)
+        return self
+
     def __getitem__(self, name):
-        return self._params[name]
+        t = self._params.get(name)
+        if t is None:
+            t = self._stacks.get(name) or self._stack(name)
+        return t
+
+    def _stack(self, names):
+        if type(names) is not tuple:
+            raise KeyError(names)
+        self.pack()
+        members = [self._params[n] for n in names]
+        at = [self._offset(n) for n in names]
+        step = at[1] - at[0] if len(at) > 1 else 0
+        if any(t.shape != members[0].shape for t in members) or at != [
+                at[0] + i * step for i in range(len(at))]:
+            raise ContractError(f"cannot stack {names}: shapes or spacing differ")
+        data = np.ndarray((len(names),) + members[0].shape, self.dtype, self.flat, at[0],
+                          (step,) + members[0].data.strides)
+        self._stacks[names] = leaf = Tensor(data, requires_grad=True)
+        for i, t in enumerate(members):
+            t._stacked_as = getattr(t, "_stacked_as", ()) + ((leaf, i),)
+        self._slots = None
+        return leaf
+
+    def _offset(self, name):
+        """The byte offset of a parameter's (or a stack's) data in `flat`."""
+        t = self[name]
+        at = t.data.__array_interface__["data"][0] - self.flat.__array_interface__["data"][0]
+        if t.data.base is not self.flat or not 0 <= at <= self.flat.nbytes:
+            raise ContractError(f"parameter {name} is not a view of the store's buffer")
+        return at
+
+    def grad_slots(self, into):
+        """{id(leaf): the view of `into` that lies where the leaf's data lies
+        in `flat`} over every parameter and stack: `into` is a flat gradient
+        laid out like the buffer. Kept for the last `into` asked for."""
+        if self._slots is None or self._slots[0] is not into:
+            if self.flat is None or not isinstance(into, np.ndarray) or (
+                    into.shape, into.dtype) != (self.flat.shape, self.dtype):
+                raise ContractError(f"a flat gradient must be a {self.dtype} array laid out "
+                                    f"like the store's packed buffer")
+            keys = [*self._params, *self._stacks]
+            self._slots = (into, {id(self[k]): np.ndarray(
+                self[k].shape, into.dtype, into, self._offset(k), self[k].data.strides)
+                for k in keys})
+        return self._slots[1]
 
     def __contains__(self, name):
         return name in self._params
@@ -52,10 +128,11 @@ class ParamStore:
         return self._params.items()
 
     def constants(self):
-        """name -> a constant Tensor on the parameter's own array. Ops record
-        no tape edge into a constant, so a forward pass over this view holds
-        no tape; an in-place write to a parameter's array shows through it."""
-        return {name: Tensor(t.data) for name, t in self._params.items()}
+        """name -> a constant Tensor on the parameter's own array, and a tuple
+        of names -> a constant on their stack. Ops record no tape edge into a
+        constant, so a forward pass over this view holds no tape; an in-place
+        write to a parameter's array shows through it."""
+        return _Constants(self)
 
     def save(self, path, meta=None):
         entries = [{"name": n, "shape": list(t.shape), "dtype": str(t.dtype)}
@@ -107,11 +184,26 @@ class ParamStore:
                     arr = np.frombuffer(f.read(nbytes), dtype=dtype).reshape(shape)
                 except ValueError as err:  # over 64 axes, or an axis beyond numpy's range
                     raise ParseError(name, f"parameter {name}: bad shape {shape}") from err
-                store.add(name, arr.astype(np.dtype(dt)))
+                store.add(name, arr)  # read-only until `pack` copies it into the buffer
             if f.read(1):
                 raise ParseError("trailer", "checkpoint has trailing bytes")
             store.meta = meta
-        return store
+        return store.pack()
+
+
+class _Constants(dict):
+    """`ParamStore.constants`: a dict of the parameters' constants that also
+    reads a tuple of names, as the store does, as a constant on their stack."""
+
+    def __init__(self, store):
+        super().__init__((name, Tensor(t.data)) for name, t in store.items())
+        self._store, self._stacks = store, {}
+
+    def __missing__(self, names):
+        t = self._stacks.get(names)
+        if t is None:
+            t = self._stacks[names] = Tensor(self._store[names].data)
+        return t
 
 
 def _check_entry(e):

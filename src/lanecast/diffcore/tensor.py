@@ -40,10 +40,11 @@ class Tensor:
 
     `_edges` holds one (input, vjp) pair per gradient-carrying input of the
     op that produced this value. Leaf tensors (constants, parameters) have
-    none.
+    none. A parameter that a ParamStore also reads through a stack lists
+    each such read in `_stacked_as`, as (stack leaf, index); unset otherwise.
     """
 
-    __slots__ = ("data", "requires_grad", "op", "_edges")
+    __slots__ = ("data", "requires_grad", "op", "_edges", "_stacked_as")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -250,10 +251,16 @@ def smooth_l1(a):
 # reductions and normalizations
 
 
-def sum(a):  # noqa: A001 - mirrors the op set's name
+def sum(a, axis=None):  # noqa: A001 - mirrors the op set's name
+    """The sum of every element, or along one axis. numpy adds along a
+    leading axis one slice after another: a [3, ...] sums as (x0 + x1) + x2."""
     a = _as_tensor(a)
     shape = a.shape
-    return _make(a.data.sum(), "sum", (a, lambda g: np.full(shape, g)))
+    if axis is None:
+        return _make(a.data.sum(), "sum", (a, lambda g: np.full(shape, g)))
+    axis = _check_axis(axis, a.ndim)
+    return _make(a.data.sum(axis=axis), "sum",
+                 (a, lambda g: np.repeat(np.expand_dims(g, axis), shape[axis], axis)))
 
 
 def mean(a):
@@ -294,12 +301,18 @@ def softmax(a):
 
 def layer_norm(a, gamma, beta):
     """Normalize each slice along the last (feature) axis to zero mean / unit
-    variance, then apply the learned affine (gamma, beta), both [D]."""
+    variance, then apply the learned affine (gamma, beta), both [D]. A
+    group-stacked input [G, ..., D] takes one affine per group, [G, D],
+    applied as [G, 1, ..., 1, D]."""
     a, gamma, beta = _tensors(a, gamma, beta)
     n = a.shape[-1]
-    if gamma.shape != (n,) or beta.shape != (n,):
+    if gamma.shape not in ((n,), (a.shape[0], n) if a.ndim > 2 else None) or \
+            beta.shape != gamma.shape:
         raise ShapeError(
-            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match axis size {n}")
+            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match input {a.shape}")
+    # [G, D] -> [G, 1, ..., 1, D]: a view that broadcasts over each group's rows
+    affine = (n,) if gamma.ndim == 1 else (a.shape[0],) + (1,) * (a.ndim - 2) + (n,)
+    g_aff, b_aff = gamma.data.reshape(affine), beta.data.reshape(affine)
 
     # add.reduce / n gives mean's bits without its Python-level wrapper
     xc = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
@@ -307,14 +320,14 @@ def layer_norm(a, gamma, beta):
     xhat = xc * inv
 
     def vjp(g):
-        dxhat = g * gamma.data
+        dxhat = g * g_aff
         # standard layer-norm backward, per normalized slice
         return inv / n * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
                           - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
 
-    return _make((xhat * gamma.data + beta.data).astype(a.dtype), "layer_norm", (a, vjp),
-                 (gamma, lambda g: _unbroadcast(g * xhat, gamma.shape)),
-                 (beta, lambda g: _unbroadcast(g, beta.shape)))
+    return _make((xhat * g_aff + b_aff).astype(a.dtype), "layer_norm", (a, vjp),
+                 (gamma, lambda g: _unbroadcast(g * xhat, affine).reshape(gamma.shape)),
+                 (beta, lambda g: _unbroadcast(g, affine).reshape(beta.shape)))
 
 
 def l2_norm_rows(a):
@@ -391,47 +404,55 @@ def scatter_add(a, indices, size):
 def conv1d(x, w, b=None, stride=1, padding=0):
     """1-d convolution over the time axis: x [B, L, Cin], w [Cout, Cin, K],
     b [Cout] -> [B, Lout, Cout], Lout = (L + 2 * padding - K) // stride + 1.
+    With a leading group axis, x [G, B, L, Cin], w [G, Cout, Cin, K] and
+    b [G, Cout] run G convolutions as one batched matmul: group g convolves
+    x[g] with w[g], through the gemm shapes of its own call.
 
     Tap k of every window is one strided slice of the padded input; the K
     taps side by side are the im2col columns, and backward adds each tap's
     column gradient back through the same slice."""
     x, w, b = _tensors(x, w, b)
-    if x.ndim != 3 or w.ndim != 3 or x.shape[2] != w.shape[1]:
+    groups = x.shape[:-3]
+    if x.ndim not in (3, 4) or w.shape[:-3] != groups or w.ndim != x.ndim \
+            or x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
-    batch, length, c_in = x.shape
-    c_out, _, kernel = w.shape
-    if b is not None and b.shape != (c_out,):
+    batch, length, c_in = x.shape[-3:]
+    c_out, _, kernel = w.shape[-3:]
+    if b is not None and b.shape != groups + (c_out,):
         raise ShapeError(f"conv1d: bias shape {b.shape} does not match {c_out} channels")
     if kernel > length + 2 * padding:
         raise ShapeError(f"conv1d: kernel {kernel} exceeds padded length {length + 2 * padding}")
 
     xp = x.data
     if padding:
-        xp = np.zeros((batch, length + 2 * padding, c_in), dtype=x.dtype)
-        xp[:, padding:padding + length] = x.data
+        xp = np.zeros(groups + (batch, length + 2 * padding, c_in), dtype=x.dtype)
+        xp[..., padding:padding + length, :] = x.data
     n_out = (length + 2 * padding - kernel) // stride + 1
     taps = [slice(k, k + stride * (n_out - 1) + 1, stride) for k in range(kernel)]
-    # cols [B, Lout, Cin*K], column c*K + k, matching w's flat layout
-    cols = np.empty((batch, n_out, c_in, kernel), dtype=x.dtype)
+    # cols [..., B, Lout, Cin*K], column c*K + k, matching w's flat layout
+    cols = np.empty(groups + (batch, n_out, c_in, kernel), dtype=x.dtype)
     for k, tap in enumerate(taps):
-        cols[..., k] = xp[:, tap]
-    cols = cols.reshape(batch, n_out, c_in * kernel)
-    wf = w.data.reshape(c_out, c_in * kernel)
-    y = cols @ wf.T
+        cols[..., k] = xp[..., tap, :]
+    cols = cols.reshape(groups + (batch, n_out, c_in * kernel))
+    # per group [1, Cout, Cin*K]: one weight for all B windows of the group
+    wf = w.data.reshape(groups + (1, c_out, c_in * kernel))
+    y = cols @ wf.swapaxes(-1, -2)
     if b is not None:
-        y = y + b.data
+        y = y + b.data.reshape(groups + (1, 1, c_out))
 
     def dx(g):
-        dcols = (g @ wf).reshape(batch, n_out, c_in, kernel)
+        dcols = (g @ wf).reshape(g.shape[:-1] + (c_in, kernel))
         dxp = np.zeros(xp.shape, dtype=g.dtype)
         for k, tap in enumerate(taps):
-            dxp[:, tap] += dcols[..., k]
-        return dxp[:, padding:padding + length] if padding else dxp
+            dxp[..., tap, :] += dcols[..., k]
+        return dxp[..., padding:padding + length, :] if padding else dxp
 
     def dw(g):
-        return (g.reshape(-1, c_out).T @ cols.reshape(-1, c_in * kernel)).reshape(w.shape)
+        rows = groups + (-1,)
+        return (g.reshape(rows + (c_out,)).swapaxes(-1, -2)
+                @ cols.reshape(rows + (c_in * kernel,))).reshape(w.shape)
 
-    return _make(y, "conv1d", (x, dx), (w, dw), (b, lambda g: g.sum(axis=(0, 1))))
+    return _make(y, "conv1d", (x, dx), (w, dw), (b, lambda g: g.sum(axis=(-3, -2))))
 
 
 # ---------------------------------------------------------------------------
@@ -464,40 +485,56 @@ def _topological_order(root):
 def backward(loss, params, into=None):
     """Gradients of a scalar loss for every tensor in `params`.
 
-    `params` maps name -> Tensor. Parameters disconnected from the loss get
-    zero gradients. Once a node's vjps have run, the node drops its edges (the
-    vjps and the arrays they hold) and, unless it is in `params`, its gradient.
-    It keeps its op, and a second walk through it raises ContractError.
+    `params` maps name -> Tensor. Once a node's vjps have run, the node drops
+    its edges (the vjps and the arrays they hold) and, unless it is in
+    `params`, its gradient. It keeps its op, and a second walk through it
+    raises ContractError.
 
-    `into`, a dict of per-parameter sums, carries gradients across walks:
-    walking l0, l1, ... in turn adds onto the sums the walks before left, in
-    the order one walk over `add(add(l0, l1), ...)` would, bit for bit.
+    Without `into`, returns {name: gradient}; parameters disconnected from
+    the loss get zeros. A parameter read through a stack (`_stacked_as`)
+    also gets its slice of the stack's gradient, added after its own.
+
+    `into`, a flat array laid out like the buffer of `params`, a packed
+    ParamStore, carries gradients across walks and is returned: each
+    contribution to a parameter or a stack is added in place onto its view
+    of `into`, in walk order. Started at -0.0, the identity of IEEE
+    addition, a first contribution lands as it is (a -0.0 stays -0.0), so
+    walking l0, l1, ... in turn gives the bits one walk over
+    `add(add(l0, l1), ...)` gives. What no walk reaches keeps its -0.0.
     """
     loss = _as_tensor(loss)
     if loss.shape != ():
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    items = params.items() if hasattr(params, "items") else list(params)
+    slots = {} if into is None else params.grad_slots(into)
+    items = () if into is not None else params.items() if hasattr(params, "items") \
+        else list(params)
     keep = {id(t) for _, t in items}
 
     order = _topological_order(loss)
     grads = {id(loss): np.ones((), dtype=loss.dtype)}
-    if into:
-        grads.update((id(t), into[name]) for name, t in items if name in into)
     # every node in the order is reached from the loss, so its gradient is
     # complete before the walk gets to it
     while order:
         node = order.pop()
         g = grads[id(node)] if id(node) in keep else grads.pop(id(node))
         for inp, vjp in node._edges:
+            slot = slots.get(id(inp))
+            if slot is not None:
+                slot += vjp(g)
+                continue
             gi = vjp(g)
             acc = grads.get(id(inp))
             grads[id(inp)] = gi if acc is None else acc + gi
         node._edges = ()
+    if into is not None:
+        return into
 
     out = {}
     for name, t in items:
         g = grads.get(id(t))
-        if into is not None and g is not None:
-            into[name] = g
+        for leaf, i in getattr(t, "_stacked_as", ()):
+            part = grads.get(id(leaf))
+            if part is not None:
+                g = part[i] if g is None else g + part[i]
         out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=t.dtype)
     return out

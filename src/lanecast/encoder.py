@@ -2,9 +2,11 @@
 
 Actors: time-major [A, H, C] sequences, like the [N, D] rows of every other
 block. Each history channel group (coordinates, heading as cos/sin,
-velocity) runs through its own residual 1-d conv block; the three outputs
-are added, downsampled twice, merged back to full temporal resolution by a
-small feature pyramid, and max-pooled over observed steps.
+velocity) has its own residual 1-d conv block; the three run as one block
+over [3, A, H, 2], each parameter read as the [3, ...] stack of the
+branches' own. The three outputs are added, downsampled twice, merged back
+to full temporal resolution by a small feature pyramid, and max-pooled over
+observed steps.
 
 Lane nodes: geometry MLP followed by L gated graph convolution layers, where
 each adjacency category contributes a per-node sigmoid-gated neighbor sum.
@@ -50,11 +52,18 @@ def _init_res_block(store, name, c_in, c_out, rng):
 
 
 def _res_block(store, name, x, stride=1):
-    h = conv(store, f"{name}.conv1", x, stride=stride, padding=1)
-    h = dc.relu(layer_norm(store, f"{name}.ln1", h))
-    h = conv(store, f"{name}.conv2", h, stride=1, padding=1)
-    h = layer_norm(store, f"{name}.ln2", h)
-    skip = conv(store, f"{name}.skip", x, stride=stride, padding=0)
+    """The residual block `name` over x [A, H, C]. A tuple of G block names
+    runs their G blocks as one over x [G, A, H, C]: each parameter is read
+    as the [G, ...] stack of theirs, a strided view of the store's buffer."""
+    def p(part):
+        return store[f"{name}.{part}" if isinstance(name, str) else
+                     tuple(f"{n}.{part}" for n in name)]
+
+    h = dc.conv1d(x, p("conv1.w"), p("conv1.b"), stride=stride, padding=1)
+    h = dc.relu(dc.layer_norm(h, p("ln1.g"), p("ln1.b")))
+    h = dc.conv1d(h, p("conv2.w"), p("conv2.b"), padding=1)
+    h = dc.layer_norm(h, p("ln2.g"), p("ln2.b"))
+    skip = dc.conv1d(x, p("skip.w"), stride=stride)
     return dc.relu(dc.add(h, skip))
 
 
@@ -71,8 +80,8 @@ def check_history(scene):
 
 def actor_steps(scene, cfg):
     """`encode_actors` as a graph of steps, each `(name, fn, reads)` as
-    `run_steps` takes them: the three branch res-blocks, each added onto the
-    sum of the ones before by a step of its own, then down1, down2, and the
+    `run_steps` takes them: the three branch res-blocks as one stacked block
+    whose outputs sum as (coord + heading) + vel, then down1, down2, and the
     pyramid and pool, named "actors", whose output is (features, positions).
 
     Unobserved steps are zero-filled on input and excluded from the final
@@ -86,13 +95,13 @@ def actor_steps(scene, cfg):
     if not seen.all():
         raise ContractError(f"actor {scene.actors[int(np.argmin(seen))].id} has no observed steps")
     s = cfg.input_scale
-    streams = {"coord": scene.positions * s,  # each [A, H, 2]
-               "heading": np.stack([np.cos(scene.headings), np.sin(scene.headings)], axis=-1),
-               "vel": scene.velocities * s}
+    streams = np.stack([scene.positions * s,  # [3, A, H, 2] in _BRANCHES order
+                        np.stack([np.cos(scene.headings), np.sin(scene.headings)], axis=-1),
+                        scene.velocities * s]) * obs[:, :, None]
 
-    def branch(br):
-        return (f"actor.{br}",
-                lambda store: _res_block(store, f"actor.{br}", streams[br] * obs[:, :, None]), ())
+    def branches(store):
+        return dc.sum(_res_block(store, tuple(f"actor.{br}" for br in _BRANCHES), streams),
+                      axis=0)
 
     def down(name, x):
         return name, lambda store, f: _res_block(store, name, f, stride=2), (x,)
@@ -108,13 +117,9 @@ def actor_steps(scene, cfg):
         last = h - 1 - np.argmax(obs[:, ::-1], axis=1)
         return pooled, scene.positions[np.arange(len(obs)), last]
 
-    def add(name, a, b):
-        return name, lambda store, x, y: dc.add(x, y), (a, b)
-
-    return [branch("coord"), branch("heading"), add("actor.sum2", "actor.coord", "actor.heading"),
-            branch("vel"), add("actor.sum3", "actor.sum2", "actor.vel"),
-            down("actor.down1", "actor.sum3"), down("actor.down2", "actor.down1"),
-            ("actors", pool, ("actor.sum3", "actor.down1", "actor.down2"))]
+    return [("actor.branches", branches, ()),
+            down("actor.down1", "actor.branches"), down("actor.down2", "actor.down1"),
+            ("actors", pool, ("actor.branches", "actor.down1", "actor.down2"))]
 
 
 def encode_actors(scene, store, cfg):

@@ -159,25 +159,20 @@ class SceneGenConfig:
     segment_len: float = 2.0  # lane node granularity, meters
 
     def validate(self):
-        if self.h < 2:
-            raise ConfigError(f"h must be >= 2, got {self.h}")
-        if self.t < 1:
-            raise ConfigError(f"t must be >= 1, got {self.t}")
-        if self.n_lanes < 1:
-            raise ConfigError(f"n_lanes must be >= 1, got {self.n_lanes}")
-        if self.n_actors < 1:
-            raise ConfigError(f"n_actors must be >= 1, got {self.n_actors}")
-        if self.lane_width <= 0 or self.lane_length <= 0:
-            raise ConfigError("lane_width and lane_length must be positive")
+        for name, low in (("h", 2), ("t", 1), ("n_lanes", 1), ("n_actors", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"data.gen.{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lane_width", "lane_length", "dt", "sample_step", "segment_len"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"data.gen.{name} must be positive, got {getattr(self, name)}")
         if self.curvature_range[0] > self.curvature_range[1]:
-            raise ConfigError(f"bad curvature_range {self.curvature_range}")
+            raise ConfigError(f"data.gen.curvature_range must be [low, high] with low <= high, "
+                              f"got {list(self.curvature_range)}")
         if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+            raise ConfigError(f"data.gen.noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0 <= self.lane_change_prob <= 1:
             raise ConfigError(f"data.gen.lane_change_prob must lie in [0, 1], "
                               f"got {self.lane_change_prob}")
-        if self.dt <= 0 or self.sample_step <= 0 or self.segment_len <= 0:
-            raise ConfigError("dt, sample_step and segment_len must be positive")
         if not self.lane_length / self.sample_step <= MAX_POLYLINE_POINTS:
             raise ConfigError(f"data.gen.sample_step: lane_length / sample_step = "
                               f"{self.lane_length / self.sample_step:g} points per polyline, "

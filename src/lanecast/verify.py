@@ -44,19 +44,21 @@ def _jitter_biases(store, seed):
     """Add seeded N(0, 0.1) noise to every bias. With all-zero biases a head
     whose hidden units are all negative outputs exactly 0, which puts the
     next layer on a ReLU kink, where the one-sided analytic derivative and
-    the central difference must disagree."""
+    the central difference must disagree. Writes in place, so a packed
+    store's parameters stay views of its buffer."""
     rng = np.random.default_rng([seed, 1])
     for name, t in store.items():
         if name.endswith(".b"):
-            t.data = t.data + rng.normal(0.0, 0.1, t.shape)
+            t.data += rng.normal(0.0, 0.1, t.shape)
 
 
 def _store(seed, *inits):
-    """One float64 store: each `init(store, cfg, rng)` on one seeded rng, then jittered."""
+    """One packed float64 store: each `init(store, cfg, rng)` on one seeded
+    rng, then jittered."""
     store, rng = dc.ParamStore(np.float64), np.random.default_rng(seed)
     for init in inits:
         init(store, _tiny_cfg(), rng)
-    _jitter_biases(store, seed)
+    _jitter_biases(store.pack(), seed)
     return store
 
 
@@ -94,7 +96,7 @@ def check_gated_conv(seed=0, n_samples=4):
     for name, t in full.items():
         if name.startswith(p + "."):
             store.add(name, t.data)
-    _jitter_biases(store, seed)
+    _jitter_biases(store.pack(), seed)
     n = scene.lane_graph.n_nodes
     x_in = np.random.default_rng(seed + 1).normal(size=(n, cfg.d))
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -208,12 +209,8 @@ class TestErrorPaths:
                                                                  gen, field):
         """H below the actor encoder's minimum, or T = 1 with stage-two
         epochs to run: train exits 1 naming the field before any epoch."""
-        cfg = {**TINY, "data": {**TINY["data"], "gen": {**TINY["data"]["gen"], **gen}}}
-        cfg_path, data, out = tmp_path / "run.json", tmp_path / "data", tmp_path / "run"
-        cfg_path.write_text(json.dumps(cfg))
-        assert run("gen-data", "--config", str(cfg_path), "--out", str(data)) == 0
-        capsys.readouterr()
-        assert run("train", "--config", str(cfg_path), "--data", str(data),
+        data, out = _short_scenes(tmp_path, gen), tmp_path / "run"
+        assert run("train", "--config", str(_tiny_config(tmp_path)), "--data", str(data),
                    "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and len(err.splitlines()) == 1
@@ -232,10 +229,7 @@ class TestErrorPaths:
         assert [rec["stage"] for rec in log] == ["S1", "S1"]
 
     def test_predict_names_a_history_too_short_for_the_encoder(self, tmp_path, capsys):
-        cfg = {**TINY, "data": {**TINY["data"], "gen": {**TINY["data"]["gen"], "h": 3}}}
-        cfg_path, data = tmp_path / "run.json", tmp_path / "data"
-        cfg_path.write_text(json.dumps(cfg))
-        assert run("gen-data", "--config", str(cfg_path), "--out", str(data)) == 0
+        cfg_path, data = _tiny_config(tmp_path), _short_scenes(tmp_path, {"h": 3})
         ckpt = tmp_path / "checkpoint.bin"
         store = dc.ParamStore(np.float32)
         init_model(store, ModelConfig(d=16, l_graph=1), TINY["data"]["gen"]["t"],
@@ -247,6 +241,54 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert err.startswith("error: horizon.H: ") and len(err.splitlines()) == 1
         assert out == "" and not (tmp_path / "p.json").exists()
+
+
+    def test_gen_data_rejects_a_history_the_encoder_cannot_take(self, tmp_path, capsys):
+        cfg = {**TINY, "data": {**TINY["data"], "gen": {**TINY["data"]["gen"], "h": 3}}}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d")) == 1
+        assert capsys.readouterr().err.startswith("error: data.gen.h must be >= 4")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("model, field", [
+        ({"d": 1000000}, "model.d"), ({"k_modes": 100000000}, "model.k_modes"),
+        ({"l_graph": 100000000}, "model.l_graph")])
+    def test_a_model_past_the_size_bound_fails_before_any_allocation(self, tmp_path, capsys,
+                                                                     model, field):
+        """Each of these exited 3 with a MemoryError: now train exits 1
+        naming the field, traces under 8 MB and writes no epoch."""
+        cfg_path, out = tmp_path / "run.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps({**TINY, "model": model}))
+        data = _short_scenes(tmp_path, {})
+        tracemalloc.start()
+        try:
+            code = run("train", "--config", str(cfg_path), "--data", str(data), "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 8_000_000, peak
+        out_text, err = capsys.readouterr()
+        assert err.startswith(f"error: {field}: ") and "MAX_PARAMS" in err and out_text == ""
+        assert not out.exists()
+
+
+def _tiny_config(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(TINY))
+    return path
+
+
+def _short_scenes(tmp_path, gen):
+    """TINY's scenes with `gen` over its generator fields, written with
+    `save_scene`: the config's own generator must keep H >= MIN_H."""
+    data = tmp_path / "data"
+    data.mkdir()
+    gen_cfg = SceneGenConfig(**{**TINY["data"]["gen"], **gen})
+    for i in range(TINY["data"]["n_scenes"]):
+        scene = generate_synthetic(gen_cfg, TINY["seed"] + i, scene_id=f"scene{i:03d}")
+        (data / f"scene{i:03d}.json").write_bytes(save_scene(scene))
+    return data
 
 
 class TestUnusablePaths:

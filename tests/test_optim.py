@@ -1,7 +1,7 @@
 """Optimizer and schedule: step-by-step oracle for the Nesterov-momentum
 Adam variant, bit-identity of the flat update with the per-tensor active-set
-update it replaced, the flat parameter buffer the optimizer owns, restart
-schedule values, and the two-stage training loop."""
+update it replaced, the store's flat parameter buffer the optimizer steps,
+restart schedule values, and the two-stage training loop."""
 
 import inspect
 import math
@@ -77,6 +77,12 @@ class PerTensorNAdam:
             p.data = p.data - (lr * step / denom).astype(p.dtype)
 
 
+def flat_grads(store, grads, dtype=None):
+    """Per-name gradients as one flat gradient in the store's buffer layout."""
+    return np.concatenate([np.empty(0, dtype or store.dtype)]
+                          + [np.asarray(grads[n], dtype=dtype).ravel() for n in store.names()])
+
+
 class TestNAdam:
     def test_matches_reference_over_many_steps(self):
         rng = np.random.default_rng(0)
@@ -88,7 +94,7 @@ class TestNAdam:
         opt = optim.NAdam(store)
         grads_seq = [[rng.normal(size=s) for s in shapes] for _ in range(25)]
         for grads in grads_seq:
-            opt.step({f"p{i}": g for i, g in enumerate(grads)}, lr=1e-2)
+            opt.step(flat_grads(store, {f"p{i}": g for i, g in enumerate(grads)}), lr=1e-2)
         want = nadam_reference(init, grads_seq, lr=1e-2)
         for i in range(3):
             np.testing.assert_allclose(store[f"p{i}"].data, want[i],
@@ -117,38 +123,39 @@ class TestNAdam:
                 grads["late"] = np.zeros(shapes["late"], dtype=dtype)
             lr = 1e-2 * (1 + step % 3)
             ref.step(grads, lr)
-            opt.step(grads, lr)
+            opt.step(flat_grads(store, grads), lr)
             for n in shapes:
                 np.testing.assert_array_equal(store[n].data, ref_store[n].data)
                 assert store[n].dtype == dtype
         np.testing.assert_array_equal(store["late"].data != init["late"], True)
 
-    def test_missing_gradient_names_the_param(self):
+    def test_a_gradient_missing_a_parameter_names_the_buffer_size(self):
         store = dc.ParamStore(np.float64)
         store.add("a", np.zeros(2))
         store.add("b", np.zeros(2))
-        with pytest.raises(ContractError, match="param b"):
-            optim.NAdam(store).step({"a": np.zeros(2)}, lr=1e-3)
+        with pytest.raises(ContractError, match=r"shape \(2,\) for a buffer of 4 parameters"):
+            optim.NAdam(store).step(np.zeros(2), lr=1e-3)
 
     def test_nonpositive_lr_rejected(self):
         store = dc.ParamStore(np.float64)
         store.add("a", np.zeros(2))
         with pytest.raises(ContractError):
-            optim.NAdam(store).step({"a": np.zeros(2)}, lr=0.0)
+            optim.NAdam(store).step(np.zeros(2), lr=0.0)
 
     def test_grad_shape_mismatch_rejected(self):
         store = dc.ParamStore(np.float64)
         store.add("a", np.zeros(2))
-        with pytest.raises(ContractError, match="param a"):
-            optim.NAdam(store).step({"a": np.zeros(3)}, lr=1e-3)
+        for bad in (np.zeros(3), np.zeros((1, 2))):
+            with pytest.raises(ContractError, match="for a buffer of 2 parameters"):
+                optim.NAdam(store).step(bad, lr=1e-3)
 
 
-def assert_views_of_the_buffer(store, opt, arrays=None):
-    """Every parameter's array is a view of the optimizer's one buffer and,
-    with `arrays`, still the very object it was before."""
+def assert_views_of_the_buffer(store, arrays=None):
+    """Every parameter's array is a view of the store's one buffer and, with
+    `arrays`, still the very object it was before."""
     for i, name in enumerate(store.names()):
         data = store[name].data
-        assert np.shares_memory(data, opt._p), name
+        assert data.base is store.flat and np.shares_memory(data, store.flat), name
         if arrays is not None:
             assert data is arrays[i], name
 
@@ -162,8 +169,9 @@ def small_store(dtype, seed=4):
 
 
 class TestFlatBuffer:
-    """NAdam owns one flat buffer: each parameter is a reshaped view of it,
-    and a step writes the buffer in place instead of rebinding `.data`."""
+    """NAdam steps the store's one flat buffer: each parameter is a reshaped
+    view of it, and a step writes the buffer in place instead of rebinding
+    `.data`."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_parameters_stay_the_same_views_across_steps(self, dtype):
@@ -171,30 +179,47 @@ class TestFlatBuffer:
         before = {n: store[n].data.copy() for n in store.names()}
         opt = optim.NAdam(store)
         arrays = [store[n].data for n in store.names()]
-        assert_views_of_the_buffer(store, opt, arrays)
+        assert_views_of_the_buffer(store, arrays)
         for n in store.names():
             np.testing.assert_array_equal(store[n].data, before[n])
             assert store[n].data.dtype == dtype
         rng = np.random.default_rng(5)
         for _ in range(3):
-            opt.step({n: rng.normal(size=store[n].shape).astype(dtype)
-                      for n in store.names()}, lr=1e-2)
-            assert_views_of_the_buffer(store, opt, arrays)
+            opt.step(rng.normal(size=store.flat.size).astype(dtype), lr=1e-2)
+            assert_views_of_the_buffer(store, arrays)
         assert all((store[n].data != before[n]).all() for n in store.names())
 
-    def test_trained_store_is_a_view_of_its_optimizer(self):
+    def test_trained_store_is_a_view_of_its_buffer(self):
         cfg = tiny_run_cfg(epochs=2)
         store, _, opt, _ = optim.train(scenes_for(cfg), cfg)
-        assert_views_of_the_buffer(store, opt)
+        assert opt.store is store
+        assert_views_of_the_buffer(store)
         np.testing.assert_array_equal(
-            np.concatenate([store[n].data.ravel() for n in store.names()]), opt._p)
+            np.concatenate([store[n].data.ravel() for n in store.names()]), store.flat)
 
     def test_empty_store_steps(self):
         store = dc.ParamStore(np.float32)
         opt = optim.NAdam(store)
-        opt.step({}, lr=1e-3)
-        assert opt._p.shape == (0,) and opt._p.dtype == np.float32
+        opt.step(np.zeros(0, np.float32), lr=1e-3)
+        assert store.flat.shape == (0,) and store.flat.dtype == np.float32
         assert opt.t == 1
+
+    def test_two_optimizers_step_one_buffer(self):
+        store = small_store(np.float64)
+        first, second = optim.NAdam(store), optim.NAdam(store)
+        arrays = [store[n].data for n in store.names()]
+        before = store.flat.copy()
+        first.step(np.ones(store.flat.size), lr=1e-2)
+        moved = store.flat.copy()
+        second.step(np.ones(store.flat.size), lr=1e-2)
+        assert (moved != before).all() and (store.flat != moved).all()
+        assert_views_of_the_buffer(store, arrays)
+
+    def test_a_step_leaves_its_gradient_overwritten(self):
+        store = small_store(np.float64).pack()
+        grad = np.ones(store.flat.size)
+        optim.NAdam(store).step(grad, lr=1e-2)
+        assert (grad != 1.0).all()
 
     def test_float64_gradients_round_once_on_a_float32_store(self):
         wide, narrow = small_store(np.float32), small_store(np.float32)
@@ -202,11 +227,11 @@ class TestFlatBuffer:
         arrays = [wide[n].data for n in wide.names()]
         rng = np.random.default_rng(6)
         for step in range(4):
-            grads = {n: rng.normal(size=wide[n].shape) for n in wide.names()}
+            grads = rng.normal(size=wide.flat.size)
             opt_wide.step(grads, lr=1e-2)
-            opt_narrow.step({n: g.astype(np.float32) for n, g in grads.items()}, lr=1e-2)
-            assert opt_wide._p.tobytes() == opt_narrow._p.tobytes()
-            assert_views_of_the_buffer(wide, opt_wide, arrays)
+            opt_narrow.step(grads.astype(np.float32), lr=1e-2)
+            assert wide.flat.tobytes() == narrow.flat.tobytes()
+            assert_views_of_the_buffer(wide, arrays)
         for n in wide.names():
             assert wide[n].data.dtype == np.float32
             assert wide[n].data.tobytes() == narrow[n].data.tobytes()
@@ -217,8 +242,8 @@ class TestFlatBuffer:
         assert opt.active == store.names()
         assert list(inspect.signature(optim.NAdam.step).parameters) == ["self", "grads", "lr"]
         arrays = [store[n].data for n in store.names()]
-        opt.step({n: np.ones(store[n].shape) for n in store.names()}, lr=1e-3)
-        assert_views_of_the_buffer(store, opt, arrays)
+        opt.step(np.ones(store.flat.size), lr=1e-3)
+        assert_views_of_the_buffer(store, arrays)
 
 
 class TestLrSchedule:

@@ -108,7 +108,7 @@ def _model(k_modes, dtype, seed):
     decoder.init_model(store, cfg, T, rng)
     for name, t in store.items():  # biases off zero so every path carries gradient
         if name.endswith(".b"):
-            t.data = (t.data + rng.normal(0.0, 0.1, t.shape)).astype(dtype)
+            t.data[...] = t.data + rng.normal(0.0, 0.1, t.shape)  # in place: views of the buffer
     return cfg, store
 
 

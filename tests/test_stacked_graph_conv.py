@@ -38,7 +38,7 @@ def _layer_store(d, seed):
     rng = np.random.default_rng([seed, 1])
     for name, t in store.items():  # nonzero biases exercise the gate bias path
         if name.endswith(".b"):
-            t.data = t.data + rng.normal(0.0, 0.3, t.shape)
+            t.data += rng.normal(0.0, 0.3, t.shape)
     return store
 
 

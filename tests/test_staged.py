@@ -128,13 +128,14 @@ def test_staged_and_full_rerun_reports_match(seed, monkeypatch):
 
 
 class _Recorder:
-    """A params mapping that adds the names read through it to `names`."""
+    """A params mapping that adds the names read through it to `names`, each
+    member of a stacked read among them."""
 
     def __init__(self, params, names):
         self.params, self.names = params, names
 
     def __getitem__(self, name):
-        self.names.add(name)
+        self.names.update(name if isinstance(name, tuple) else (name,))
         return self.params[name]
 
     def __contains__(self, name):
@@ -178,7 +179,7 @@ _AFTER_FUSION = {"targets", "completion", "check"}
 
 def test_a_lane_gc1_weight_reruns_only_gc1_and_what_follows(monkeypatch):
     fn, store, graph, runs, _ = _graph_of(verify.check_full_pipeline, monkeypatch)
-    assert [name for name, _ in graph][8:12] == ["lane.in", "lane.gc0", "lanes", "boundaries"]
+    assert [name for name, _ in graph][4:8] == ["lane.in", "lane.gc0", "lanes", "boundaries"]
     params = store.constants()
     for name in [n for n in store.names() if n.startswith("lane.gc1.")]:
         assert _rerun(fn, params, name, runs) == {
@@ -194,8 +195,9 @@ def test_an_actor_parameter_never_reruns_the_lane_boundary_or_b2l_steps(monkeypa
         got = _rerun(fn, params, name, runs)
         assert not got & _LANES, name
         assert {"actors", "fuse.l2a", "fuse.b2a", "fused"} | _AFTER_FUSION <= got, name
+    # the three branches run as one stacked step, so a branch parameter reruns all three
     assert _rerun(fn, params, "actor.vel.conv1.w", runs) == {
-        "actor.vel", "actor.sum3", "actor.down1", "actor.down2", "actors", "fuse.l2a",
+        "actor.branches", "actor.down1", "actor.down2", "actors", "fuse.l2a",
         "fuse.b2a", "fused"} | _AFTER_FUSION
 
 

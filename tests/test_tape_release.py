@@ -43,8 +43,14 @@ def retaining_backward(loss, params):
             gi = vjp(g)
             acc = grads.get(id(inp))
             grads[id(inp)] = gi if acc is None else acc + gi
-    return {name: np.zeros_like(t.data) if id(t) not in grads
-            else np.asarray(grads[id(t)], dtype=t.dtype) for name, t in params.items()}
+    out = {}
+    for name, t in params.items():
+        g = grads.get(id(t))
+        for leaf, i in getattr(t, "_stacked_as", ()):  # its slice of each stack it is read in
+            if id(leaf) in grads:
+                g = grads[id(leaf)][i] if g is None else g + grads[id(leaf)][i]
+        out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=t.dtype)
+    return out
 
 
 def _batch(d, l_graph, n_views, dtype, n_lanes=2):

@@ -279,7 +279,7 @@ def _store(cfg, seed, t):
     rng = np.random.default_rng([seed, 1])
     for name, p in store.items():  # nonzero biases reach every bias path
         if name.endswith(".b"):
-            p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+            p.data += rng.normal(0.0, 0.1, p.shape)  # in place: views of the buffer
     return store
 
 
