@@ -31,10 +31,9 @@ class ParamStore:
     `load` pack, and `add` unpacks. From then on a parameter is written in
     place: rebinding its `.data` detaches it from the buffer.
 
-    The store also reads a tuple of names of equal shape, spaced evenly in
-    the buffer, as their stack (packing first if it must): one leaf [G, ...]
-    whose data is a strided view of `flat`, made once and kept, with no copy
-    and no tape op. Its gradient lands in its members' (see `backward`),
+    A packed store also reads a tuple of names of equal shape, spaced evenly
+    in the buffer, as their stack: one leaf [G, ...] whose data is a strided
+    view of `flat`, made once and kept, with no copy and no tape op. Its gradient lands in its members' (see `backward`),
     each of which lists the stack in `_stacked_as`.
     """
 
@@ -44,7 +43,6 @@ class ParamStore:
             raise ContractError(f"ParamStore dtype must be float32/float64, got {self.dtype}")
         self._params: dict[str, Tensor] = {}
         self._stacks: dict[tuple, Tensor] = {}
-        self._slots = None  # (into, {id(leaf): its view of into}) for the last `into`
         self.flat = None
         self.meta: dict = {}
 
@@ -53,7 +51,7 @@ class ParamStore:
             raise ContractError(f"duplicate parameter name: {name}")
         t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
-        self.flat, self._slots = None, None
+        self.flat = None
         if self._stacks:  # views of the buffer the next pack replaces
             for p in self._params.values():
                 p._stacked_as = ()
@@ -80,7 +78,8 @@ class ParamStore:
     def _stack(self, names):
         if type(names) is not tuple:
             raise KeyError(names)
-        self.pack()
+        if self.flat is None:
+            raise ContractError(f"cannot stack {names}: the store is not packed")
         members = [self._params[n] for n in names]
         at = [self._offset(n) for n in names]
         step = at[1] - at[0] if len(at) > 1 else 0
@@ -92,7 +91,6 @@ class ParamStore:
         self._stacks[names] = leaf = Tensor(data, requires_grad=True)
         for i, t in enumerate(members):
             t._stacked_as = getattr(t, "_stacked_as", ()) + ((leaf, i),)
-        self._slots = None
         return leaf
 
     def _offset(self, name):
@@ -102,21 +100,6 @@ class ParamStore:
         if t.data.base is not self.flat or not 0 <= at <= self.flat.nbytes:
             raise ContractError(f"parameter {name} is not a view of the store's buffer")
         return at
-
-    def grad_slots(self, into):
-        """{id(leaf): the view of `into` that lies where the leaf's data lies
-        in `flat`} over every parameter and stack: `into` is a flat gradient
-        laid out like the buffer. Kept for the last `into` asked for."""
-        if self._slots is None or self._slots[0] is not into:
-            if self.flat is None or not isinstance(into, np.ndarray) or (
-                    into.shape, into.dtype) != (self.flat.shape, self.dtype):
-                raise ContractError(f"a flat gradient must be a {self.dtype} array laid out "
-                                    f"like the store's packed buffer")
-            keys = [*self._params, *self._stacks]
-            self._slots = (into, {id(self[k]): np.ndarray(
-                self[k].shape, into.dtype, into, self._offset(k), self[k].data.strides)
-                for k in keys})
-        return self._slots[1]
 
     def __contains__(self, name):
         return name in self._params

@@ -299,19 +299,19 @@ def softmax(a):
     return _make(s.astype(a.dtype), "softmax", (a, vjp))
 
 
-def layer_norm(a, gamma, beta):
+def layer_norm(a, gamma, beta, grouped=False):
     """Normalize each slice along the last (feature) axis to zero mean / unit
     variance, then apply the learned affine (gamma, beta), both [D]. A
-    group-stacked input [G, ..., D] takes one affine per group, [G, D],
-    applied as [G, 1, ..., 1, D]."""
+    `grouped` input [G, ..., D] takes one affine per group, [G, D], applied
+    as [G, 1, ..., 1, D]."""
     a, gamma, beta = _tensors(a, gamma, beta)
     n = a.shape[-1]
-    if gamma.shape not in ((n,), (a.shape[0], n) if a.ndim > 2 else None) or \
-            beta.shape != gamma.shape:
-        raise ShapeError(
-            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match input {a.shape}")
-    # [G, D] -> [G, 1, ..., 1, D]: a view that broadcasts over each group's rows
-    affine = (n,) if gamma.ndim == 1 else (a.shape[0],) + (1,) * (a.ndim - 2) + (n,)
+    want = affine = (n,)
+    if grouped:  # [G, D], applied as [G, 1, ..., 1, D]
+        want, affine = (a.shape[0], n), (a.shape[0],) + (1,) * (a.ndim - 2) + (n,)
+    if (grouped and a.ndim < 3) or gamma.shape != want or beta.shape != want:
+        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match "
+                         f"{'grouped ' * grouped}input {a.shape}")
     g_aff, b_aff = gamma.data.reshape(affine), beta.data.reshape(affine)
 
     # add.reduce / n gives mean's bits without its Python-level wrapper
@@ -485,49 +485,38 @@ def _topological_order(root):
 def backward(loss, params, into=None):
     """Gradients of a scalar loss for every tensor in `params`.
 
-    `params` maps name -> Tensor. Once a node's vjps have run, the node drops
-    its edges (the vjps and the arrays they hold) and, unless it is in
-    `params`, its gradient. It keeps its op, and a second walk through it
-    raises ContractError.
+    `params` maps name -> Tensor. Parameters disconnected from the loss get
+    zero gradients. Once a node's vjps have run, the node drops its edges (the
+    vjps and the arrays they hold) and, unless it is in `params`, its gradient.
+    It keeps its op, and a second walk through it raises ContractError. A
+    parameter read through a stack (`_stacked_as`) also gets its slice of the
+    stack's gradient, added after its own.
 
-    Without `into`, returns {name: gradient}; parameters disconnected from
-    the loss get zeros. A parameter read through a stack (`_stacked_as`)
-    also gets its slice of the stack's gradient, added after its own.
-
-    `into`, a flat array laid out like the buffer of `params`, a packed
-    ParamStore, carries gradients across walks and is returned: each
-    contribution to a parameter or a stack is added in place onto its view
-    of `into`, in walk order. Started at -0.0, the identity of IEEE
-    addition, a first contribution lands as it is (a -0.0 stays -0.0), so
-    walking l0, l1, ... in turn gives the bits one walk over
-    `add(add(l0, l1), ...)` gives. What no walk reaches keeps its -0.0.
+    `into`, a dict of per-parameter sums, carries gradients across walks:
+    walking l0, l1, ... in turn adds onto the sums the walks before left, in
+    the order one walk over `add(add(l0, l1), ...)` would, bit for bit, as
+    long as a walk reads each stack at most once.
     """
     loss = _as_tensor(loss)
     if loss.shape != ():
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    slots = {} if into is None else params.grad_slots(into)
-    items = () if into is not None else params.items() if hasattr(params, "items") \
-        else list(params)
+    items = params.items() if hasattr(params, "items") else list(params)
     keep = {id(t) for _, t in items}
 
     order = _topological_order(loss)
     grads = {id(loss): np.ones((), dtype=loss.dtype)}
+    if into:
+        grads.update((id(t), into[name]) for name, t in items if name in into)
     # every node in the order is reached from the loss, so its gradient is
     # complete before the walk gets to it
     while order:
         node = order.pop()
         g = grads[id(node)] if id(node) in keep else grads.pop(id(node))
         for inp, vjp in node._edges:
-            slot = slots.get(id(inp))
-            if slot is not None:
-                slot += vjp(g)
-                continue
             gi = vjp(g)
             acc = grads.get(id(inp))
             grads[id(inp)] = gi if acc is None else acc + gi
         node._edges = ()
-    if into is not None:
-        return into
 
     out = {}
     for name, t in items:
@@ -536,5 +525,7 @@ def backward(loss, params, into=None):
             part = grads.get(id(leaf))
             if part is not None:
                 g = part[i] if g is None else g + part[i]
+        if into is not None and g is not None:
+            into[name] = g
         out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=t.dtype)
     return out

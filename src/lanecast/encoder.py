@@ -55,14 +55,15 @@ def _res_block(store, name, x, stride=1):
     """The residual block `name` over x [A, H, C]. A tuple of G block names
     runs their G blocks as one over x [G, A, H, C]: each parameter is read
     as the [G, ...] stack of theirs, a strided view of the store's buffer."""
+    grouped = not isinstance(name, str)
+
     def p(part):
-        return store[f"{name}.{part}" if isinstance(name, str) else
-                     tuple(f"{n}.{part}" for n in name)]
+        return store[tuple(f"{n}.{part}" for n in name) if grouped else f"{name}.{part}"]
 
     h = dc.conv1d(x, p("conv1.w"), p("conv1.b"), stride=stride, padding=1)
-    h = dc.relu(dc.layer_norm(h, p("ln1.g"), p("ln1.b")))
+    h = dc.relu(dc.layer_norm(h, p("ln1.g"), p("ln1.b"), grouped))
     h = dc.conv1d(h, p("conv2.w"), p("conv2.b"), padding=1)
-    h = dc.layer_norm(h, p("ln2.g"), p("ln2.b"))
+    h = dc.layer_norm(h, p("ln2.g"), p("ln2.b"), grouped)
     skip = dc.conv1d(x, p("skip.w"), stride=stride)
     return dc.relu(dc.add(h, skip))
 

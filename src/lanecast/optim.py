@@ -1,9 +1,8 @@
 """NAdam, the warm-restart cosine schedule, and the two-stage training loop.
 
-NAdam steps the store's flat buffer in place, from one flat gradient laid
-out like it. The schedule restarts at epochs {6, 18, 42}
-with period lengths doubling 6 -> 12 -> 24 -> 48 (summing to 90), then holds
-the minimum rate. Stage two starts at the first restart. Before that the
+NAdam steps the parameter store's one flat buffer in place. The schedule
+restarts at epochs {6, 18, 42} with period lengths doubling 6 -> 12 -> 24 ->
+48 (summing to 90), then holds the minimum rate. Stage two starts at the first restart. Before that the
 completion head is not on the tape, so its gradients are exact zeros and NAdam
 leaves it bit-exactly at its initial values (see `NAdam`); no parameter is
 ever frozen by name.
@@ -43,32 +42,30 @@ class NAdam:
     two moments and one scratch array laid out like it. A parameter whose
     gradient is exactly zero does not move: from zero moments, `g = 0` keeps
     `m = v = 0` and subtracts `lr * 0 / (0 + EPS) = 0`, so its moments are
-    still zero at its first nonzero gradient, as if it joined then. A -0.0
-    gradient, which a parameter no walk reached keeps, moves m and v as +0.0
-    does; the two steps can differ only in the sign of a zero, which
-    changes a parameter only if it is -0.0 itself.
+    still zero at its first nonzero gradient, as if it joined then.
     """
 
     def __init__(self, store):
         self.store = store.pack()
         self.active = store.names()
+        self._shapes = [store[n].shape for n in self.active]
         self.t = 0
         self.mu_prod = 1.0
         self._m, self._v, self._tmp = (np.zeros_like(store.flat) for _ in range(3))
 
     def step(self, grads, lr):
-        """One update from `grads`, the flat gradient of the store's buffer
-        (`dc.backward`'s `into`). The step works in `grads` as scratch and
-        leaves it overwritten; a gradient of another dtype is cast into a
-        copy, so float64 rounds once."""
         if lr <= 0:
             raise ContractError(f"lr must be positive, got {lr}")
         p = self.store.flat
-        g = np.asarray(grads)
-        if g.shape != p.shape:
-            raise ContractError(f"flat gradient of shape {g.shape} for a buffer of "
-                                f"{p.size} parameters")
-        g = g.astype(p.dtype, copy=False)
+        flat = [np.empty(0, p.dtype)]
+        for name, shape in zip(self.active, self._shapes):
+            if name not in grads:
+                raise ContractError(f"no gradient for param {name}")
+            g = np.asarray(grads[name])
+            if g.shape != shape:
+                raise ContractError(f"grad shape {g.shape} != param {name} {shape}")
+            flat.append(g.ravel())
+        g = np.concatenate(flat).astype(p.dtype, copy=False)  # float64 rounds once
         self.t += 1
         mu_t, mu_next = _mu(self.t), _mu(self.t + 1)
         self.mu_prod *= mu_t
@@ -147,7 +144,7 @@ def train(scenes, run_cfg, log_path=None):
     for a short history, "horizon.T" for mixed T or T < 2 with stage two to run.
 
     Each view's tape is walked as soon as its loss is known, adding onto the
-    batch's flat gradient, so a step's peak is one view's tape, not the
+    batch's gradient sums, so a step's peak is one view's tape, not the
     batch's; the bits equal one walk over the mean of the batch's losses.
     """
     if not scenes:
@@ -169,7 +166,6 @@ def train(scenes, run_cfg, log_path=None):
 
     sched = LrSchedule(tc)
     opt = NAdam(store)
-    grad = np.empty_like(store.flat)
     views = _scene_views(scenes)
     order_rng = np.random.default_rng(run_cfg.seed + 1)
 
@@ -186,7 +182,7 @@ def train(scenes, run_cfg, log_path=None):
             fde_sum, fde_n = 0.0, 0
             for b0 in range(0, len(perm), tc.batch_size):
                 batch = perm[b0:b0 + tc.batch_size]
-                grad.fill(-0.0)  # -0.0 + x is x: each first contribution lands as it is
+                grad_sums = {}
                 for vi in batch:
                     si, aid = views[vi]
                     loss, bd, fde = _view_loss(scenes[si], aid, store, run_cfg, stage)
@@ -195,12 +191,12 @@ def train(scenes, run_cfg, log_path=None):
                             f"non-finite loss at epoch {epoch}, view (scene "
                             f"{scenes[si].scene_id!r}, actor {aid!r}), components {bd}")
                     # walk this view's tape before the next view's forward
-                    dc.backward(dc.scale(loss, 1.0 / len(batch)), store, into=grad)
+                    grads = dc.backward(dc.scale(loss, 1.0 / len(batch)), store, into=grad_sums)
                     for key in sums:
                         sums[key] += getattr(bd, key)
                     if fde is not None:
                         fde_sum, fde_n = fde_sum + fde, fde_n + 1
-                opt.step(grad, lr)
+                opt.step(grads, lr)
 
             rec = {"epoch": epoch, "lr": lr, "stage": stage}
             rec.update((k, v / len(views)) for k, v in sums.items() if k != "traj" or stage == S2)

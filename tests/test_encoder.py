@@ -44,6 +44,7 @@ class TestActorEncoder:
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_actor_encoder(store, cfg, np.random.default_rng(0))
+        store.pack()  # the branches read their parameters as stacks of the buffer
         scene = sc.generate_synthetic(sc.SceneGenConfig(n_actors=3, h=8, t=4), 1)
         feats, pos = encoder.encode_actors(scene, store, cfg)
         assert feats.shape == (3, cfg.d)
@@ -54,6 +55,7 @@ class TestActorEncoder:
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_actor_encoder(store, cfg, np.random.default_rng(1))
+        store.pack()
         h = 8
         base = np.stack([np.arange(h) * 1.0, np.ones(h)], axis=1)
         observed = np.array([False, False, False, True, True, True, True, True])
@@ -79,6 +81,7 @@ class TestActorEncoder:
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_actor_encoder(store, cfg, np.random.default_rng(1))
+        store.pack()
         h = 8
         base = np.stack([np.arange(h) * 1.0, np.ones(h)], axis=1)
         moved = base.copy()
@@ -93,6 +96,7 @@ class TestActorEncoder:
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_actor_encoder(store, cfg, np.random.default_rng(0))
+        store.pack()
         pos = np.zeros((3, 2))
         with pytest.raises(ContractError):
             encoder.encode_actors(
@@ -102,6 +106,7 @@ class TestActorEncoder:
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_actor_encoder(store, cfg, np.random.default_rng(0))
+        store.pack()
         pos = np.stack([np.arange(6.0), np.zeros(6)], axis=1)
         scene = straight_scene([make_actor("a0", pos), make_actor("a1", pos + 1.0)])
         scene.observed[1] = False
@@ -112,6 +117,7 @@ class TestActorEncoder:
         cfg = tiny_cfg()
         store = dc.ParamStore(np.float64)
         encoder.init_actor_encoder(store, cfg, np.random.default_rng(0))
+        store.pack()
         h = 6
         base = np.stack([np.arange(h) * 1.0, np.zeros(h)], axis=1)
         observed = np.array([True, True, True, True, True, False])

@@ -16,7 +16,7 @@ from lanecast._layers import run_steps
 from lanecast.config import ModelConfig
 from lanecast.decoder import init_model
 from lanecast.diffcore import tensor
-from lanecast.errors import ContractError
+from lanecast.errors import ContractError, ShapeError
 from lanecast.scene import SceneGenConfig, generate_synthetic, normalize
 
 BRANCHES = ("coord", "heading", "vel")
@@ -86,13 +86,14 @@ def test_stacked_branches_match_the_per_branch_encoder(dtype):
         np.testing.assert_array_equal(pos, want_pos)
         got = dc.backward(dc.sum(dc.mul(feats, mix)), store)
         ref = dc.backward(dc.sum(dc.mul(want, mix)), store)
-        flat = np.full_like(store.flat, -0.0)
-        feats, _ = encoder.encode_actors(scene, store, cfg)
-        slots = store.grad_slots(dc.backward(dc.sum(dc.mul(feats, mix)), store, into=flat))
+        sums = {}
+        for _ in range(2):  # a second walk adds onto the first's sums, as the reference's does
+            feats, _ = encoder.encode_actors(scene, store, cfg)
+            twice = dc.backward(dc.sum(dc.mul(feats, mix)), store, into=sums)
         for name in _actor_names(store):
             assert got[name].dtype == dtype, name
             assert got[name].tobytes() == ref[name].tobytes(), name
-            assert slots[id(store[name])].tobytes() == ref[name].tobytes(), name
+            assert twice[name].tobytes() == (ref[name] + ref[name]).tobytes(), name
             assert ref[name].any(), name  # the reference reaches every actor parameter
 
 
@@ -174,7 +175,7 @@ def test_grouped_layer_norm_matches_one_call_per_group(dtype):
     x = dc.Tensor(rng.normal(size=(3, 5, 9, 16)).astype(dtype), requires_grad=True)
     gt, bt = dc.Tensor(gamma, requires_grad=True), dc.Tensor(beta, requires_grad=True)
     mix = rng.normal(size=x.shape)
-    y = dc.layer_norm(x, gt, bt)
+    y = dc.layer_norm(x, gt, bt, grouped=True)
     grads = dc.backward(dc.sum(dc.mul(y, mix)), {"x": x, "g": gt, "b": bt})
     for g in range(3):
         xg = dc.Tensor(x.data[g], requires_grad=True)
@@ -187,17 +188,28 @@ def test_grouped_layer_norm_matches_one_call_per_group(dtype):
             assert want[name].tobytes() == grads[name][g].tobytes(), (g, name)
 
 
-@pytest.mark.parametrize("gamma_shape", [(3, 8), (3, 1, 1, 8), (4,), (2, 8)])
-def test_layer_norm_takes_one_affine_or_one_per_group(gamma_shape):
+@pytest.mark.parametrize("gamma_shape", [(3, 8), (3, 1, 1, 8), (4,), (2, 8), (8,)])
+def test_layer_norm_takes_one_affine_per_group_only_when_grouped(gamma_shape):
     x = np.ones((3, 2, 5, 8))
-    ok = gamma_shape == (3, 8)
-    if ok:
-        dc.layer_norm(x, np.ones(gamma_shape), np.zeros(gamma_shape))
+    if gamma_shape == (3, 8):
+        dc.layer_norm(x, np.ones(gamma_shape), np.zeros(gamma_shape), grouped=True)
     else:
-        with pytest.raises(Exception, match="affine shapes"):
+        with pytest.raises(ShapeError, match="affine shapes .* grouped input"):
+            dc.layer_norm(x, np.ones(gamma_shape), np.zeros(gamma_shape), grouped=True)
+    if gamma_shape == (8,):
+        dc.layer_norm(x, np.ones(gamma_shape), np.zeros(gamma_shape))
+    else:  # an ungrouped input takes one [D] affine, whatever its leading axes
+        with pytest.raises(ShapeError, match="affine shapes"):
             dc.layer_norm(x, np.ones(gamma_shape), np.zeros(gamma_shape))
-    with pytest.raises(Exception, match="affine shapes"):
-        dc.layer_norm(np.ones((3, 8)), np.ones((3, 8)), np.zeros((3, 8)))  # no group axis
+    with pytest.raises(ShapeError, match="affine shapes"):
+        dc.layer_norm(np.ones((3, 8)), np.ones((3, 8)), np.zeros((3, 8)), grouped=True)
+
+
+def test_a_per_actor_affine_on_an_ungrouped_input_is_rejected():
+    """down1/down2 run [A, H, D] ungrouped: an [A, D] gamma there is an error,
+    not one affine per actor."""
+    with pytest.raises(ShapeError, match="affine shapes"):
+        dc.layer_norm(np.ones((4, 6, 8)), np.ones((4, 8)), np.zeros((4, 8)))
 
 
 def test_the_group_sum_adds_coord_and_heading_first():
@@ -268,6 +280,10 @@ def test_a_stack_needs_equal_shapes_and_even_spacing():
     store = dc.ParamStore(np.float64)
     for name, shape in (("a", (2,)), ("b", (2,)), ("c", (3,)), ("d", (2,)), ("e", (2,))):
         store.add(name, np.ones(shape))
+    with pytest.raises(ContractError, match="not packed"):
+        store[("a", "b")]  # reading never packs: only init_model, load and the fixtures do
+    assert store.flat is None
+    store.pack()
     with pytest.raises(ContractError, match="cannot stack"):
         store[("a", "c")]
     with pytest.raises(ContractError, match="cannot stack"):
@@ -275,6 +291,8 @@ def test_a_stack_needs_equal_shapes_and_even_spacing():
     assert store[("d", "e")].shape == (2, 2)
     store.add("f", np.ones(2))  # unpacks: the stacks go with the old buffer
     assert store.flat is None and not store["d"]._stacked_as
+    with pytest.raises(ContractError, match="not packed"):
+        store.constants()[("d", "e")]
 
 
 def test_diffcore_exports_only_ops_and_its_four_entry_points():
