@@ -33,8 +33,9 @@ class ParamStore:
 
     A packed store also reads a tuple of names of equal shape, spaced evenly
     in the buffer, as their stack: one leaf [G, ...] whose data is a strided
-    view of `flat`, made once and kept, with no copy and no tape op. Its gradient lands in its members' (see `backward`),
-    each of which lists the stack in `_stacked_as`.
+    view of `flat`, made once and kept, with no copy and no tape op. Its
+    gradient lands in its members' (see `backward`), each of which lists the
+    stack in `_stacked_as`.
     """
 
     def __init__(self, dtype=np.float32):
